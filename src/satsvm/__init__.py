@@ -46,7 +46,7 @@ from .harness import (
     robustness_suite,
     sensitivity_sweep,
 )
-from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_eval, kernel_row
+from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block, kernel_row
 from .loss import LossKind, LossSpec, loss_derivative, loss_supremum, loss_value
 from .stats import (
     RankTable,
@@ -70,7 +70,6 @@ from .theory import (
 from .trainer import (
     TrainedModel,
     TrainerConfig,
-    decision_value,
     decision_values,
     fit,
     full_gradient,
@@ -78,7 +77,7 @@ from .trainer import (
     learning_rate_sequence,
     load_model,
     objective,
-    predict,
     predict_batch,
     save_model,
+    sign_labels,
 )

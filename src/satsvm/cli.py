@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,68 +33,113 @@ from .data import (
     normalize,
     write_csv,
 )
-from .errors import (
-    CapacityError,
-    DataFormatError,
-    DegenerateStatisticError,
-    NumericError,
-    ParameterError,
-    SatsvmError,
-    ShapeError,
-)
+from .errors import DataFormatError, NumericError, ParameterError, SatsvmError
 from .harness import GridSpec, accuracy, grid_search, sensitivity_sweep
-from .kernel import KernelSpec
-from .loss import LossSpec
+from .kernel import KernelKind, KernelSpec
+from .loss import LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
 from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk
-from .trainer import TrainerConfig, fit, load_model, predict_batch, decision_values, save_model
+from .trainer import TrainerConfig, decision_values, fit, load_model, predict_batch, save_model, sign_labels
 
 MANIFEST_FORMAT = 1
 
-_TRAINER_DEFAULTS = {
-    "C": 1.0,
-    "loss": "expsat",
-    "a": 1.0,
-    "lam": 1.0,
-    "tau": 0.5,
-    "delta": 1.0,
-    "delta1": 1.0,
-    "delta2": 1.0,
-    "kernel": "gaussian",
-    "sigma": 1.0,
-    "beta0": 0.01,
-    "v0": 0.01,
-    "alpha0": 0.1,
-    "eta": 0.1,
-    "r": 0.6,
-    "batch_size": None,
-    "max_iters": 1000,
-}
+
+@dataclass(frozen=True)
+class Option:
+    """One parameter key with its default and its command-line flag.
+
+    ``type`` converts the flag's text (``None`` keeps it as a string);
+    ``bool`` makes a switch, ``--no-<key>`` when the default is on and
+    ``--<key>`` when it is off. ``flag`` overrides the spelling derived
+    from the key.
+    """
+
+    key: str
+    default: object = None
+    type: object = None
+    choices: tuple | None = None
+    flag: str | None = None
+    help: str | None = None
+
+    def add_to(self, parser) -> None:
+        name = self.key.replace("_", "-")
+        if self.type is bool:
+            flag = self.flag or ("--no-" + name if self.default else "--" + name)
+            action = "store_false" if self.default else "store_true"
+            parser.add_argument(flag, dest=self.key, action=action, help=self.help)
+        else:
+            parser.add_argument(self.flag or "--" + name, dest=self.key, type=self.type,
+                                choices=self.choices, help=self.help)
+
+
+def _values(enum_type) -> tuple[str, ...]:
+    return tuple(member.value for member in enum_type)
+
 
 _GRID_DEFAULT = GridSpec()
+_GRID_KEYS = ("c_grid", "sigma_grid", "a_grid", "lambda_grid", "tau_grid")
+
+_OPTIONS = {o.key: o for o in (
+    Option("input"), Option("model"), Option("output"), Option("record"),
+    Option("format", "csv", choices=_values(DataFormat)),
+    Option("loss", "expsat", choices=_values(LossKind)),
+    Option("kernel", "gaussian", choices=_values(KernelKind)),
+    Option("mode", "outliers", choices=_values(CorruptionMode)),
+    Option("input_kind", "accuracies", choices=("accuracies", "mean-ranks")),
+    Option("models", "expsat", help="comma-separated loss kinds"),
+    Option("normalize", True, bool),
+    Option("invert", False, bool),
+    Option("r", 0.6, float, flag="--momentum"),
+    *(Option(key, default, float) for key, default in dict(
+        C=1.0, a=1.0, lam=1.0, tau=0.5, delta=1.0, delta1=1.0, delta2=1.0, sigma=1.0,
+        beta0=0.01, v0=0.01, alpha0=0.1, eta=0.1, rate=0.1, factor=10.0, alpha=0.05,
+        critical_f=None, u_min=-2.0, u_max=3.0, u_step=0.01, p=0.7, f_lo=-3.0, f_hi=3.0,
+        f_step=1e-3,
+    ).items()),
+    *(Option(key, default, int) for key, default in dict(
+        seed=0, batch_size=None, max_iters=1000, folds=5, num_datasets=None,
+    ).items()),
+    *(Option(key, list(getattr(_GRID_DEFAULT, key))) for key in _GRID_KEYS),
+)}
+
+_LOSS_KEYS = ("loss", "a", "lam", "tau", "delta", "delta1", "delta2")
+_TRAINER_KEYS = (*_LOSS_KEYS, "C", "kernel", "sigma", "beta0", "v0", "alpha0", "eta", "r",
+                 "batch_size", "max_iters")
+_DATA_KEYS = ("input", "format", "output", "seed", "normalize")
+_SWEEP_FLAGS = (*_DATA_KEYS, "folds", "a_grid", "lambda_grid", "C", "sigma", "batch_size", "max_iters")
+
+# subcommand -> (help, keys that have a flag, keys settable only through
+# --config, defaults that differ from the option table's)
+_SUBCOMMANDS = {
+    "train": ("fit a model and serialize it", (*_DATA_KEYS, *_TRAINER_KEYS), (),
+              {"output": "model.json"}),
+    "predict": ("classify rows of a data file with a saved model",
+                ("model", "input", "format", "output"), (), {"output": "predictions.csv"}),
+    "grid": ("grid search with k-fold cross-validation",
+             (*_DATA_KEYS, "models", "folds", *_GRID_KEYS, *_TRAINER_KEYS), (),
+             {"output": "grid_results.csv"}),
+    "corrupt": ("inject outliers or label noise, or invert a record",
+                ("input", "format", "output", "mode", "rate", "factor", "seed", "record", "invert"),
+                (), {"output": "corrupted.csv"}),
+    "stats": ("Friedman / Nemenyi report from accuracies or mean ranks",
+              ("input", "input_kind", "num_datasets", "alpha", "critical_f", "output"), (),
+              {"output": "stats_report.csv"}),
+    "loss-curve": ("emit (u, value, derivative) samples of a loss",
+                   (*_LOSS_KEYS, "u_min", "u_max", "u_step", "output"), (),
+                   {"output": "loss_curve.csv"}),
+    "calibration": ("emit the conditional-risk curve for one P",
+                    ("a", "lam", "p", "f_lo", "f_hi", "f_step", "output"), (),
+                    {"output": "calibration_curve.csv"}),
+    "sweep": ("loss-parameter sensitivity surface",
+              _SWEEP_FLAGS, tuple(k for k in _TRAINER_KEYS if k not in _SWEEP_FLAGS),
+              {"output": "sweep.csv", "a_grid": [0.5, 1.0, 2.0, 5.0],
+               "lambda_grid": [0.5, 1.0, 1.5, 2.0]}),
+}
 
 DEFAULTS = {
-    "train": {"input": None, "format": "csv", "output": "model.json", "seed": 0, "normalize": True,
-              **_TRAINER_DEFAULTS},
-    "predict": {"model": None, "input": None, "format": "csv", "output": "predictions.csv"},
-    "grid": {"input": None, "format": "csv", "output": "grid_results.csv", "seed": 0,
-             "normalize": True, "models": "expsat", "folds": 5,
-             "c_grid": list(_GRID_DEFAULT.c_grid), "sigma_grid": list(_GRID_DEFAULT.sigma_grid),
-             "a_grid": list(_GRID_DEFAULT.a_grid), "lambda_grid": list(_GRID_DEFAULT.lambda_grid),
-             "tau_grid": list(_GRID_DEFAULT.tau_grid), **_TRAINER_DEFAULTS},
-    "corrupt": {"input": None, "format": "csv", "output": "corrupted.csv", "record": None,
-                "mode": "outliers", "rate": 0.1, "factor": 10.0, "seed": 0, "invert": False},
-    "stats": {"input": None, "input_kind": "accuracies", "num_datasets": None,
-              "alpha": 0.05, "critical_f": None, "output": "stats_report.csv"},
-    "loss-curve": {"loss": "expsat", "a": 1.0, "lam": 1.0, "tau": 0.5, "delta": 1.0,
-                   "delta1": 1.0, "delta2": 1.0, "u_min": -2.0, "u_max": 3.0, "u_step": 0.01,
-                   "output": "loss_curve.csv"},
-    "calibration": {"a": 1.0, "lam": 1.0, "p": 0.7, "f_lo": -3.0, "f_hi": 3.0, "f_step": 1e-3,
-                    "output": "calibration_curve.csv"},
-    "sweep": {"input": None, "format": "csv", "output": "sweep.csv", "seed": 0, "normalize": True,
-              "folds": 5, "a_grid": [0.5, 1.0, 2.0, 5.0], "lambda_grid": [0.5, 1.0, 1.5, 2.0],
-              **_TRAINER_DEFAULTS},
+    name: {key: overrides.get(key, _OPTIONS[key].default) for key in (*flags, *config_only)}
+    for name, (_, flags, config_only, overrides) in _SUBCOMMANDS.items()
 }
 
 
@@ -134,21 +180,15 @@ def _floats(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _loss_spec(p: dict) -> LossSpec:
-    return LossSpec(
-        kind=p["loss"], a=p["a"], lam=p["lam"], tau=p["tau"],
-        delta=p["delta"], delta1=p["delta1"], delta2=p["delta2"],
-    )
+def _loss_spec(p: dict, kind: str | None = None) -> LossSpec:
+    return LossSpec(kind=kind or p["loss"], **{k: p[k] for k in _LOSS_KEYS[1:]})
 
 
-def _trainer_config(p: dict, loss: LossSpec | None = None, seed: int | None = None) -> TrainerConfig:
+def _trainer_config(p: dict, seed: int, loss: LossSpec | None = None) -> TrainerConfig:
     return TrainerConfig(
-        C=p["C"],
-        loss=loss if loss is not None else _loss_spec(p),
-        kernel=KernelSpec(kind=p["kernel"], sigma=p["sigma"]),
+        C=p["C"], loss=loss or _loss_spec(p), kernel=KernelSpec(kind=p["kernel"], sigma=p["sigma"]),
         beta0=p["beta0"], v0=p["v0"], alpha0=p["alpha0"], eta=p["eta"], r=p["r"],
-        batch_size=p["batch_size"], max_iters=p["max_iters"],
-        seed=p["seed"] if seed is None else seed,
+        batch_size=p["batch_size"], max_iters=p["max_iters"], seed=seed,
     )
 
 
@@ -160,11 +200,9 @@ def cmd_train(p: dict) -> int:
     ds = _load(p)
     if p["normalize"]:
         ds = normalize(ds)
-    config = _trainer_config(p, seed=child_seed(p["seed"], "batches"))
+    config = _trainer_config(p, child_seed(p["seed"], "batches"))
     model = fit(config, ds.X, ds.y)
     if ds.scaler is not None:
-        from dataclasses import replace
-
         model = replace(model, scaler=ds.scaler)
     with open(p["output"], "w", encoding="utf-8") as fh:
         fh.write(save_model(model))
@@ -180,10 +218,9 @@ def cmd_predict(p: dict) -> int:
     ds = _load(p)
     if model.scaler is not None:
         ds = apply_scaler(ds, model.scaler)
-    preds = predict_batch(model, ds.X)
     values = decision_values(model, ds.X)
     _write_rows(p["output"], ["prediction", "decision_value"],
-                [(float(a), float(b)) for a, b in zip(preds, values)])
+                [(float(a), float(b)) for a, b in zip(sign_labels(values), values)])
     _write_manifest("predict", p, p["output"])
     return 0
 
@@ -193,19 +230,12 @@ def cmd_grid(p: dict) -> int:
     if p["normalize"]:
         ds = normalize(ds)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    grid = GridSpec(
-        c_grid=tuple(_floats(p["c_grid"])),
-        sigma_grid=tuple(_floats(p["sigma_grid"])),
-        a_grid=tuple(_floats(p["a_grid"])),
-        lambda_grid=tuple(_floats(p["lambda_grid"])),
-        tau_grid=tuple(_floats(p["tau_grid"])),
-    )
+    grid = GridSpec(**{key: tuple(_floats(p[key])) for key in _GRID_KEYS})
     kinds = p["models"].split(",") if isinstance(p["models"], str) else list(p["models"])
     rows = []
     for kind in kinds:
-        loss = LossSpec(kind=kind.strip(), a=p["a"], lam=p["lam"], tau=p["tau"],
-                        delta=p["delta"], delta1=p["delta1"], delta2=p["delta2"])
-        config = _trainer_config(p, loss=loss, seed=child_seed(p["seed"], f"train/{loss.kind.value}"))
+        loss = _loss_spec(p, kind.strip())
+        config = _trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss)
         result = grid_search(ds, config, grid, plan)
         bp = result.best_params
         rows.append((
@@ -305,8 +335,6 @@ def cmd_stats(p: dict) -> int:
 
 
 def cmd_loss_curve(p: dict) -> int:
-    from .loss import loss_derivative, loss_value
-
     spec = _loss_spec(p)
     count = int(round((p["u_max"] - p["u_min"]) / p["u_step"])) + 1
     u = p["u_min"] + p["u_step"] * np.arange(count)
@@ -340,9 +368,7 @@ def cmd_sweep(p: dict) -> int:
     if p["normalize"]:
         ds = normalize(ds)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    config = _trainer_config(
-        p, loss=LossSpec.expsat(a=p["a"], lam=p["lam"]), seed=child_seed(p["seed"], "train/expsat")
-    )
+    config = _trainer_config(p, child_seed(p["seed"], "train/expsat"), _loss_spec(p, "expsat"))
     rows = sensitivity_sweep(ds, config, _floats(p["a_grid"]), _floats(p["lambda_grid"]), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
     _write_manifest("sweep", p, p["output"])
@@ -361,115 +387,15 @@ _COMMANDS = {
 }
 
 
-def _add_trainer_flags(sp):
-    sp.add_argument("--C", type=float, dest="C")
-    sp.add_argument("--loss", choices=["expsat", "hinge", "pinball", "zero_one",
-                                       "truncated_hinge", "truncated_pinball"])
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--delta1", type=float)
-    sp.add_argument("--delta2", type=float)
-    sp.add_argument("--kernel", choices=["gaussian", "linear"])
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--beta0", type=float)
-    sp.add_argument("--v0", type=float)
-    sp.add_argument("--alpha0", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--momentum", type=float, dest="r")
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--max-iters", type=int, dest="max_iters")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="satsvm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"satsvm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (help_text, flags, _, _) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config or a previously emitted manifest")
-        sp.add_argument("--output")
-        return sp
-
-    sp = add("train", "fit a model and serialize it")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "sparse"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--no-normalize", dest="normalize", action="store_false")
-    _add_trainer_flags(sp)
-
-    sp = add("predict", "classify rows of a data file with a saved model")
-    sp.add_argument("--model")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "sparse"])
-
-    sp = add("grid", "grid search with k-fold cross-validation")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "sparse"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--no-normalize", dest="normalize", action="store_false")
-    sp.add_argument("--models", help="comma-separated loss kinds")
-    sp.add_argument("--folds", type=int)
-    sp.add_argument("--c-grid", dest="c_grid")
-    sp.add_argument("--sigma-grid", dest="sigma_grid")
-    sp.add_argument("--a-grid", dest="a_grid")
-    sp.add_argument("--lambda-grid", dest="lambda_grid")
-    sp.add_argument("--tau-grid", dest="tau_grid")
-    _add_trainer_flags(sp)
-
-    sp = add("corrupt", "inject outliers or label noise, or invert a record")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "sparse"])
-    sp.add_argument("--mode", choices=["outliers", "labels"])
-    sp.add_argument("--rate", type=float)
-    sp.add_argument("--factor", type=float)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--record")
-    sp.add_argument("--invert", action="store_true")
-
-    sp = add("stats", "Friedman / Nemenyi report from accuracies or mean ranks")
-    sp.add_argument("--input")
-    sp.add_argument("--input-kind", dest="input_kind", choices=["accuracies", "mean-ranks"])
-    sp.add_argument("--num-datasets", dest="num_datasets", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--critical-f", dest="critical_f", type=float)
-
-    sp = add("loss-curve", "emit (u, value, derivative) samples of a loss")
-    sp.add_argument("--loss", choices=["expsat", "hinge", "pinball", "zero_one",
-                                       "truncated_hinge", "truncated_pinball"])
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--delta1", type=float)
-    sp.add_argument("--delta2", type=float)
-    sp.add_argument("--u-min", dest="u_min", type=float)
-    sp.add_argument("--u-max", dest="u_max", type=float)
-    sp.add_argument("--u-step", dest="u_step", type=float)
-
-    sp = add("calibration", "emit the conditional-risk curve for one P")
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--f-lo", dest="f_lo", type=float)
-    sp.add_argument("--f-hi", dest="f_hi", type=float)
-    sp.add_argument("--f-step", dest="f_step", type=float)
-
-    sp = add("sweep", "loss-parameter sensitivity surface")
-    sp.add_argument("--input")
-    sp.add_argument("--format", choices=["csv", "sparse"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--no-normalize", dest="normalize", action="store_false")
-    sp.add_argument("--folds", type=int)
-    sp.add_argument("--a-grid", dest="a_grid")
-    sp.add_argument("--lambda-grid", dest="lambda_grid")
-    sp.add_argument("--C", type=float, dest="C")
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--max-iters", type=int, dest="max_iters")
-
+        for key in flags:
+            _OPTIONS[key].add_to(sp)
     return parser
 
 
@@ -479,13 +405,18 @@ def resolve_params(command: str, supplied: dict) -> dict:
     config_path = supplied.pop("config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "params" in doc:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"config {config_path} is not valid JSON: {exc}") from None
+        if isinstance(doc, dict) and "params" in doc:
             if doc.get("command") not in (None, command):
                 raise ParameterError(
                     f"config was emitted for {doc.get('command')!r}, not {command!r}"
                 )
             doc = doc["params"]
+        if not isinstance(doc, dict):
+            raise ParameterError(f"config {config_path} must hold a JSON object of parameters")
         unknown = set(doc) - set(params)
         if unknown:
             raise ParameterError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -504,19 +435,11 @@ def main(argv=None) -> int:
     try:
         params = resolve_params(args.command, supplied)
         return _COMMANDS[args.command](params)
-    except (ParameterError, ShapeError, CapacityError, DegenerateStatisticError) as exc:
+    except (SatsvmError, OSError, UnicodeDecodeError) as exc:
         print(f"satsvm: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"satsvm: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"satsvm: {exc}", file=sys.stderr)
-        return 4
-    except SatsvmError as exc:  # pragma: no cover
-        print(f"satsvm: {exc}", file=sys.stderr)
-        return 2
-
+        if isinstance(exc, NumericError):
+            return 4
+        return 3 if isinstance(exc, (DataFormatError, OSError, UnicodeDecodeError)) else 2
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -127,6 +127,7 @@ def _normalize_labels(raw: list[float]) -> np.ndarray:
 
 def _parse_csv(text: str, name: str) -> Dataset:
     rows: list[list[float]] = []
+    linenos: list[int] = []
     lines = text.splitlines()
     start = 0
     if lines:
@@ -143,6 +144,7 @@ def _parse_csv(text: str, name: str) -> Dataset:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from None
+        linenos.append(lineno)
         if len(rows[-1]) != len(rows[0]):
             raise DataFormatError(
                 f"expected {len(rows[0])} columns, found {len(rows[-1])}", line=lineno
@@ -152,6 +154,9 @@ def _parse_csv(text: str, name: str) -> Dataset:
     if not rows:
         raise DataFormatError("file contains no data rows")
     arr = np.array(rows, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("NaN or Inf cell", line=linenos[int(np.argmin(finite))])
     return Dataset(X=arr[:, :-1], y=_normalize_labels(list(arr[:, -1])), name=name)
 
 
@@ -165,9 +170,12 @@ def _parse_sparse(text: str, name: str) -> Dataset:
             continue
         parts = line.split()
         try:
-            labels.append(float(parts[0]))
+            label = float(parts[0])
         except ValueError:
-            raise DataFormatError(f"bad label {parts[0]!r}", line=lineno) from None
+            label = math.nan
+        if not math.isfinite(label):
+            raise DataFormatError(f"bad label {parts[0]!r}", line=lineno)
+        labels.append(label)
         row: dict[int, float] = {}
         for token in parts[1:]:
             try:
@@ -178,6 +186,10 @@ def _parse_sparse(text: str, name: str) -> Dataset:
                 raise DataFormatError(f"bad index:value token {token!r}", line=lineno) from None
             if idx < 1:
                 raise DataFormatError(f"indices are 1-based, got {idx}", line=lineno)
+            if idx - 1 in row:
+                raise DataFormatError(f"index {idx} appears twice", line=lineno)
+            if not math.isfinite(val):
+                raise DataFormatError(f"NaN or Inf value in {token!r}", line=lineno)
             row[idx - 1] = val
             width = max(width, idx)
         entries.append(row)

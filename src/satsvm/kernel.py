@@ -56,28 +56,28 @@ class KernelMatrix:
     spec: KernelSpec
 
 
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Kernel value between two feature vectors."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape:
-        raise ShapeError("kernel arguments must have equal dimension", x.shape, z.shape)
+def _kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """K(x, z) for every row z of ``Z`` (block rows) and x of ``X`` (columns).
+
+    The package's one kernel evaluation. The Gaussian is
+    ``exp(-(d @ d) * (1/sigma**2))`` over the explicit differences
+    ``d = x - z``, so Gram rows and decision values use the same
+    arithmetic. Shapes are not checked here.
+    """
     if spec.kind is KernelKind.LINEAR:
-        return float(x @ z)
-    d = x - z
-    return float(np.exp(-(d @ d) / (spec.sigma * spec.sigma)))
+        return Z @ X.T
+    d = X - Z[:, None, :]
+    return np.exp(-np.einsum("kij,kij->ki", d, d) * (1.0 / (spec.sigma * spec.sigma)))
 
 
-def kernel_vector(spec: KernelSpec, X: np.ndarray, z) -> np.ndarray:
-    """Kernel values between every row of ``X`` and the single point ``z``."""
+def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
+    """The len(Z)-by-len(X) block of kernel values between the rows of
+    ``Z`` and the rows of ``X``."""
     X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if X.ndim != 2 or z.shape != (X.shape[1],):
-        raise ShapeError("point dimension must match sample matrix", X.shape, z.shape)
-    if spec.kind is KernelKind.LINEAR:
-        return X @ z
-    d = X - z
-    return np.exp(-np.einsum("ij,ij->i", d, d) / (spec.sigma * spec.sigma))
+    Z = np.asarray(Z, dtype=float)
+    if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
+        raise ShapeError("point dimension must match sample matrix", X.shape, Z.shape)
+    return _kernel_block(spec, X, Z)
 
 
 def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
@@ -100,10 +100,8 @@ def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
         K = np.triu(G) + np.triu(G, 1).T
     else:
         K = np.empty((n, n), dtype=float)
-        inv_s2 = 1.0 / (spec.sigma * spec.sigma)
         for i in range(n):
-            d = X[i + 1 :] - X[i]
-            row = np.exp(-np.einsum("ij,ij->i", d, d) * inv_s2)
+            row = _kernel_block(spec, X[i + 1 :], X[i : i + 1])[0]
             K[i, i] = 1.0
             K[i, i + 1 :] = row
             K[i + 1 :, i] = row

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateStatisticError, ParameterError, ShapeError
 
@@ -92,12 +91,27 @@ class TestReport:
     models: tuple[str, ...] | None = None
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..p of a vector in ascending order; tied entries share the
+    mean of the ranks they span."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((first + last + 1) / 2.0, last - first)
+    return ranks
+
+
 def rank_models(accuracies, models=None) -> RankTable:
     """Rank models per dataset row, highest accuracy first, average ties."""
     acc = np.asarray(accuracies, dtype=float)
     if acc.ndim != 2 or acc.shape[0] < 1 or acc.shape[1] < 2:
         raise ShapeError("accuracies must be a D-by-p matrix with p >= 2", acc.shape)
-    ranks = np.vstack([rankdata(-row, method="average") for row in acc])
+    if np.isnan(acc).any():
+        raise ParameterError("accuracies contain NaN")
+    ranks = np.vstack([_average_ranks(-row) for row in acc])
     return RankTable(
         D=acc.shape[0],
         p=acc.shape[1],

@@ -14,22 +14,23 @@ each iteration samples ``s`` indices without replacement, evaluates the
 gradient at the look-ahead point ``beta + r*v`` (full-vector ``K beta``
 regularizer term, batch-restricted loss term scaled by ``C/s``), and
 applies the velocity update. The learning rate follows the recurrence
-``alpha <- alpha * exp(-eta * t)`` after each iteration, which collapses
-to ~0 within roughly 15 iterations at the default ``eta=0.1``; this is
-faithful to the published schedule and is surfaced here rather than
-silently softened.
+``alpha <- alpha * exp(-eta * t)`` after each iteration. At the defaults
+``alpha0 = eta = 0.1`` the rate is 2.8e-6 at iteration 15 and exactly
+0.0 from iteration 123 on; this is faithful to the published schedule
+and is surfaced here rather than silently softened.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
-from .kernel import KernelMatrix, KernelSpec, gram_matrix, kernel_vector
+from .errors import DataFormatError, NumericError, ParameterError, ShapeError
+from .kernel import KernelMatrix, KernelSpec, gram_matrix, kernel_block
 from .loss import LossSpec, loss_derivative, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -205,71 +206,52 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
     )
 
 
-def decision_value(model: TrainedModel, x_hat) -> float:
-    """sum_j beta_j K(x_j, x_hat) over the retained support points."""
-    kv = kernel_vector(model.kernel, model.support_points, x_hat)
-    return float(model.beta @ kv)
+# Largest size of the explicit query-minus-support differences that one
+# block of decision values holds. On a 2-vCPU Xeon with m = 10 this was
+# near the fastest budget: 1 query row per block at 3000 support points
+# (4 MiB blocks ran 14% slower) and 16 rows at 200 (1.7x faster than 1).
+BLOCK_BYTES = 1 << 18
 
 
 def decision_values(model: TrainedModel, X) -> np.ndarray:
+    """sum_j beta_j K(x_j, x) over the support points, for every row x of ``X``.
+
+    Query rows go through the kernel in blocks whose differences take at
+    most ``BLOCK_BYTES``, so the query-by-support matrix is never held
+    whole.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.support_points.shape[1]:
-        raise ShapeError("query dimension must match support points", X.shape, model.support_points.shape)
-    return np.array([decision_value(model, x) for x in X])
+    S = model.support_points
+    if X.ndim != 2 or X.shape[1] != S.shape[1]:
+        raise ShapeError("query dimension must match support points", X.shape, S.shape)
+    rows = max(1, BLOCK_BYTES // max(S.nbytes, 1))
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], rows):
+        out[start : start + rows] = kernel_block(model.kernel, S, X[start : start + rows]) @ model.beta
+    return out
 
 
-def predict(model: TrainedModel, x_hat) -> float:
-    """Classify one sample; the zero decision value maps to +1."""
-    return 1.0 if decision_value(model, x_hat) >= 0.0 else -1.0
+def sign_labels(values) -> np.ndarray:
+    """Class labels from decision values; a zero value maps to +1."""
+    return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
 
 
 def predict_batch(model: TrainedModel, X) -> np.ndarray:
-    d = decision_values(model, X)
-    return np.where(d >= 0.0, 1.0, -1.0)
+    return sign_labels(decision_values(model, X))
 
 
-def _loss_to_dict(spec: LossSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "a": spec.a,
-        "lam": spec.lam,
-        "tau": spec.tau,
-        "delta": spec.delta,
-        "delta1": spec.delta1,
-        "delta2": spec.delta2,
-    }
-
-
-def _config_to_dict(config: TrainerConfig) -> dict:
-    return {
-        "C": config.C,
-        "loss": _loss_to_dict(config.loss),
-        "kernel": {"kind": config.kernel.kind.value, "sigma": config.kernel.sigma},
-        "beta0": config.beta0,
-        "v0": config.v0,
-        "alpha0": config.alpha0,
-        "eta": config.eta,
-        "r": config.r,
-        "batch_size": config.batch_size,
-        "max_iters": config.max_iters,
-        "seed": config.seed,
-    }
+def _to_dict(spec) -> dict:
+    """Fields of a config or spec, nested specs included and enum kinds
+    as their string values."""
+    out = {}
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        out[f.name] = v.value if isinstance(v, enum.Enum) else _to_dict(v) if is_dataclass(v) else v
+    return out
 
 
 def config_from_dict(d: dict) -> TrainerConfig:
-    return TrainerConfig(
-        C=d["C"],
-        loss=LossSpec(**d["loss"]),
-        kernel=KernelSpec(**d["kernel"]),
-        beta0=d["beta0"],
-        v0=d["v0"],
-        alpha0=d["alpha0"],
-        eta=d["eta"],
-        r=d["r"],
-        batch_size=d["batch_size"],
-        max_iters=d["max_iters"],
-        seed=d["seed"],
-    )
+    return TrainerConfig(**{**d, "loss": LossSpec(**d["loss"]), "kernel": KernelSpec(**d["kernel"])})
 
 
 def save_model(model: TrainedModel) -> str:
@@ -280,10 +262,10 @@ def save_model(model: TrainedModel) -> str:
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kernel": {"kind": model.kernel.kind.value, "sigma": model.kernel.sigma},
+        "kernel": _to_dict(model.kernel),
         "beta": [float(b) for b in model.beta],
         "support_points": [[float(v) for v in row] for row in model.support_points],
-        "config": _config_to_dict(model.config_snapshot),
+        "config": _to_dict(model.config_snapshot),
         "iterations_run": model.iterations_run,
         "final_objective": model.final_objective,
         "scaler": None if model.scaler is None else [[a, b] for a, b in model.scaler],
@@ -291,17 +273,79 @@ def save_model(model: TrainedModel) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# The layout of a model file. A dict is an object with exactly these keys,
+# a one-element list is a list of that item, a tuple ``(item,)`` is that
+# item or null, and ``float`` admits any JSON number.
+_KERNEL_DOC = {"kind": str, "sigma": float}
+_MODEL_DOC = {
+    "format_version": int, "kernel": _KERNEL_DOC, "beta": [float], "support_points": [[float]],
+    "iterations_run": int, "final_objective": float, "scaler": ([[float]],),
+    "config": {
+        **dict.fromkeys(("C", "beta0", "v0", "alpha0", "eta", "r"), float),
+        "loss": {"kind": str, **dict.fromkeys(("a", "lam", "tau", "delta", "delta1", "delta2"), float)},
+        "kernel": _KERNEL_DOC, "batch_size": (int,), "max_iters": int, "seed": int,
+    },
+}
+
+
+def _is(value, kind) -> bool:
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _check_doc(value, schema, where: str) -> None:
+    if isinstance(schema, tuple):
+        if value is None:
+            return
+        schema = schema[0]
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or value.keys() != schema.keys():
+            raise DataFormatError(f"{where} must be an object with the keys {sorted(schema)}")
+        for key, item in schema.items():
+            _check_doc(value[key], item, f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise DataFormatError(f"{where} must be a list")
+        if not (schema[0] is float and {type(v) for v in value} <= {int, float}):
+            for i, item in enumerate(value):
+                _check_doc(item, schema[0], f"{where}[{i}]")
+    elif not _is(value, schema):
+        raise DataFormatError(f"{where} must be of type {schema.__name__}, got {type(value).__name__}")
+
+
 def load_model(text: str) -> TrainedModel:
-    doc = json.loads(text)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ParameterError(f"unsupported model format version {doc.get('format_version')}")
-    scaler = doc.get("scaler")
-    return TrainedModel(
-        beta=np.array(doc["beta"], dtype=float),
-        support_points=np.array(doc["support_points"], dtype=float),
-        kernel=KernelSpec(**doc["kernel"]),
-        config_snapshot=config_from_dict(doc["config"]),
-        iterations_run=doc["iterations_run"],
-        final_objective=doc["final_objective"],
-        scaler=None if scaler is None else tuple((float(a), float(b)) for a, b in scaler),
-    )
+    """Parse a model file written by :func:`save_model`.
+
+    Every field is checked; a malformed file raises ``DataFormatError``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"model file is not valid JSON: {exc}") from None
+    _check_doc(doc, _MODEL_DOC, "model")
+    if doc["format_version"] != MODEL_FORMAT_VERSION:
+        raise DataFormatError(f"unsupported model format version {doc['format_version']}")
+    points = doc["support_points"]
+    widths = {len(row) for row in points}
+    if len(widths) != 1:
+        raise DataFormatError("model support points must be a non-empty list of equal-length rows")
+    (m,) = widths
+    if len(doc["beta"]) != len(points):
+        raise DataFormatError(f"model has {len(doc['beta'])} beta values for {len(points)} support points")
+    scaler = doc["scaler"]
+    if scaler is not None and (len(scaler) != m or any(len(pair) != 2 for pair in scaler)):
+        raise DataFormatError(f"model scaler must hold {m} (min, max) pairs, one per feature")
+    support_points = np.array(points, dtype=float)
+    if not (np.isfinite(support_points).all() and np.isfinite(np.array(scaler or [], dtype=float)).all()):
+        raise DataFormatError("model support points or scaler contain NaN or Inf")
+    try:
+        return TrainedModel(
+            beta=np.array(doc["beta"], dtype=float),
+            support_points=support_points,
+            kernel=KernelSpec(**doc["kernel"]),
+            config_snapshot=config_from_dict(doc["config"]),
+            iterations_run=doc["iterations_run"],
+            final_objective=doc["final_objective"],
+            scaler=None if scaler is None else tuple((float(a), float(b)) for a, b in scaler),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"invalid model: {exc}") from None

@@ -282,3 +282,125 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "satsvm" in proc.stdout
+
+
+def _one_line_error(err):
+    assert err.startswith("satsvm: ") and err.count("\n") == 1, err
+
+
+def _edit(change):
+    """Model-text mangler that applies ``change`` to the parsed document."""
+    def mangle(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return mangle
+
+
+MANGLED_MODELS = {
+    "malformed-json": lambda text: text[: len(text) // 2],
+    "not-an-object": lambda text: "[1, 2, 3]",
+    "missing-key": _edit(lambda d: d.pop("kernel")),
+    "extra-key": _edit(lambda d: d.update(note="hi")),
+    "missing-nested-key": _edit(lambda d: d["config"]["loss"].pop("lam")),
+    "wrong-type-scalar": _edit(lambda d: d.update(iterations_run="1000")),
+    "wrong-type-entry": _edit(lambda d: d["support_points"][3].__setitem__(1, "x")),
+    "bool-as-number": _edit(lambda d: d["beta"].__setitem__(0, True)),
+    "beta-shorter-than-points": _edit(lambda d: d["beta"].pop()),
+    "ragged-support-points": _edit(lambda d: d["support_points"][0].append(0.5)),
+    "no-support-points": _edit(lambda d: d.update(support_points=[], beta=[])),
+    "scaler-narrower-than-points": _edit(lambda d: d["scaler"].pop()),
+    "scaler-pair-of-three": _edit(lambda d: d["scaler"][0].append(1.0)),
+    "nan-support-point": lambda text: text.replace("[\n    [\n      ", "[\n    [\n      NaN, ", 1),
+    "infinite-beta": _edit(lambda d: d["beta"].__setitem__(0, float("inf"))),
+    "bad-kernel-kind": _edit(lambda d: d["kernel"].update(kind="cubic")),
+    "bad-sigma": _edit(lambda d: d["kernel"].update(sigma=-1.0)),
+    "bad-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=-1.0)),
+    "unsupported-version": _edit(lambda d: d.update(format_version=2)),
+}
+
+
+class TestMangledModelFiles:
+    @pytest.mark.parametrize("case", sorted(MANGLED_MODELS))
+    def test_exits_3_with_one_line(self, case, tmp_path, data_csv, model_file, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(MANGLED_MODELS[case](model_file.read_text()))
+        code, _, err = run(["predict", "--model", str(bad), "--input", str(data_csv),
+                            "--output", str(tmp_path / "p.csv")], capsys)
+        assert code == 3, err
+        _one_line_error(err)
+
+    def test_binary_garbage(self, tmp_path, data_csv, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_bytes(b"\xff\xfe\x00garbage")
+        code, _, err = run(["predict", "--model", str(bad), "--input", str(data_csv),
+                            "--output", str(tmp_path / "p.csv")], capsys)
+        assert code == 3
+        _one_line_error(err)
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("text", ["{not json", "5", "[1, 2]", '"train"',
+                                      '{"command": "train", "params": 5}'],
+                             ids=["malformed", "number", "list", "string", "params-not-object"])
+    def test_bad_config_is_usage_error(self, text, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(["train", "--config", str(cfg), "--input", str(data_csv),
+                            "--output", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        _one_line_error(err)
+
+    def test_every_manifest_reruns(self, tmp_path, data_csv, model_file, capsys):
+        argvs = {
+            "predict": ["predict", "--model", str(model_file), "--input", str(data_csv)],
+            "loss-curve": ["loss-curve", "--loss", "pinball", "--tau", "0.3"],
+            "calibration": ["calibration", "--p", "0.3"],
+            "corrupt": ["corrupt", "--input", str(data_csv), "--rate", "0.2"],
+            "sweep": ["sweep", "--input", str(data_csv), "--a-grid", "0.5", "--lambda-grid", "1",
+                      "--max-iters", "20", "--sigma", "0.3"],
+        }
+        for name, argv in argvs.items():
+            first, second = tmp_path / f"{name}.1", tmp_path / f"{name}.2"
+            assert run([*argv, "--output", str(first)], capsys)[0] == 0
+            manifest = str(first) + ".manifest.json"
+            assert run([name, "--config", manifest, "--output", str(second)], capsys)[0] == 0
+            assert first.read_bytes() == second.read_bytes(), name
+
+
+class TestBadDataFiles:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_csv_cell(self, cell, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2,1\n3,4,-1\n5,{cell},1\n")
+        code, _, err = run(["train", "--input", str(bad), "--output", str(tmp_path / "m.json")],
+                           capsys)
+        assert code == 3
+        assert "line 3" in err
+        _one_line_error(err)
+
+    @pytest.mark.parametrize("line", ["1 1:nan 2:0.5", "1 1:0.5 1:0.7", "nan 1:0.5"],
+                             ids=["nan-value", "repeated-index", "nan-label"])
+    def test_bad_sparse_line(self, line, tmp_path, capsys):
+        bad = tmp_path / "bad.svm"
+        bad.write_text(f"-1 1:0.1 2:0.2\n{line}\n")
+        code, _, err = run(["train", "--input", str(bad), "--format", "sparse",
+                            "--output", str(tmp_path / "m.json")], capsys)
+        assert code == 3
+        assert "line 2" in err
+        _one_line_error(err)
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy(self):
+        import os
+        from pathlib import Path
+
+        import satsvm
+
+        src = str(Path(satsvm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, satsvm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -66,6 +66,20 @@ class TestLoadCsv:
         assert (back.y == ds.y).all()
 
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_nonfinite_cell_rejected_with_line(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"f1,f2,label\n1,2,1\n\n3,{cell},-1\n")
+        with pytest.raises(DataFormatError, match="line 4: NaN or Inf"):
+            load_dataset(p)
+
+    def test_nonfinite_label_rejected_with_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,1\n3,4,nan\n")
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_dataset(p)
+
+
 class TestLoadSparse:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -86,6 +100,19 @@ class TestLoadSparse:
         p = tmp_path / "d.txt"
         p.write_text("+1 0:0.5\n")
         with pytest.raises(DataFormatError, match="1-based"):
+            load_dataset(p, DataFormat.SPARSE)
+
+    def test_repeated_index_rejected(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("-1 2:0.1\n1 1:0.5 1:0.7\n")
+        with pytest.raises(DataFormatError, match="line 2: index 1 appears twice"):
+            load_dataset(p, DataFormat.SPARSE)
+
+    @pytest.mark.parametrize("line", ["1 1:nan", "1 2:inf", "inf 1:0.5", "nan"])
+    def test_nonfinite_value_or_label_rejected(self, tmp_path, line):
+        p = tmp_path / "d.txt"
+        p.write_text(f"-1 2:0.1\n{line}\n")
+        with pytest.raises(DataFormatError, match="line 2"):
             load_dataset(p, DataFormat.SPARSE)
 
 

@@ -8,26 +8,31 @@ from satsvm import (
     KernelSpec,
     ShapeError,
     gram_matrix,
-    kernel_eval,
+    kernel_block,
     kernel_row,
 )
+
+
+def _k(spec, x, z) -> float:
+    """One kernel value, as the 1-by-1 block of two single-row batches."""
+    return kernel_block(spec, np.atleast_2d(x), np.atleast_2d(z))[0, 0]
 
 
 class TestKernelEval:
     def test_gaussian_zero_distance(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert kernel_eval(KernelSpec.gaussian(1.0), x, x) == 1.0
+        assert _k(KernelSpec.gaussian(1.0), x, x) == 1.0
 
     def test_gaussian_known_value(self):
-        k = kernel_eval(KernelSpec.gaussian(2.0), np.array([0.0, 0.0]), np.array([2.0, 0.0]))
+        k = _k(KernelSpec.gaussian(2.0), np.array([0.0, 0.0]), np.array([2.0, 0.0]))
         assert k == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_linear_dot(self):
-        assert kernel_eval(KernelSpec.linear(), np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
+        assert _k(KernelSpec.linear(), np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
 
     def test_dimension_mismatch_reports_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
-            kernel_eval(KernelSpec.gaussian(1.0), np.zeros(2), np.zeros(3))
+        with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 3\)"):
+            kernel_block(KernelSpec.gaussian(1.0), np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_sigma_validation(self):
         from satsvm import ParameterError
@@ -116,4 +121,43 @@ class TestKernelRow:
         spec = KernelSpec.gaussian(0.8)
         K = gram_matrix(spec, X)
         for j, i in [(0, 7), (5, 5), (11, 2)]:
-            assert kernel_row(K, j)[i] == pytest.approx(kernel_eval(spec, X[j], X[i]), abs=1e-15)
+            assert kernel_row(K, j)[i] == pytest.approx(_k(spec, X[j], X[i]), abs=1e-15)
+
+
+def _parent_gram_rows(spec, X):
+    """Frozen copy of the original Gaussian Gram row loop, kept as the
+    reference that gram_matrix must reproduce bit for bit."""
+    n = X.shape[0]
+    K = np.empty((n, n), dtype=float)
+    inv_s2 = 1.0 / (spec.sigma * spec.sigma)
+    for i in range(n):
+        d = X[i + 1 :] - X[i]
+        row = np.exp(-np.einsum("ij,ij->i", d, d) * inv_s2)
+        K[i, i] = 1.0
+        K[i, i + 1 :] = row
+        K[i + 1 :, i] = row
+    return K
+
+
+def _parent_linear_gram(X):
+    G = X @ X.T
+    return np.triu(G) + np.triu(G, 1).T
+
+
+class TestGramMatchesReference:
+    @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 100.0])
+    def test_gaussian_bit_identical(self, n, m, sigma):
+        X = np.random.default_rng(n * m).uniform(-1.0, 1.0, (n, m))
+        spec = KernelSpec.gaussian(sigma)
+        assert gram_matrix(spec, X).entries.tobytes() == _parent_gram_rows(spec, X).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
+    def test_linear_bit_identical(self, n, m):
+        X = np.random.default_rng(n + m).standard_normal((n, m))
+        assert gram_matrix(KernelSpec.linear(), X).entries.tobytes() == _parent_linear_gram(X).tobytes()
+
+    def test_rows_equal_kernel_block(self):
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (30, 4))
+        spec = KernelSpec.gaussian(0.3)
+        assert (gram_matrix(spec, X).entries == kernel_block(spec, X, X)).all()

@@ -61,6 +61,23 @@ class TestRankModels:
             assert t.ranks[d] == pytest.approx(_oracle_ranks(list(acc[d])))
         assert t.mean_ranks == pytest.approx(t.ranks.mean(axis=0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 6, 10])
+    def test_heavy_ties_match_oracle(self, seed, p):
+        rng = np.random.default_rng(seed * 100 + p)
+        acc = rng.integers(0, 3, size=(15, p)).astype(float)
+        acc[0] = 7.0  # all models tied
+        acc[1] = -0.0
+        acc[1, 0] = 0.0  # signed zeros compare equal
+        t = rank_models(acc)
+        for d in range(acc.shape[0]):
+            assert t.ranks[d].tolist() == _oracle_ranks(list(acc[d]))
+        assert t.ranks[0].tolist() == [(p + 1) / 2.0] * p
+
+    def test_nan_accuracy_rejected(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            rank_models(np.array([[90.0, np.nan, 70.0]]))
+
     def test_row_sums_invariant_under_ties(self):
         acc = np.array([[80.0, 80.0, 80.0, 60.0], [70.0, 90.0, 90.0, 90.0]])
         t = rank_models(acc)

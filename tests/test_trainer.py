@@ -8,10 +8,11 @@ from satsvm import (
     LossSpec,
     NumericError,
     ParameterError,
+    ShapeError,
     TrainedModel,
     TrainerConfig,
     accuracy,
-    decision_value,
+    decision_values,
     fit,
     full_gradient,
     gram_matrix,
@@ -19,7 +20,6 @@ from satsvm import (
     learning_rate_sequence,
     load_model,
     objective,
-    predict,
     predict_batch,
     save_model,
     two_cluster_dataset,
@@ -185,6 +185,35 @@ class TestFit:
         assert model2.config_snapshot.batch_size == 32
 
 
+def _value(model, x) -> float:
+    """Decision value of one sample, as a 1-row batch."""
+    return decision_values(model, np.atleast_2d(x))[0]
+
+
+def _label(model, x) -> float:
+    return predict_batch(model, np.atleast_2d(x))[0]
+
+
+def _naive_decisions(model, X):
+    """Double sum over queries and support points, one kernel value at a time."""
+    pts, spec = model.support_points, model.kernel
+    out, scale = [], []
+    for x in X:
+        if spec.kind.value == "linear":
+            k = [float(p @ x) for p in pts]
+        else:
+            k = [math.exp(-float((p - x) @ (p - x)) / spec.sigma**2) for p in pts]
+        terms = [b * kj for b, kj in zip(model.beta, k)]
+        out.append(math.fsum(terms))
+        scale.append(math.fsum(abs(t) for t in terms))
+    return np.array(out), np.array(scale)
+
+
+# decision_values agrees with the exact double sum to this tolerance,
+# relative to sum_j |beta_j K(x_j, x)|
+DECISION_RTOL = 1e-12
+
+
 class TestPredict:
     def _zero_model(self, X):
         return TrainedModel(
@@ -198,8 +227,8 @@ class TestPredict:
 
     def test_zero_beta_ties_to_plus_one(self):
         model = self._zero_model(np.zeros((3, 2)))
-        assert predict(model, np.array([5.0, -7.0])) == 1.0
-        assert decision_value(model, np.array([5.0, -7.0])) == 0.0
+        assert _label(model, np.array([5.0, -7.0])) == 1.0
+        assert _value(model, np.array([5.0, -7.0])) == 0.0
 
     def test_single_positive_support_point(self):
         model = TrainedModel(
@@ -210,8 +239,8 @@ class TestPredict:
             iterations_run=0,
             final_objective=0.0,
         )
-        assert decision_value(model, np.array([1.0, 1.0])) == 2.5
-        assert predict(model, np.array([-3.0, 4.0])) == 1.0  # gaussian kernel is positive
+        assert _value(model, np.array([1.0, 1.0])) == 2.5
+        assert _label(model, np.array([-3.0, 4.0])) == 1.0  # gaussian kernel is positive
 
     def test_decision_matches_naive_sum(self):
         rng = np.random.default_rng(2)
@@ -225,7 +254,7 @@ class TestPredict:
             beta[j] * math.exp(-float((pts[j] - x) @ (pts[j] - x)) / spec.sigma**2)
             for j in range(3)
         )
-        assert decision_value(model, x) == pytest.approx(naive, abs=1e-12)
+        assert _value(model, x) == pytest.approx(naive, abs=1e-12)
 
     def test_trained_model_classifies_centroids(self):
         ds = two_cluster_dataset(**SEPARABLE_80)
@@ -233,8 +262,59 @@ class TestPredict:
         model = fit(cfg, ds.X, ds.y)
         pos = ds.X[ds.y == 1.0].mean(axis=0)
         neg = ds.X[ds.y == -1.0].mean(axis=0)
-        assert predict(model, pos) == 1.0
-        assert predict(model, neg) == -1.0
+        assert _label(model, pos) == 1.0
+        assert _label(model, neg) == -1.0
+
+    def test_dimension_mismatch_names_both_shapes(self):
+        model = self._zero_model(np.zeros((3, 2)))
+        with pytest.raises(ShapeError, match=r"\(1, 3\).*\(3, 2\)"):
+            decision_values(model, np.zeros((1, 3)))
+
+
+class TestDecisionValues:
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.gaussian(1.0), KernelSpec.linear()],
+                             ids=["gauss-0.3", "gauss-1", "linear"])
+    @pytest.mark.parametrize("n,m", [(1, 2), (7, 3), (300, 10)])
+    def test_matches_double_sum(self, spec, n, m):
+        rng = np.random.default_rng(n * m)
+        model = TrainedModel(beta=rng.standard_normal(n), support_points=rng.uniform(-1, 1, (n, m)),
+                             kernel=spec, config_snapshot=TrainerConfig(), iterations_run=0,
+                             final_objective=0.0)
+        X = rng.uniform(-1.2, 1.2, (157, m))
+        got = decision_values(model, X)
+        naive, scale = _naive_decisions(model, X)
+        assert (np.abs(got - naive) <= DECISION_RTOL * scale).all()
+        clear = np.abs(naive) > DECISION_RTOL * scale
+        assert (predict_batch(model, X)[clear] == np.where(naive[clear] >= 0, 1.0, -1.0)).all()
+
+    def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
+        import satsvm.trainer as trainer
+
+        blocks = []
+        real = trainer.kernel_block
+
+        def spy(spec, S, Z):
+            blocks.append(Z.shape[0])
+            return real(spec, S, Z)
+
+        monkeypatch.setattr(trainer, "kernel_block", spy)
+        rng = np.random.default_rng(0)
+        n, m = 500, 10
+        model = self._model(rng, n, m)
+        X = rng.uniform(-1, 1, (1000, m))
+        decision_values(model, X)
+        rows = max(1, trainer.BLOCK_BYTES // (n * m * 8))
+        assert sum(blocks) == 1000 and max(blocks) == rows < 1000
+
+    def test_empty_query_set(self):
+        model = self._model(np.random.default_rng(1), 5, 2)
+        assert decision_values(model, np.zeros((0, 2))).shape == (0,)
+
+    @staticmethod
+    def _model(rng, n, m):
+        return TrainedModel(beta=rng.standard_normal(n), support_points=rng.uniform(-1, 1, (n, m)),
+                            kernel=KernelSpec.gaussian(0.3), config_snapshot=TrainerConfig(),
+                            iterations_run=0, final_objective=0.0)
 
 
 class TestSerialization:
@@ -248,7 +328,7 @@ class TestSerialization:
         assert back.config_snapshot == model.config_snapshot
         assert back.final_objective == model.final_objective
         x = ds.X[0]
-        assert decision_value(back, x) == decision_value(model, x)
+        assert _value(back, x) == _value(model, x)
 
     def test_canonical_bytes_stable(self):
         ds = two_cluster_dataset(n=40, seed=6)
