@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .data import (
     CorruptionRecord,
     DataFormat,
     apply_scaler,
+    check_layout,
     invert_corruption,
     inject_label_noise,
     inject_outliers,
@@ -71,6 +73,19 @@ class Option:
         else:
             parser.add_argument(self.flag or "--" + name, dest=self.key, type=self.type,
                                 choices=self.choices, help=self.help)
+
+    def check(self, value) -> None:
+        """Raise ``ParameterError`` unless a ``--config`` value fits this option:
+        its type (an int passes as a float), null where the default is null,
+        and one of the choices if it has any. A grid axis is a list of
+        numbers or, as its flag takes it, comma-separated text."""
+        if isinstance(self.default, list) and isinstance(value, str):
+            return
+        schema = [float] if isinstance(self.default, list) else self.type or str
+        where = f"config value {self.key!r}"
+        check_layout(value, (schema,) if self.default is None else schema, where, ParameterError)
+        if self.choices is not None and value not in self.choices:
+            raise ParameterError(f"{where} must be one of {list(self.choices)}, got {value!r}")
 
 
 def _values(enum_type) -> tuple[str, ...]:
@@ -231,10 +246,13 @@ def cmd_grid(p: dict) -> int:
         ds = normalize(ds)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     grid = GridSpec(**{key: tuple(_floats(p[key])) for key in _GRID_KEYS})
-    kinds = p["models"].split(",") if isinstance(p["models"], str) else list(p["models"])
+    kinds = [kind.strip() for kind in p["models"].split(",")]
+    unknown = [kind for kind in kinds if kind not in _values(LossKind)]
+    if unknown:
+        raise ParameterError(f"unknown model(s) {unknown}; choose from {list(_values(LossKind))}")
     rows = []
     for kind in kinds:
-        loss = _loss_spec(p, kind.strip())
+        loss = _loss_spec(p, kind)
         config = _trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss)
         result = grid_search(ds, config, grid, plan)
         bp = result.best_params
@@ -254,7 +272,11 @@ def cmd_corrupt(p: dict) -> int:
     record_path = p["record"] or p["output"] + ".record.json"
     if p["invert"]:
         with open(record_path, "r", encoding="utf-8") as fh:
-            record = CorruptionRecord.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"corruption record {record_path} is not valid JSON: {exc}") from None
+        record = CorruptionRecord.from_dict(doc)
         restored = invert_corruption(ds, record)
         write_csv(restored, p["output"])
         _write_manifest("corrupt", p, p["output"])
@@ -275,24 +297,42 @@ def cmd_corrupt(p: dict) -> int:
 
 
 def _read_table(path):
+    """Header cells and ``(line number, cells)`` for each non-blank row;
+    every row must be as wide as the header."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, [c.strip() for c in ln.split(",")]) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise DataFormatError("empty table")
-    header = [c.strip() for c in lines[0].split(",")]
-    body = [[c.strip() for c in ln.split(",")] for ln in lines[1:]]
-    return header, body
+    header = lines[0][1]
+    for no, cells in lines[1:]:
+        if len(cells) != len(header):
+            raise DataFormatError(f"line {no} has {len(cells)} cells, the header has {len(header)}")
+    return header, lines[1:]
+
+
+def _numbers(header, no, cells, columns) -> list[float]:
+    """The finite numbers in the given columns of the table row on line ``no``."""
+    out = []
+    for i in columns:
+        try:
+            value = float(cells[i])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {no}, column {header[i]!r}: {cells[i]!r} is not a finite number")
+        out.append(value)
+    return out
 
 
 def _pivot_results(header, body):
     """Long-format harness results (dataset, model, mean_acc, ...) to a
     D-by-p accuracy matrix; every dataset must cover every model."""
     d_i, m_i, a_i = header.index("dataset"), header.index("model"), header.index("mean_acc")
-    datasets = list(dict.fromkeys(row[d_i] for row in body))
-    models = list(dict.fromkeys(row[m_i] for row in body))
+    datasets = list(dict.fromkeys(cells[d_i] for _, cells in body))
+    models = list(dict.fromkeys(cells[m_i] for _, cells in body))
     acc = np.full((len(datasets), len(models)), np.nan)
-    for row in body:
-        acc[datasets.index(row[d_i]), models.index(row[m_i])] = float(row[a_i])
+    for no, cells in body:
+        acc[datasets.index(cells[d_i]), models.index(cells[m_i])] = _numbers(header, no, cells, [a_i])[0]
     if np.isnan(acc).any():
         raise DataFormatError("results table is missing some (dataset, model) cells")
     return acc, models
@@ -306,14 +346,14 @@ def cmd_stats(p: dict) -> int:
         if len(body) != 1:
             raise DataFormatError("mean-rank input must have exactly one data row")
         table = RankTable.from_mean_ranks(
-            [float(v) for v in body[0]], D=int(p["num_datasets"]), models=header
+            _numbers(header, *body[0], range(len(header))), D=int(p["num_datasets"]), models=header
         )
     elif header[:3] == ["dataset", "model", "mean_acc"]:
         acc, models = _pivot_results(header, body)
         table = rank_models(acc, models=models)
     else:
         models = header[1:]
-        acc = np.array([[float(v) for v in row[1:]] for row in body])
+        acc = np.array([_numbers(header, no, cells, range(1, len(header))) for no, cells in body])
         table = rank_models(acc, models=models)
     report = friedman_nemenyi(table, critical_F=p["critical_f"], alpha=p["alpha"])
     best = int(np.argmin(report.mean_ranks))
@@ -420,6 +460,8 @@ def resolve_params(command: str, supplied: dict) -> dict:
         unknown = set(doc) - set(params)
         if unknown:
             raise ParameterError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in doc.items():
+            _OPTIONS[key].check(value)
         params.update(doc)
     params.update(supplied)
     missing = [k for k in ("input", "model") if k in params and params[k] is None]

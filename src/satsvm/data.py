@@ -81,6 +81,43 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
+def _is(value, kind) -> bool:
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def check_layout(value, schema, where: str, error=DataFormatError) -> None:
+    """Raise ``error`` naming the first place where a parsed JSON ``value``
+    departs from ``schema``.
+
+    A dict is an object with exactly these keys, a one-element list is a
+    list of that item, a tuple ``(item,)`` is that item or null, and
+    ``float`` admits any JSON number.
+    """
+    if isinstance(schema, tuple):
+        if value is None:
+            return
+        schema = schema[0]
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or value.keys() != schema.keys():
+            raise error(f"{where} must be an object with the keys {sorted(schema)}")
+        for key, item in schema.items():
+            check_layout(value[key], item, f"{where}.{key}", error)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list")
+        if not (schema[0] is float and {type(v) for v in value} <= {int, float}):
+            for i, item in enumerate(value):
+                check_layout(item, schema[0], f"{where}[{i}]", error)
+    elif not _is(value, schema):
+        raise error(f"{where} must be of type {schema.__name__}, got {type(value).__name__}")
+
+
+_RECORD_DOC = {
+    "mode": str, "rate": float, "touched_indices": [int], "touched_features": [int],
+    "original_values": [float], "factor": float, "seed": int,
+}
+
+
 @dataclass(frozen=True)
 class CorruptionRecord:
     mode: CorruptionMode
@@ -104,6 +141,11 @@ class CorruptionRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorruptionRecord":
+        """Rebuild a record from :meth:`to_dict` output; a malformed one
+        raises ``DataFormatError``."""
+        check_layout(d, _RECORD_DOC, "corruption record")
+        if d["mode"] not in {mode.value for mode in CorruptionMode}:
+            raise DataFormatError(f"corruption record has unknown mode {d['mode']!r}")
         return cls(
             mode=CorruptionMode(d["mode"]),
             rate=d["rate"],
@@ -319,8 +361,16 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int = 0):
 
 
 def invert_corruption(ds: Dataset, record: CorruptionRecord) -> Dataset:
-    """Undo a recorded corruption, restoring the original dataset bit-exactly."""
+    """Undo a recorded corruption, restoring the original dataset bit-exactly.
+
+    A record that does not fit the dataset raises ``DataFormatError``.
+    """
+    if not (all(0 <= i < ds.n for i in record.touched_indices)
+            and all(0 <= j < ds.m for j in record.touched_features)):
+        raise DataFormatError(f"corruption record indices fall outside the {ds.n}x{ds.m} dataset")
     if record.mode is CorruptionMode.OUTLIERS:
+        if not len(record.touched_indices) == len(record.touched_features) == len(record.original_values):
+            raise DataFormatError("corruption record needs one feature and one value per touched sample")
         X = ds.X.copy()
         for i, j, v in zip(record.touched_indices, record.touched_features, record.original_values):
             X[i, j] = v

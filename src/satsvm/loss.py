@@ -164,6 +164,16 @@ def loss_derivative(spec: LossSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
+def loss_derivative_bound(spec: LossSpec) -> float:
+    """Bound on ``|loss_derivative|`` at any finite ``u``.
+
+    Every subderivative is at most 1 in magnitude (``tau <= 1``). For
+    expsat the bound also covers the product ``lam * a * t`` that is
+    formed before ``exp(-t)`` scales it down, for ``t`` up to the cutoff.
+    """
+    return _EXP_CUTOFF * spec.lam * spec.a if spec.kind is LossKind.EXPSAT else 1.0
+
+
 def loss_supremum(spec: LossSpec) -> float:
     """Least upper bound of the loss over all margin deficits.
 

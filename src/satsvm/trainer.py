@@ -17,7 +17,11 @@ applies the velocity update. The learning rate follows the recurrence
 ``alpha <- alpha * exp(-eta * t)`` after each iteration. At the defaults
 ``alpha0 = eta = 0.1`` the rate is 2.8e-6 at iteration 15 and exactly
 0.0 from iteration 123 on; this is faithful to the published schedule
-and is surfaced here rather than silently softened.
+and is surfaced here rather than silently softened. Once the rate is
+0.0 and the momentum step no longer moves beta, no later iteration can
+change beta, so the loop returns there (after iteration 122 at the
+defaults); ``iterations_run`` still records ``max_iters``, and the
+model and its file are the same as after the full loop.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
+from .data import check_layout
 from .errors import DataFormatError, NumericError, ParameterError, ShapeError
 from .kernel import KernelMatrix, KernelSpec, gram_matrix, kernel_block
-from .loss import LossSpec, loss_derivative, loss_value
+from .loss import LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
 
@@ -153,8 +159,41 @@ def learning_rate_at(alpha0: float, eta: float, t: int) -> float:
     return alpha0 * math.exp(-eta * t * (t - 1) / 2.0)
 
 
+# Gradients are kept below this bound once beta is frozen; it leaves a
+# factor of 2**24 below the float64 maximum for rounding in any order.
+_SAFE_GRADIENT = 2.0**1000
+
+
+def _frozen(config: TrainerConfig, K: np.ndarray, beta: np.ndarray, v: np.ndarray) -> bool:
+    """Whether iterations at learning rate 0.0 can neither change beta nor raise.
+
+    At rate 0.0 the update ``v <- r*v - 0.0*grad`` has the magnitude of
+    ``r*v`` and only the sign of a zero can differ, so the steps only
+    shrink. Once ``beta + r*v == beta`` every later step is absorbed as
+    well, because rounding is monotone. A -0.0 in beta is excluded, since
+    adding +0.0 turns it into +0.0. The full loop would still raise
+    ``NumericError`` on a non-finite gradient, so every later gradient,
+    whatever its batch, must also stay far inside the float range. With
+    ``k = max(max|K|, 1)``: ``|K beta| <= n*k*max|beta|``, the batch sum
+    of the loss term is at most ``n*k*max|L'|`` before scaling by ``C/s``
+    and ``C*k*max|L'|`` after.
+    """
+    if np.any(np.signbit(beta) & (beta == 0.0)) or not np.array_equal(beta + config.r * v, beta):
+        return False
+    k_max = max(K.max(), -K.min(), 1.0)
+    d_max = loss_derivative_bound(config.loss)
+    bound = k_max * (len(beta) * (np.abs(beta).max() + d_max) + config.C * d_max)
+    return bound < _SAFE_GRADIENT
+
+
 def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> TrainedModel:
-    """Train by mini-batch NAG for exactly ``max_iters`` iterations.
+    """Train by mini-batch NAG for up to ``max_iters`` iterations.
+
+    The loop returns early once the learning rate is exactly 0.0 and
+    beta can no longer move (see :func:`_frozen`): the result is then
+    bit-identical to running all ``max_iters`` iterations, including a
+    ``NumericError`` that a later iteration would raise, and
+    ``iterations_run`` records ``max_iters`` either way.
 
     Deterministic for a fixed (config, data, seed). ``gram`` may be
     supplied to reuse a precomputed kernel matrix over ``X``.
@@ -180,9 +219,8 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
 
     # overflow is detected explicitly and reported as a NumericError
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, alpha in enumerate(
-            learning_rate_sequence(config.alpha0, config.eta, config.max_iters), start=1
-        ):
+        rates = pairwise(learning_rate_sequence(config.alpha0, config.eta, config.max_iters + 1))
+        for t, (alpha, next_alpha) in enumerate(rates, start=1):
             batch = rng.choice(n, size=s, replace=False)
             beta_look = beta + config.r * v
             kb = K @ beta_look
@@ -193,6 +231,8 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
                 raise NumericError(f"non-finite gradient at iteration {t}")
             v = config.r * v - alpha * grad
             beta = beta_look + v
+            if next_alpha == 0.0 and _frozen(config, K, beta, v):
+                break
 
     snapshot = replace(config, batch_size=s)
     final = objective(config, gram, y, beta)
@@ -273,9 +313,7 @@ def save_model(model: TrainedModel) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# The layout of a model file. A dict is an object with exactly these keys,
-# a one-element list is a list of that item, a tuple ``(item,)`` is that
-# item or null, and ``float`` admits any JSON number.
+# The layout of a model file, in the terms of :func:`data.check_layout`.
 _KERNEL_DOC = {"kind": str, "sigma": float}
 _MODEL_DOC = {
     "format_version": int, "kernel": _KERNEL_DOC, "beta": [float], "support_points": [[float]],
@@ -288,30 +326,6 @@ _MODEL_DOC = {
 }
 
 
-def _is(value, kind) -> bool:
-    return type(value) is kind or (kind is float and type(value) is int)
-
-
-def _check_doc(value, schema, where: str) -> None:
-    if isinstance(schema, tuple):
-        if value is None:
-            return
-        schema = schema[0]
-    if isinstance(schema, dict):
-        if not isinstance(value, dict) or value.keys() != schema.keys():
-            raise DataFormatError(f"{where} must be an object with the keys {sorted(schema)}")
-        for key, item in schema.items():
-            _check_doc(value[key], item, f"{where}.{key}")
-    elif isinstance(schema, list):
-        if not isinstance(value, list):
-            raise DataFormatError(f"{where} must be a list")
-        if not (schema[0] is float and {type(v) for v in value} <= {int, float}):
-            for i, item in enumerate(value):
-                _check_doc(item, schema[0], f"{where}[{i}]")
-    elif not _is(value, schema):
-        raise DataFormatError(f"{where} must be of type {schema.__name__}, got {type(value).__name__}")
-
-
 def load_model(text: str) -> TrainedModel:
     """Parse a model file written by :func:`save_model`.
 
@@ -321,7 +335,7 @@ def load_model(text: str) -> TrainedModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"model file is not valid JSON: {exc}") from None
-    _check_doc(doc, _MODEL_DOC, "model")
+    check_layout(doc, _MODEL_DOC, "model")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise DataFormatError(f"unsupported model format version {doc['format_version']}")
     points = doc["support_points"]

@@ -143,8 +143,46 @@ class TestCorrupt:
         assert code == 2
         assert "rate" in err
 
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: "{broken",
+        lambda doc: "[]",
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "touched_indices"}),
+        lambda doc: json.dumps({**doc, "touched_indices": ["3"] + doc["touched_indices"][1:]}),
+        lambda doc: json.dumps({**doc, "mode": "swap"}),
+        lambda doc: json.dumps({**doc, "touched_indices": [150] + doc["touched_indices"][1:]}),
+        lambda doc: json.dumps({**doc, "touched_features": [-1] + doc["touched_features"][1:]}),
+        lambda doc: json.dumps({**doc, "original_values": doc["original_values"][1:]}),
+    ], ids=["malformed-json", "not-an-object", "missing-key", "string-index", "unknown-mode",
+            "index-past-end", "negative-feature", "short-values"])
+    def test_malformed_record_is_data_error(self, mangle, tmp_path, data_csv, capsys):
+        corrupted = tmp_path / "out.csv"
+        run(["corrupt", "--input", str(data_csv), "--output", str(corrupted),
+             "--mode", "outliers", "--rate", "0.1", "--seed", "4"], capsys)
+        record = tmp_path / "out.csv.record.json"
+        record.write_text(mangle(json.loads(record.read_text())))
+        code, _, err = run(["corrupt", "--input", str(corrupted), "--output", str(tmp_path / "back.csv"),
+                            "--invert", "--record", str(record)], capsys)
+        assert code == 3
+        _one_line_error(err)
+
 
 class TestStats:
+    @pytest.mark.parametrize("text,kind,where", [
+        ("dataset,m1,m2\nd1,90,abc\nd2,85,88\n", "accuracies", "line 2, column 'm2': 'abc'"),
+        ("dataset,m1,m2\nd1,90,80\n\nd2,nan,88\n", "accuracies", "line 4, column 'm1': 'nan'"),
+        ("dataset,m1,m2\nd1,90,80\nd2,85\n", "accuracies", "line 3 has 2 cells"),
+        ("dataset,model,mean_acc\nd1,m1,high\nd1,m2,80\n", "accuracies", "column 'mean_acc'"),
+        ("m1,m2,m3\n1.5,x,2.5\n", "mean-ranks", "line 2, column 'm2': 'x'"),
+    ], ids=["non-numeric", "nan", "ragged-row", "harness-results", "mean-ranks"])
+    def test_bad_cell_is_data_error(self, text, kind, where, tmp_path, capsys):
+        src = tmp_path / "acc.csv"
+        src.write_text(text)
+        code, _, err = run(["stats", "--input", str(src), "--input-kind", kind, "--num-datasets", "2",
+                            "--critical-f", "5", "--output", str(tmp_path / "r.csv")], capsys)
+        assert code == 3
+        assert where in err
+        _one_line_error(err)
+
     def test_d1_mean_rank_fixture(self, tmp_path, capsys):
         src = tmp_path / "ranks.csv"
         src.write_text(D1_RANK_CSV)
@@ -249,6 +287,13 @@ class TestCurveEmitters:
 
 
 class TestGrid:
+    def test_unknown_model_is_usage_error(self, tmp_path, data_csv, capsys):
+        code, _, err = run(["grid", "--input", str(data_csv), "--output", str(tmp_path / "g.csv"),
+                            "--models", "expsat,svm"], capsys)
+        assert code == 2
+        assert "'svm'" in err
+        _one_line_error(err)
+
     def test_two_models_share_fold_plan(self, tmp_path, data_csv, capsys):
         out = tmp_path / "grid.csv"
         code, _, _ = run(["grid", "--input", str(data_csv), "--output", str(out),
@@ -350,6 +395,33 @@ class TestConfigFiles:
                             "--output", str(tmp_path / "m.json")], capsys)
         assert code == 2
         _one_line_error(err)
+
+    @pytest.mark.parametrize("params", [
+        {"C": "abc"}, {"seed": 1.5}, {"max_iters": True}, {"normalize": "yes"}, {"loss": "foo"},
+        {"kernel": 3}, {"sigma": None}, {"format": ["csv"]},
+    ], ids=["string-for-float", "float-for-int", "bool-for-int", "string-for-bool", "unknown-choice",
+            "number-for-choice", "null-for-float", "list-for-string"])
+    def test_mistyped_config_value_is_usage_error(self, params, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        code, _, err = run(["train", "--config", str(cfg), "--input", str(data_csv),
+                            "--output", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        assert repr(next(iter(params))) in err
+        _one_line_error(err)
+
+    def test_config_values_of_the_declared_types_run(self, tmp_path, data_csv, capsys):
+        # an int passes where a float is expected; null where the default is null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"C": 30, "sigma": 1, "batch_size": None, "max_iters": 20,
+                                   "c_grid": [1, 2.5], "sigma_grid": "0.5,1", "a_grid": [1],
+                                   "lambda_grid": "1"}))
+        argv = ["grid", "--config", str(cfg), "--input", str(data_csv), "--output", str(tmp_path / "g.csv")]
+        assert run(argv, capsys)[0] == 0
+        cfg.write_text(json.dumps({"c_grid": [1, "x"]}))
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "c_grid" in err
 
     def test_every_manifest_reruns(self, tmp_path, data_csv, model_file, capsys):
         argvs = {

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import satsvm.trainer as trainer
 from satsvm import (
     KernelSpec,
+    LossKind,
     LossSpec,
     NumericError,
     ParameterError,
@@ -19,6 +23,7 @@ from satsvm import (
     learning_rate_at,
     learning_rate_sequence,
     load_model,
+    loss_derivative,
     objective,
     predict_batch,
     save_model,
@@ -176,6 +181,41 @@ class TestFit:
         with pytest.raises(NumericError, match="iteration"):
             fit(cfg, ds.X, ds.y)
 
+    @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 122), (0.01, 1000, 385),
+                                                        (1e-9, 200, 200), (0.1, 50, 50)])
+    def test_returns_once_beta_is_frozen(self, monkeypatch, eta, max_iters, expected):
+        calls = []
+        real = trainer.loss_derivative
+        monkeypatch.setattr(trainer, "loss_derivative", lambda *a: calls.append(1) or real(*a))
+        ds = two_cluster_dataset(n=60, seed=4)
+        model = fit(TrainerConfig(eta=eta, max_iters=max_iters, seed=2), ds.X, ds.y)
+        assert len(calls) == expected
+        assert model.iterations_run == max_iters
+
+    def test_gradient_check_kept_after_freeze(self):
+        # One -1 sample sits on a +1 sample; the others are far apart, so
+        # K is the identity apart from that pair. At C = 1.5e308 beta is
+        # frozen after iteration 186, but once the -1 sample is first drawn
+        # (iteration 327 for seed 80) its gradient overflows. The gradient
+        # bound in _frozen keeps the loop running to that check.
+        n = 200
+        X = np.zeros((n, 1))
+        X[2:, 0] = 100.0 * np.arange(1, n - 1)
+        y = np.ones(n)
+        y[1] = -1.0
+        cfg = TrainerConfig(C=1.5e308, loss=LossSpec.hinge(), batch_size=1, seed=80)
+        with pytest.raises(NumericError, match="iteration 327$"):
+            _reference_fit(cfg, X, y)
+        with pytest.raises(NumericError, match="iteration 327$"):
+            fit(cfg, X, y)
+
+    def test_frozen_rules_out_negative_zero(self):
+        K = np.eye(2)
+        cfg = TrainerConfig(r=0.5)
+        assert trainer._frozen(cfg, K, np.array([0.0, 1.0]), np.array([-0.0, 1e-20]))
+        assert not trainer._frozen(cfg, K, np.array([-0.0, 1.0]), np.zeros(2))
+        assert not trainer._frozen(cfg, K, np.array([1.0, 1.0]), np.array([0.0, 1e-15]))
+
     def test_snapshot_records_resolved_batch_size(self):
         ds = two_cluster_dataset(n=50, seed=3)
         model = fit(TrainerConfig(), ds.X, ds.y)
@@ -183,6 +223,71 @@ class TestFit:
         ds2 = two_cluster_dataset(n=120, seed=3)
         model2 = fit(TrainerConfig(), ds2.X, ds2.y)
         assert model2.config_snapshot.batch_size == 32
+
+
+def _reference_fit(config, X, y):
+    """The NAG loop as it ran before the early return: all max_iters iterations."""
+    n = X.shape[0]
+    s = config.resolved_batch_size(n)
+    gram = gram_matrix(config.kernel, X)
+    K = gram.entries
+    scale = config.C / s
+    beta = np.full(n, config.beta0, dtype=float)
+    v = np.full(n, config.v0, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, alpha in enumerate(
+            learning_rate_sequence(config.alpha0, config.eta, config.max_iters), start=1
+        ):
+            batch = rng.choice(n, size=s, replace=False)
+            beta_look = beta + config.r * v
+            kb = K @ beta_look
+            xi = 1.0 - y[batch] * kb[batch]
+            w = loss_derivative(config.loss, xi) * y[batch]
+            grad = kb - scale * (K[batch].T @ w)
+            if not np.isfinite(grad).all():
+                raise NumericError(f"non-finite gradient at iteration {t}")
+            v = config.r * v - alpha * grad
+            beta = beta_look + v
+    return beta, objective(config, gram, y, beta)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+_START = st.sampled_from([0.0, -0.0, 0.01]) | st.floats(-1.0, 1.0)
+
+
+class TestEarlyReturnIsBitExact:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40), m=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1), batch=st.floats(0.0, 1.0), max_iters=st.integers(1, 400),
+        alpha0=_log_uniform(1e-3, 10.0), eta=_log_uniform(0.02, 1.0), r=st.floats(0.0, 0.95),
+        C=_log_uniform(1e-6, 1e6), sigma=_log_uniform(1e-3, 1e3), a=_log_uniform(0.1, 10.0),
+        kind=st.sampled_from(list(LossKind)), linear=st.booleans(), beta0=_START, v0=_START,
+    )
+    def test_matches_full_loop(self, n, m, data_seed, seed, batch, max_iters, alpha0, eta, r, C,
+                               sigma, a, kind, linear, beta0, v0):
+        rng = np.random.default_rng(data_seed)
+        X = rng.standard_normal((n, m))
+        y = rng.choice([-1.0, 1.0], size=n)
+        cfg = TrainerConfig(
+            C=C, loss=LossSpec(kind, a=a), kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(sigma),
+            beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
+            max_iters=max_iters, seed=seed,
+        )
+        try:
+            beta, final = _reference_fit(cfg, X, y)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{exc}$"):
+                fit(cfg, X, y)
+            return
+        model = fit(cfg, X, y)
+        assert model.beta.tobytes() == beta.tobytes()
+        assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
+        assert model.iterations_run == max_iters
 
 
 def _value(model, x) -> float:
