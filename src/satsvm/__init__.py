@@ -46,7 +46,7 @@ from .harness import (
     robustness_suite,
     sensitivity_sweep,
 )
-from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block, kernel_row
+from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block
 from .loss import LossKind, LossSpec, loss_derivative, loss_supremum, loss_value
 from .stats import (
     RankTable,

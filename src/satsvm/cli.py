@@ -36,12 +36,12 @@ from .data import (
     write_csv,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError
-from .harness import GridSpec, accuracy, grid_search, sensitivity_sweep
+from .harness import GRID_AXES, GridSpec, accuracy, grid_search, sensitivity_sweep
 from .kernel import KernelKind, KernelSpec
 from .loss import LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
-from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk
+from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk, step_grid
 from .trainer import TrainerConfig, decision_values, fit, load_model, predict_batch, save_model, sign_labels
 
 MANIFEST_FORMAT = 1
@@ -93,7 +93,7 @@ def _values(enum_type) -> tuple[str, ...]:
 
 
 _GRID_DEFAULT = GridSpec()
-_GRID_KEYS = ("c_grid", "sigma_grid", "a_grid", "lambda_grid", "tau_grid")
+_GRID_KEYS = tuple(name for _, name, _ in GRID_AXES)
 
 _OPTIONS = {o.key: o for o in (
     Option("input"), Option("model"), Option("output"), Option("record"),
@@ -255,14 +255,12 @@ def cmd_grid(p: dict) -> int:
         loss = _loss_spec(p, kind)
         config = _trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss)
         result = grid_search(ds, config, grid, plan)
-        bp = result.best_params
         rows.append((
             result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
-            result.train_time_seconds, bp.get("C"), bp.get("sigma"), bp.get("a"),
-            bp.get("lam"), bp.get("tau"),
+            result.train_time_seconds, *(result.best_params.get(key) for key, _, _ in GRID_AXES),
         ))
     _write_rows(p["output"], ["dataset", "model", "mean_acc", "std_acc", "time_s",
-                              "C", "sigma", "a", "lam", "tau"], rows)
+                              *(key for key, _, _ in GRID_AXES)], rows)
     _write_manifest("grid", p, p["output"])
     return 0
 
@@ -376,8 +374,7 @@ def cmd_stats(p: dict) -> int:
 
 def cmd_loss_curve(p: dict) -> int:
     spec = _loss_spec(p)
-    count = int(round((p["u_max"] - p["u_min"]) / p["u_step"])) + 1
-    u = p["u_min"] + p["u_step"] * np.arange(count)
+    u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)
     _write_rows(p["output"], ["u", "value", "derivative"],

@@ -1,14 +1,20 @@
 """Experiment orchestration: grid search with 5-fold CV, sensitivity
 sweeps, and corruption-robustness tables.
 
+Cross-validation, grid search, sweeps and robustness tables share one
+evaluation loop, :func:`_evaluate`. It goes fold by fold and builds each
+distinct kernel's Gram matrix over the training part once for every
+configuration that uses it: one Gram per (fold, sigma), not per
+candidate, with results bit-identical to separate fits.
+
 Protocol notes. Accuracy is percent correct over a fold. Fold accuracies
 are summarized by their mean and population standard deviation (divide
 by k; the convention is documented here because reports elsewhere rarely
-state theirs). Grid search is exhaustive; ties on mean accuracy are
-broken toward smaller C, then sigma, then a, then lam, then tau, which
-also makes the result independent of grid enumeration order. The timing
-in a :class:`RunResult` is the wall clock of the single best-parameter
-refit, excluding Gram-matrix construction.
+state theirs). Grid search is exhaustive over :data:`GRID_AXES`; ties on
+mean accuracy are broken toward smaller C, then sigma, then a, then lam,
+then tau, which also makes the result independent of grid enumeration
+order. The timing in a :class:`RunResult` is the wall clock of the
+single best-parameter refit, excluding Gram-matrix construction.
 
 Baselines trained via the shared NAG loop are a convenience, not a
 faithful reproduction of their native solvers; their labels carry a
@@ -17,6 +23,7 @@ faithful reproduction of their native solvers; their labels carry a
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -43,9 +50,16 @@ def _decade_grid() -> tuple[float, ...]:
     return tuple(10.0**i for i in range(-6, 7))
 
 
-def _step_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(round((stop - start) / step)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+# The grid axes in enumeration and tie-break order: the ``best_params``
+# key (also the config, kernel or loss field it sets), the GridSpec field
+# holding its values, and the loss kinds that search it (None: all kinds).
+GRID_AXES = (
+    ("C", "c_grid", None),
+    ("sigma", "sigma_grid", None),
+    ("a", "a_grid", (LossKind.EXPSAT,)),
+    ("lam", "lambda_grid", (LossKind.EXPSAT,)),
+    ("tau", "tau_grid", (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL)),
+)
 
 
 @dataclass(frozen=True)
@@ -54,21 +68,15 @@ class GridSpec:
 
     c_grid: tuple[float, ...] = field(default_factory=_decade_grid)
     sigma_grid: tuple[float, ...] = field(default_factory=_decade_grid)
-    a_grid: tuple[float, ...] = field(default_factory=lambda: _step_grid(0.0, 5.0, 0.1))
-    lambda_grid: tuple[float, ...] = field(default_factory=lambda: _step_grid(0.1, 2.0, 0.1))
+    a_grid: tuple[float, ...] = field(default_factory=lambda: tuple(k / 10 for k in range(51)))
+    lambda_grid: tuple[float, ...] = field(default_factory=lambda: tuple(k / 10 for k in range(1, 21)))
     tau_grid: tuple[float, ...] = (0.0, 0.3, 0.5, 0.7, 0.9)
 
     def validated(self) -> "GridSpec":
         """Drop the degenerate a=0 point (the loss vanishes identically
         there) and reject empty or non-finite grids."""
-        grids = {
-            "c_grid": self.c_grid,
-            "sigma_grid": self.sigma_grid,
-            "a_grid": self.a_grid,
-            "lambda_grid": self.lambda_grid,
-            "tau_grid": self.tau_grid,
-        }
-        for name, g in grids.items():
+        for _, name, _ in GRID_AXES:
+            g = getattr(self, name)
             if len(g) == 0:
                 raise ParameterError(f"{name} is empty")
             if not all(np.isfinite(v) for v in g):
@@ -138,9 +146,46 @@ def _fold_config(config: TrainerConfig, fold: int) -> TrainerConfig:
     return replace(config, seed=child_seed(config.seed, f"batches/fold={fold}"))
 
 
-def _fit_and_score(train: Dataset, test: Dataset, config: TrainerConfig) -> float:
-    model = fit(config, train.X, train.y)
-    return accuracy(predict_batch(model, test.X), test.y)
+def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]) -> list[CvResult]:
+    """Accuracy of every configuration, trained on each fold's training
+    part and scored on its test part.
+
+    Per fold, each distinct kernel's Gram over the training part is built
+    once and passed to ``fit`` for every configuration using it; it is the
+    matrix ``fit`` would build itself, so results are bit-identical to
+    separate runs. One fold Gram is alive at a time.
+    """
+    by_kernel: dict = {}
+    for i, config in enumerate(configs):
+        by_kernel.setdefault(config.kernel, []).append(i)
+    per_fold = [[] for _ in configs]
+    for f, (train, test) in enumerate(folds):
+        for kernel, members in by_kernel.items():
+            gram = gram_matrix(kernel, train.X)
+            for i in members:
+                model = fit(_fold_config(configs[i], f), train.X, train.y, gram=gram)
+                per_fold[i].append(accuracy(predict_batch(model, test.X), test.y))
+            del gram
+    return [_summarize(accs) for accs in per_fold]
+
+
+def _plan_folds(ds: Dataset, plan: FoldPlan, train_only_scaling: bool = False) -> list:
+    """The (train, test) datasets of every fold of ``plan``; with
+    ``train_only_scaling`` each training part is normalized and its
+    scaler applied to the test part."""
+    if plan.assignments.shape != (ds.n,):
+        raise ShapeError("fold plan does not match the dataset", plan.assignments.shape, ds.n)
+    if train_only_scaling and ds.normalized:
+        raise ParameterError("train_only_scaling expects an unnormalized dataset")
+    folds = []
+    for f in range(plan.k):
+        train = ds.subset(plan.train_indices(f))
+        test = ds.subset(plan.fold_indices(f))
+        if train_only_scaling:
+            train = normalize(train)
+            test = apply_scaler(test, train.scaler)
+        folds.append((train, test))
+    return folds
 
 
 def cross_validate(
@@ -156,61 +201,28 @@ def cross_validate(
     ``train_only_scaling`` the scaler is fitted on each fold's training
     part only and applied to its test part, a leakage-safe variant.
     """
-    if plan.assignments.shape != (ds.n,):
-        raise ShapeError("fold plan does not match the dataset", plan.assignments.shape, ds.n)
-    per_fold = []
-    for f in range(plan.k):
-        train = ds.subset(plan.train_indices(f))
-        test = ds.subset(plan.fold_indices(f))
-        if train_only_scaling:
-            if ds.normalized:
-                raise ParameterError("train_only_scaling expects an unnormalized dataset")
-            train = normalize(train)
-            test = apply_scaler(test, train.scaler)
-        per_fold.append(_fit_and_score(train, test, _fold_config(config, f)))
-    return _summarize(per_fold)
+    return _evaluate(_plan_folds(ds, plan, train_only_scaling), [config])[0]
 
 
-def _grid_candidates(kind: LossKind, grid: GridSpec):
-    """Candidate parameter dicts in tie-break order (C, sigma, a, lam, tau)."""
-    cs = sorted(grid.c_grid)
-    sigmas = sorted(grid.sigma_grid)
-    if kind is LossKind.EXPSAT:
-        return [
-            {"C": c, "sigma": s, "a": a, "lam": lam}
-            for c in cs
-            for s in sigmas
-            for a in sorted(grid.a_grid)
-            for lam in sorted(grid.lambda_grid)
-        ]
-    if kind in (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL):
-        return [
-            {"C": c, "sigma": s, "tau": t}
-            for c in cs
-            for s in sigmas
-            for t in sorted(grid.tau_grid)
-        ]
-    return [{"C": c, "sigma": s} for c in cs for s in sigmas]
+def _grid_candidates(kind: LossKind, grid: GridSpec) -> list[dict]:
+    """Candidate parameter dicts over the axes ``kind`` searches, in
+    tie-break order."""
+    axes = [(key, name) for key, name, kinds in GRID_AXES if kinds is None or kind in kinds]
+    points = itertools.product(*(sorted(getattr(grid, name)) for _, name in axes))
+    return [dict(zip((key for key, _ in axes), point)) for point in points]
 
 
 def _apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
-    loss = config.loss
-    if "a" in params or "lam" in params:
-        loss = replace(loss, a=params.get("a", loss.a), lam=params.get("lam", loss.lam))
-    if "tau" in params:
-        loss = replace(loss, tau=params["tau"])
-    kernel = replace(config.kernel, sigma=params.get("sigma", config.kernel.sigma))
-    return replace(config, C=params.get("C", config.C), loss=loss, kernel=kernel)
+    """``config`` with the grid parameters set: C on the config, sigma on
+    the kernel, the rest on the loss."""
+    loss_params = dict(params)
+    C = loss_params.pop("C", config.C)
+    kernel = replace(config.kernel, sigma=loss_params.pop("sigma", config.kernel.sigma))
+    return replace(config, C=C, kernel=kernel, loss=replace(config.loss, **loss_params))
 
 
 def _tie_key(params: dict) -> tuple:
-    return (
-        params.get("C", 0.0),
-        params.get("sigma", 0.0),
-        params.get("a", 0.0),
-        params.get("lam", 0.0),
-        params.get("tau", 0.0),
-    )
+    return tuple(params.get(key, 0.0) for key, _, _ in GRID_AXES)
 
 
 def grid_search(
@@ -222,14 +234,10 @@ def grid_search(
 ) -> RunResult:
     """Exhaustive grid search; best mean CV accuracy wins, deterministic
     tie-break, then a timed refit of the winner on the full dataset."""
-    grid = grid.validated()
-    best = None
-    for params in _grid_candidates(config.loss.kind, grid):
-        cv = cross_validate(ds, _apply_params(config, params), plan, train_only_scaling)
-        key = (-cv.mean, _tie_key(params))
-        if best is None or key < best[0]:
-            best = (key, params, cv)
-    _, params, cv = best
+    candidates = _grid_candidates(config.loss.kind, grid.validated())
+    configs = [_apply_params(config, params) for params in candidates]
+    results = _evaluate(_plan_folds(ds, plan, train_only_scaling), configs)
+    cv, params = min(zip(results, candidates), key=lambda pair: (-pair[0].mean, _tie_key(pair[1])))
     refit_config = _apply_params(config, params)
     gram = gram_matrix(refit_config.kernel, ds.X)
     t0 = time.perf_counter()
@@ -257,25 +265,19 @@ def sensitivity_sweep(
     all other hyperparameters held fixed."""
     if config.loss.kind is not LossKind.EXPSAT:
         raise ParameterError("the sensitivity sweep varies the saturating-loss parameters")
-    rows = []
-    for a in a_grid:
-        for lam in lambda_grid:
-            cfg = replace(config, loss=replace(config.loss, a=a, lam=lam))
-            cv = cross_validate(ds, cfg, plan)
-            rows.append((float(a), float(lam), cv.mean))
-    return rows
+    cells = [(a, lam) for a in a_grid for lam in lambda_grid]
+    configs = [_apply_params(config, {"a": a, "lam": lam}) for a, lam in cells]
+    results = _evaluate(_plan_folds(ds, plan), configs)
+    return [(float(a), float(lam), cv.mean) for (a, lam), cv in zip(cells, results)]
 
 
-def _corrupted_train(ds: Dataset, train_idx, mode: CorruptionMode, rate: float, factor: float, seed: int) -> Dataset:
-    """Corrupt only the training slice; fold evaluation data stays clean."""
-    train = ds.subset(train_idx)
+def _corrupted(train: Dataset, mode: CorruptionMode, rate: float, factor: float, seed: int) -> Dataset:
+    """Corrupt a training part; fold evaluation data stays clean."""
     if rate == 0.0:
         return train
     if mode is CorruptionMode.OUTLIERS:
-        corrupted, _ = inject_outliers(train, rate, factor=factor, seed=seed)
-    else:
-        corrupted, _ = inject_label_noise(train, rate, seed=seed)
-    return corrupted
+        return inject_outliers(train, rate, factor=factor, seed=seed)[0]
+    return inject_label_noise(train, rate, seed=seed)[0]
 
 
 def robustness_suite(
@@ -294,20 +296,14 @@ def robustness_suite(
     if plan is None:
         raise ParameterError("a fold plan is required")
     mode = CorruptionMode(mode)
+    clean = _plan_folds(ds, plan)
     rows: list[RobustnessRow] = []
     for rate in rates:
-        fold_train = []
-        fold_test = []
-        for f in range(plan.k):
+        folds = []
+        for f, (train, test) in enumerate(clean):
             cseed = child_seed(seed, f"corruption/rate={rate}/fold={f}")
-            fold_train.append(_corrupted_train(ds, plan.train_indices(f), mode, float(rate), factor, cseed))
-            fold_test.append(ds.subset(plan.fold_indices(f)))
-        for name, config in models:
-            per_fold = [
-                _fit_and_score(fold_train[f], fold_test[f], _fold_config(config, f))
-                for f in range(plan.k)
-            ]
-            cv = _summarize(per_fold)
+            folds.append((_corrupted(train, mode, float(rate), factor, cseed), test))
+        for (name, _), cv in zip(models, _evaluate(folds, [config for _, config in models])):
             rows.append(RobustnessRow(name, float(rate), cv.mean, cv.std, cv.per_fold))
     averages = {
         name: float(np.mean([r.mean_accuracy for r in rows if r.model == name]))

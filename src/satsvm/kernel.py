@@ -47,8 +47,8 @@ class KernelSpec:
 class KernelMatrix:
     """Precomputed symmetric Gram matrix over one sample set.
 
-    ``entries`` is read-only; rows handed out by :func:`kernel_row` are
-    views into it, so the matrix can be shared across threads freely.
+    ``entries`` is read-only, so the matrix can be shared across threads
+    and fits freely.
     """
 
     n: int
@@ -107,10 +107,3 @@ def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
             K[i + 1 :, i] = row
     K.setflags(write=False)
     return KernelMatrix(n=n, entries=K, spec=spec)
-
-
-def kernel_row(matrix: KernelMatrix, j: int) -> np.ndarray:
-    """Read-only view of row ``j`` of the Gram matrix."""
-    if not 0 <= j < matrix.n:
-        raise IndexError(f"row index {j} out of range for {matrix.n} samples")
-    return matrix.entries[j]

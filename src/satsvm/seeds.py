@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _SEED_SPACE = 2**63
 
 
@@ -19,8 +17,3 @@ def child_seed(seed: int, name: str) -> int:
     """Derive a deterministic child seed for the named stream."""
     digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % _SEED_SPACE
-
-
-def child_rng(seed: int, name: str) -> np.random.Generator:
-    """Generator seeded from the named child stream."""
-    return np.random.default_rng(child_seed(seed, name))

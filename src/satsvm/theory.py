@@ -26,8 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .loss import LossKind, LossSpec, loss_value
+
+
+# Most points a step grid may hold; 10**7 float64 values take 80 MB per array.
+STEP_GRID_CAPACITY = 10**7
+
+
+def step_grid(lo: float, hi: float, step: float, names=("lo", "hi", "step")) -> np.ndarray:
+    """``lo + step * k`` for k = 0, 1, ... through the whole number of steps
+    nearest ``hi``. Bad bounds or step raise ``ParameterError`` (naming the
+    values by ``names``), too many points ``CapacityError``."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParameterError(f"grid needs finite {names[0]} < {names[1]}, got [{lo}, {hi}]")
+    if not (math.isfinite(step) and step > 0):
+        raise ParameterError(f"grid step {names[2]} must be finite and > 0, got {step}")
+    steps = (hi - lo) / step
+    if not steps < STEP_GRID_CAPACITY:
+        raise CapacityError(f"a grid over [{lo}, {hi}] in steps of {step} exceeds {STEP_GRID_CAPACITY} points")
+    return lo + step * np.arange(int(round(steps)) + 1)
 
 
 @dataclass(frozen=True)
@@ -43,14 +61,10 @@ class ConditionalRiskQuery:
     def __post_init__(self):
         if not 0.0 <= self.P <= 1.0:
             raise ParameterError(f"P must lie in [0, 1], got {self.P}")
-        if not self.f_lo < self.f_hi:
-            raise ParameterError(f"grid needs f_lo < f_hi, got [{self.f_lo}, {self.f_hi}]")
-        if not self.f_step > 0:
-            raise ParameterError(f"grid step must be > 0, got {self.f_step}")
+        self.grid()  # raises on a bad grid
 
     def grid(self) -> np.ndarray:
-        count = int(round((self.f_hi - self.f_lo) / self.f_step)) + 1
-        return self.f_lo + self.f_step * np.arange(count)
+        return step_grid(self.f_lo, self.f_hi, self.f_step, ("f_lo", "f_hi", "f_step"))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,8 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
     beta can no longer move (see :func:`_frozen`): the result is then
     bit-identical to running all ``max_iters`` iterations, including a
     ``NumericError`` that a later iteration would raise, and
-    ``iterations_run`` records ``max_iters`` either way.
+    ``iterations_run`` records ``max_iters`` either way. A non-finite
+    final objective also raises ``NumericError``.
 
     Deterministic for a fixed (config, data, seed). ``gram`` may be
     supplied to reuse a precomputed kernel matrix over ``X``.
@@ -233,9 +234,11 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
             beta = beta_look + v
             if next_alpha == 0.0 and _frozen(config, K, beta, v):
                 break
+        final = objective(config, gram, y, beta)
+    if not math.isfinite(final):
+        raise NumericError(f"non-finite final objective {final!r}")
 
     snapshot = replace(config, batch_size=s)
-    final = objective(config, gram, y, beta)
     return TrainedModel(
         beta=beta,
         support_points=X,
@@ -351,6 +354,8 @@ def load_model(text: str) -> TrainedModel:
     support_points = np.array(points, dtype=float)
     if not (np.isfinite(support_points).all() and np.isfinite(np.array(scaler or [], dtype=float)).all()):
         raise DataFormatError("model support points or scaler contain NaN or Inf")
+    if not math.isfinite(doc["final_objective"]):
+        raise DataFormatError(f"model final_objective must be finite, got {doc['final_objective']!r}")
     try:
         return TrainedModel(
             beta=np.array(doc["beta"], dtype=float),

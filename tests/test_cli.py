@@ -60,6 +60,16 @@ class TestTrain:
         assert code == 3
         assert "nope.csv" in err
 
+    def test_non_finite_objective_is_numeric_error(self, tmp_path, capsys):
+        ds = two_cluster_dataset(n=40, m=2, separation=3.0, spread=1.0, seed=0)
+        write_csv(ds, tmp_path / "d.csv")
+        out = tmp_path / "model.json"
+        code, _, err = run(["train", "--input", str(tmp_path / "d.csv"), "--output", str(out),
+                            "--C", "1e306"], capsys)
+        assert code == 4
+        _one_line_error(err)
+        assert not out.exists()
+
     def test_oversized_batch_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["train", "--input", str(data_csv),
                             "--output", str(tmp_path / "m.json"),
@@ -275,6 +285,24 @@ class TestCurveEmitters:
         assert 0 < imin < len(rows) - 1
         assert f[imin] > 0
 
+    @pytest.mark.parametrize("flags", [
+        ["loss-curve", "--u-step", "0"],
+        ["loss-curve", "--u-step", "nan"],
+        ["loss-curve", "--u-step", "-0.5"],
+        ["loss-curve", "--u-min", "3", "--u-max", "-2"],
+        ["loss-curve", "--u-max", "inf"],
+        ["loss-curve", "--u-min=-1e308", "--u-max", "1e308"],
+        ["loss-curve", "--u-step", "1e-9"],
+        ["calibration", "--f-hi", "inf"],
+    ], ids=["zero-step", "nan-step", "negative-step", "reversed", "infinite-bound",
+            "overflowing-span", "too-many-points", "calibration-infinite-bound"])
+    def test_bad_grid_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code, _, err = run([*flags, "--output", str(out)], capsys)
+        assert code == 2
+        _one_line_error(err)
+        assert not out.exists()
+
     def test_sweep_grid(self, tmp_path, data_csv, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run(["sweep", "--input", str(data_csv), "--output", str(out),
@@ -362,6 +390,7 @@ MANGLED_MODELS = {
     "bad-sigma": _edit(lambda d: d["kernel"].update(sigma=-1.0)),
     "bad-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=-1.0)),
     "unsupported-version": _edit(lambda d: d.update(format_version=2)),
+    "nan-final-objective": _edit(lambda d: d.update(final_objective=float("nan"))),
 }
 
 

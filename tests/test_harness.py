@@ -1,22 +1,38 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import expsat_config, hinge_config, separable_dataset
 
+import satsvm.harness as harness
+import satsvm.trainer as trainer
 from satsvm import (
     CorruptionMode,
     GridSpec,
+    KernelSpec,
+    LossSpec,
     ParameterError,
     ShapeError,
+    TrainerConfig,
     accuracy,
+    apply_scaler,
     cross_validate,
+    fit,
     grid_search,
+    inject_label_noise,
+    inject_outliers,
     make_folds,
     model_label,
+    normalize,
+    predict_batch,
     robustness_suite,
     sensitivity_sweep,
     two_cluster_dataset,
 )
+from satsvm.loss import LossKind
+from satsvm.seeds import child_seed
 
 
 class TestAccuracy:
@@ -237,3 +253,177 @@ class TestModelLabel:
     def test_labels(self):
         assert model_label(expsat_config()) == "expsat"
         assert model_label(hinge_config()) == "hinge (NAG)"
+
+
+# Frozen copy of the harness as it was before the shared evaluation loop:
+# every candidate cross-validated on its own, every fit building its own
+# Gram matrix. The shared loop must reproduce it bit for bit.
+
+
+def _ref_fit_and_score(train, test, config):
+    model = fit(config, train.X, train.y)
+    return accuracy(predict_batch(model, test.X), test.y)
+
+
+def _ref_fold_config(config, fold):
+    return replace(config, seed=child_seed(config.seed, f"batches/fold={fold}"))
+
+
+def _ref_summary(per_fold):
+    accs = np.asarray(per_fold, dtype=float)
+    return float(accs.mean()), float(accs.std()), tuple(float(a) for a in accs)
+
+
+def _ref_cross_validate(ds, config, plan, train_only_scaling=False):
+    per_fold = []
+    for f in range(plan.k):
+        train = ds.subset(plan.train_indices(f))
+        test = ds.subset(plan.fold_indices(f))
+        if train_only_scaling:
+            train = normalize(train)
+            test = apply_scaler(test, train.scaler)
+        per_fold.append(_ref_fit_and_score(train, test, _ref_fold_config(config, f)))
+    return _ref_summary(per_fold)
+
+
+def _ref_candidates(kind, grid):
+    cs, sigmas = sorted(grid.c_grid), sorted(grid.sigma_grid)
+    if kind is LossKind.EXPSAT:
+        return [{"C": c, "sigma": s, "a": a, "lam": lam} for c in cs for s in sigmas
+                for a in sorted(grid.a_grid) for lam in sorted(grid.lambda_grid)]
+    if kind in (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL):
+        return [{"C": c, "sigma": s, "tau": t} for c in cs for s in sigmas for t in sorted(grid.tau_grid)]
+    return [{"C": c, "sigma": s} for c in cs for s in sigmas]
+
+
+def _ref_apply(config, params):
+    loss = config.loss
+    if "a" in params or "lam" in params:
+        loss = replace(loss, a=params.get("a", loss.a), lam=params.get("lam", loss.lam))
+    if "tau" in params:
+        loss = replace(loss, tau=params["tau"])
+    kernel = replace(config.kernel, sigma=params.get("sigma", config.kernel.sigma))
+    return replace(config, C=params.get("C", config.C), loss=loss, kernel=kernel)
+
+
+def _ref_grid_search(ds, config, grid, plan, train_only_scaling=False):
+    best = None
+    for params in _ref_candidates(config.loss.kind, grid.validated()):
+        cv = _ref_cross_validate(ds, _ref_apply(config, params), plan, train_only_scaling)
+        key = (-cv[0], tuple(params.get(k, 0.0) for k in ("C", "sigma", "a", "lam", "tau")))
+        if best is None or key < best[0]:
+            best = (key, params, cv)
+    return best[1], best[2]
+
+
+def _ref_robustness(ds, models, rates, mode, plan, factor, seed):
+    rows = []
+    for rate in rates:
+        folds = []
+        for f in range(plan.k):
+            cseed = child_seed(seed, f"corruption/rate={rate}/fold={f}")
+            train = ds.subset(plan.train_indices(f))
+            if rate != 0.0 and mode is CorruptionMode.OUTLIERS:
+                train, _ = inject_outliers(train, float(rate), factor=factor, seed=cseed)
+            elif rate != 0.0:
+                train, _ = inject_label_noise(train, float(rate), seed=cseed)
+            folds.append((train, ds.subset(plan.fold_indices(f))))
+        for name, config in models:
+            per_fold = [_ref_fit_and_score(train, test, _ref_fold_config(config, f))
+                        for f, (train, test) in enumerate(folds)]
+            rows.append((name, float(rate), *_ref_summary(per_fold)))
+    return rows
+
+
+def _overlapping(seed, normalized=True):
+    ds = two_cluster_dataset(n=60, m=3, separation=2.0, spread=1.0, seed=seed)
+    return normalize(ds) if normalized else ds
+
+
+REF_GRID = GridSpec(c_grid=(10.0, 0.5), sigma_grid=(2.0, 0.5), a_grid=(2.0, 0.5),
+                    lambda_grid=(1.0,), tau_grid=(0.7, 0.3))
+REF_LOSSES = [LossSpec.expsat(1.0, 1.0), LossSpec.hinge(), LossSpec.pinball(0.5),
+              LossSpec.truncated_hinge(2.0)]
+
+
+class TestMatchesPerCandidateReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("loss", REF_LOSSES, ids=lambda spec: spec.kind.value)
+    def test_grid_search(self, seed, loss):
+        ds = _overlapping(seed)
+        plan = make_folds(ds.n, 5, seed=seed)
+        config = TrainerConfig(loss=loss, seed=seed)
+        res = grid_search(ds, config, REF_GRID, plan)
+        assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == \
+            _ref_grid_search(ds, config, REF_GRID, plan)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_linear_kernel_and_train_only_scaling(self, seed):
+        raw = _overlapping(seed, normalized=False)
+        plan = make_folds(raw.n, 5, seed=seed)
+        for loss in REF_LOSSES[:2]:
+            config = TrainerConfig(loss=loss, kernel=KernelSpec.linear(), max_iters=200, seed=seed)
+            res = grid_search(raw, config, REF_GRID, plan, train_only_scaling=True)
+            assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == \
+                _ref_grid_search(raw, config, REF_GRID, plan, train_only_scaling=True)
+            cv = cross_validate(raw, config, plan, train_only_scaling=True)
+            assert (cv.mean, cv.std, cv.per_fold) == _ref_cross_validate(raw, config, plan, True)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sensitivity_sweep(self, seed):
+        ds = _overlapping(seed)
+        plan = make_folds(ds.n, 5, seed=seed)
+        config = TrainerConfig(C=10.0, kernel=KernelSpec.gaussian(0.5), seed=seed)
+        a_grid, lambda_grid = [0.5, 1, 3.0], [0.5, 2.0]
+        want = [(float(a), float(lam), _ref_cross_validate(
+                    ds, replace(config, loss=replace(config.loss, a=a, lam=lam)), plan)[0])
+                for a in a_grid for lam in lambda_grid]
+        assert sensitivity_sweep(ds, config, a_grid, lambda_grid, plan) == want
+
+    @pytest.mark.parametrize("mode", list(CorruptionMode))
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_robustness_suite(self, mode, seed):
+        ds = _overlapping(seed)
+        plan = make_folds(ds.n, 5, seed=seed)
+        models = [
+            ("e", TrainerConfig(C=10.0, kernel=KernelSpec.gaussian(0.5), seed=seed)),
+            ("h", TrainerConfig(C=10.0, loss=LossSpec.hinge(), kernel=KernelSpec.gaussian(0.5), seed=seed)),
+            ("p", TrainerConfig(loss=LossSpec.pinball(0.3), kernel=KernelSpec.linear(), seed=seed + 1)),
+        ]
+        rates = (0.0, 0.1, 0.3)
+        rows, averages = robustness_suite(ds, models, rates=rates, mode=mode, plan=plan, factor=5.0,
+                                          seed=seed)
+        want = _ref_robustness(ds, models, rates, mode, plan, 5.0, seed)
+        assert [(r.model, r.rate, r.mean_accuracy, r.std_accuracy, r.per_fold_accuracies)
+                for r in rows] == want
+        assert averages == {name: float(np.mean([w[2] for w in want if w[0] == name]))
+                            for name, _ in models}
+
+
+class TestGramReuse:
+    def test_one_gram_per_fold_and_kernel(self, monkeypatch):
+        built, alive = [], []
+        real = harness.gram_matrix
+
+        def counting(spec, X):
+            assert all(ref() is None for ref in alive), "an earlier fold Gram is still alive"
+            K = real(spec, X)
+            built.append(spec)
+            alive.append(weakref.ref(K))
+            return K
+
+        monkeypatch.setattr(harness, "gram_matrix", counting)
+        monkeypatch.setattr(trainer, "gram_matrix", lambda *a: pytest.fail("fit built its own Gram"))
+        ds = _overlapping(0)
+        plan = make_folds(ds.n, 5, seed=0)
+        # 2 C x 2 sigma x 2 a x 1 lam candidates: one Gram per (fold, sigma), one for the refit
+        grid_search(ds, TrainerConfig(), REF_GRID, plan)
+        assert len(built) == 5 * 2 + 1
+        built.clear()
+        sensitivity_sweep(ds, TrainerConfig(), [0.5, 1.0], [0.5, 1.0], plan)
+        assert len(built) == 5
+        built.clear()
+        models = [("a", TrainerConfig()), ("b", TrainerConfig(C=5.0)),
+                  ("c", TrainerConfig(kernel=KernelSpec.gaussian(0.5)))]
+        robustness_suite(ds, models, rates=(0.1, 0.2), plan=plan)
+        assert len(built) == 2 * 5 * 2

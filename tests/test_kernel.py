@@ -9,7 +9,6 @@ from satsvm import (
     ShapeError,
     gram_matrix,
     kernel_block,
-    kernel_row,
 )
 
 
@@ -95,33 +94,6 @@ class TestGramMatrix:
         X = np.zeros((20001, 1))
         with pytest.raises(CapacityError, match="20000"):
             gram_matrix(KernelSpec.gaussian(1.0), X)
-
-
-class TestKernelRow:
-    def test_row_values(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        K = gram_matrix(KernelSpec.gaussian(1.0), X)
-        row = kernel_row(K, 1)
-        assert row == pytest.approx([math.exp(-1.0), 1.0, math.exp(-1.0)], abs=1e-15)
-
-    def test_identity_like_first_row(self):
-        K = gram_matrix(KernelSpec.linear(), np.eye(2))
-        assert (kernel_row(K, 0) == np.array([1.0, 0.0])).all()
-
-    def test_out_of_range(self):
-        K = gram_matrix(KernelSpec.linear(), np.eye(2))
-        with pytest.raises(IndexError):
-            kernel_row(K, 2)
-        with pytest.raises(IndexError):
-            kernel_row(K, -1)
-
-    def test_row_matches_eval(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((12, 3))
-        spec = KernelSpec.gaussian(0.8)
-        K = gram_matrix(spec, X)
-        for j, i in [(0, 7), (5, 5), (11, 2)]:
-            assert kernel_row(K, j)[i] == pytest.approx(_k(spec, X[j], X[i]), abs=1e-15)
 
 
 def _parent_gram_rows(spec, X):

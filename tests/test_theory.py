@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satsvm import (
+    CapacityError,
     ConditionalRiskQuery,
     LossSpec,
     ParameterError,
@@ -12,6 +13,7 @@ from satsvm import (
     conditional_risk_branches,
     generalization_bound,
 )
+from satsvm.theory import step_grid
 
 ONE_MINUS_2_OVER_E = 0.26424111765711533
 
@@ -85,6 +87,18 @@ class TestCalibrationCheck:
             _query(f_step=0.0)
         with pytest.raises(ParameterError):
             _query(P=1.5)
+
+    def test_step_grid_values_and_limits(self):
+        # the closed form the calibration and loss-curve grids have always used
+        want = -3.0 + 1e-3 * np.arange(6001)
+        assert step_grid(-3.0, 3.0, 1e-3).tobytes() == want.tobytes()
+        assert step_grid(-2.0, 3.0, 0.01).tobytes() == (-2.0 + 0.01 * np.arange(501)).tobytes()
+        for lo, hi, step in [(0.0, math.inf, 1.0), (math.nan, 1.0, 1.0), (1.0, 1.0, 0.1),
+                             (0.0, 1.0, math.inf), (0.0, 1.0, -0.1)]:
+            with pytest.raises(ParameterError):
+                step_grid(lo, hi, step)
+        with pytest.raises(CapacityError):
+            step_grid(-1e308, 1e308, 1.0)
 
 
 class TestGeneralizationBound:

@@ -24,6 +24,7 @@ from satsvm import (
     learning_rate_sequence,
     load_model,
     loss_derivative,
+    normalize,
     objective,
     predict_batch,
     save_model,
@@ -180,6 +181,13 @@ class TestFit:
         cfg = TrainerConfig(C=1.0, alpha0=1e200, eta=1e-9, seed=0)
         with pytest.raises(NumericError, match="iteration"):
             fit(cfg, ds.X, ds.y)
+
+    def test_non_finite_final_objective_raises(self):
+        # every gradient and beta stay finite at C = 1e306, but the
+        # objective's beta'K beta overflows
+        ds = normalize(two_cluster_dataset(n=40, m=2, separation=3.0, spread=1.0, seed=0))
+        with pytest.raises(NumericError, match="non-finite final objective nan"):
+            fit(TrainerConfig(C=1e306), ds.X, ds.y)
 
     @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 122), (0.01, 1000, 385),
                                                         (1e-9, 200, 200), (0.1, 50, 50)])
