@@ -42,11 +42,12 @@ from .harness import (
     accuracy,
     cross_validate,
     grid_search,
+    grid_search_models,
     model_label,
     robustness_suite,
     sensitivity_sweep,
 )
-from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block
+from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block, squared_distances
 from .loss import LossKind, LossSpec, loss_derivative, loss_supremum, loss_value
 from .stats import (
     RankTable,
@@ -72,6 +73,7 @@ from .trainer import (
     TrainerConfig,
     decision_values,
     fit,
+    fit_columns,
     full_gradient,
     learning_rate_at,
     learning_rate_sequence,

@@ -36,7 +36,7 @@ from .data import (
     write_csv,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError
-from .harness import GRID_AXES, GridSpec, accuracy, grid_search, sensitivity_sweep
+from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
 from .kernel import KernelKind, KernelSpec
 from .loss import LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
@@ -250,15 +250,15 @@ def cmd_grid(p: dict) -> int:
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
         raise ParameterError(f"unknown model(s) {unknown}; choose from {list(_values(LossKind))}")
-    rows = []
+    configs = []
     for kind in kinds:
         loss = _loss_spec(p, kind)
-        config = _trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss)
-        result = grid_search(ds, config, grid, plan)
-        rows.append((
-            result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
-            result.train_time_seconds, *(result.best_params.get(key) for key, _, _ in GRID_AXES),
-        ))
+        configs.append(_trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss))
+    rows = [
+        (result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
+         result.train_time_seconds, *(result.best_params.get(key) for key, _, _ in GRID_AXES))
+        for result in grid_search_models(ds, configs, grid, plan)
+    ]
     _write_rows(p["output"], ["dataset", "model", "mean_acc", "std_acc", "time_s",
                               *(key for key, _, _ in GRID_AXES)], rows)
     _write_manifest("grid", p, p["output"])

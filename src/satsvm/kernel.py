@@ -56,18 +56,44 @@ class KernelMatrix:
     spec: KernelSpec
 
 
+# Largest size of the explicit differences x - z that one pass of the
+# squared distances holds; more rows of ``Z`` are taken a block at a time.
+# Decision values use the same row blocks. On a 2-vCPU Xeon with m = 10
+# this was near the fastest budget: 1 query row per block at 3000 support
+# points (4 MiB blocks ran 14% slower) and 16 rows at 200 (1.7x faster
+# than 1).
+BLOCK_BYTES = 1 << 18
+
+
+def _squared_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``(d @ d)`` over the explicit differences ``d = x - z``, for every
+    row z of ``Z`` (rows) and x of ``X`` (columns)."""
+    out = np.empty((Z.shape[0], X.shape[0]))
+    rows = max(1, BLOCK_BYTES // max(X.nbytes, 1))
+    for start in range(0, Z.shape[0], rows):
+        d = X - Z[start : start + rows, None, :]
+        np.einsum("kij,kij->ki", d, d, out=out[start : start + rows])
+    return out
+
+
+def _gaussian(D: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``exp(-D * (1/sigma**2))`` over squared distances ``D``."""
+    E = np.multiply(D, -1.0 / (sigma * sigma), out=out)
+    return np.exp(E, out=E)
+
+
 def _kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """K(x, z) for every row z of ``Z`` (block rows) and x of ``X`` (columns).
 
     The package's one kernel evaluation. The Gaussian is
     ``exp(-(d @ d) * (1/sigma**2))`` over the explicit differences
-    ``d = x - z``, so Gram rows and decision values use the same
+    ``d = x - z``, so Gram matrices and decision values use the same
     arithmetic. Shapes are not checked here.
     """
     if spec.kind is KernelKind.LINEAR:
         return Z @ X.T
-    d = X - Z[:, None, :]
-    return np.exp(-np.einsum("kij,kij->ki", d, d) * (1.0 / (spec.sigma * spec.sigma)))
+    D = _squared_distances(X, Z)
+    return _gaussian(D, spec.sigma, out=D)
 
 
 def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -80,30 +106,58 @@ def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
     return _kernel_block(spec, X, Z)
 
 
-def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
-    """Build the n-by-n kernel matrix of the rows of ``X``.
-
-    The upper triangle is computed once and mirrored, so symmetry holds
-    bit-exactly. Gaussian diagonals are exactly 1.
-    """
+def _samples(X) -> np.ndarray:
+    """``X`` as a non-empty 2-d float array within the Gram capacity."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ShapeError("sample matrix must be 2-d and non-empty", X.shape)
-    n = X.shape[0]
-    if n > GRAM_CAPACITY:
+    if X.shape[0] > GRAM_CAPACITY:
         raise CapacityError(
-            f"gram matrix for n={n} samples exceeds the {GRAM_CAPACITY} cap; "
+            f"gram matrix for n={X.shape[0]} samples exceeds the {GRAM_CAPACITY} cap; "
             "subsample or raise the cap knowingly"
         )
+    return X
+
+
+def squared_distances(X) -> np.ndarray:
+    """The n-by-n squared distances between the rows of ``X``.
+
+    Every Gaussian Gram over ``X`` is ``exp(-D * (1/sigma**2))`` of this
+    matrix, so one ``D`` serves every width (see :func:`gram_matrix`).
+    The upper triangle is computed row by row and mirrored, so symmetry
+    holds bit-exactly, and the diagonal is exactly 0.
+    """
+    X = _samples(X)
+    n = X.shape[0]
+    D = np.empty((n, n), dtype=float)
+    for i in range(n):
+        row = _squared_distances(X[i + 1 :], X[i : i + 1])[0]
+        D[i, i] = 0.0
+        D[i, i + 1 :] = row
+        D[i + 1 :, i] = row
+    return D
+
+
+def gram_matrix(spec: KernelSpec, X, distances: np.ndarray | None = None) -> KernelMatrix:
+    """Build the n-by-n kernel matrix of the rows of ``X``.
+
+    The matrix is symmetric bit-exactly and Gaussian diagonals are
+    exactly 1. A Gaussian Gram is built from ``distances``, the
+    :func:`squared_distances` of ``X``, when given, so that Grams of
+    several widths share them; otherwise from its own distances, in
+    place. Either way the entries are the same.
+    """
+    X = _samples(X)
+    n = X.shape[0]
     if spec.kind is KernelKind.LINEAR:
         G = X @ X.T
         K = np.triu(G) + np.triu(G, 1).T
+    elif distances is None:
+        D = squared_distances(X)
+        K = _gaussian(D, spec.sigma, out=D)
+    elif distances.shape != (n, n):
+        raise ShapeError("squared distances do not match the sample matrix", distances.shape, X.shape)
     else:
-        K = np.empty((n, n), dtype=float)
-        for i in range(n):
-            row = _kernel_block(spec, X[i + 1 :], X[i : i + 1])[0]
-            K[i, i] = 1.0
-            K[i, i + 1 :] = row
-            K[i + 1 :, i] = row
+        K = _gaussian(distances, spec.sigma)
     K.setflags(write=False)
     return KernelMatrix(n=n, entries=K, spec=spec)

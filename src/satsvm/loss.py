@@ -42,14 +42,28 @@ class LossKind(str, enum.Enum):
     EXPSAT = "expsat"
 
 
+# The LossSpec fields each kind uses.
+PARAMETERS = {
+    LossKind.ZERO_ONE: (),
+    LossKind.HINGE: (),
+    LossKind.PINBALL: ("tau",),
+    LossKind.TRUNCATED_HINGE: ("delta",),
+    LossKind.TRUNCATED_PINBALL: ("tau", "delta1", "delta2"),
+    LossKind.EXPSAT: ("a", "lam"),
+}
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """A loss family plus its parameters.
 
-    Only the parameters relevant to ``kind`` are validated and used:
-    ``a``/``lam`` for expsat, ``tau`` for the pinball family, ``delta``
-    for the truncated hinge, ``delta1``/``delta2`` for the truncated
-    pinball.
+    Only the parameters relevant to ``kind`` (:data:`PARAMETERS`) are
+    validated and used: ``a``/``lam`` for expsat, ``tau`` for the pinball
+    family, ``delta`` for the truncated hinge, ``tau``/``delta1``/``delta2``
+    for the truncated pinball. A parameter may also be a length-B array, one value per
+    column: the loss functions then broadcast it over the last axis of
+    their argument, and each column's values are bit-identical to those
+    of the scalar spec holding that column's parameters.
     """
 
     kind: LossKind
@@ -64,19 +78,19 @@ class LossSpec:
         object.__setattr__(self, "kind", LossKind(self.kind))
         k = self.kind
         if k is LossKind.EXPSAT:
-            if not self.a > 0:
+            if not np.all(np.greater(self.a, 0)):
                 raise ParameterError(f"expsat requires shape parameter a > 0, got a={self.a}")
-            if not self.lam > 0:
+            if not np.all(np.greater(self.lam, 0)):
                 raise ParameterError(f"expsat requires bound parameter lam > 0, got lam={self.lam}")
         if k in (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL):
-            if not 0.0 <= self.tau <= 1.0:
+            if not np.all(np.greater_equal(self.tau, 0.0) & np.less_equal(self.tau, 1.0)):
                 raise ParameterError(f"pinball slope tau must lie in [0, 1], got tau={self.tau}")
-        if k is LossKind.TRUNCATED_HINGE and not self.delta >= 1.0:
+        if k is LossKind.TRUNCATED_HINGE and not np.all(np.greater_equal(self.delta, 1.0)):
             raise ParameterError(f"truncated hinge cap delta must be >= 1, got delta={self.delta}")
         if k is LossKind.TRUNCATED_PINBALL:
-            if not self.delta1 > 0:
+            if not np.all(np.greater(self.delta1, 0)):
                 raise ParameterError(f"truncated pinball cap delta1 must be > 0, got delta1={self.delta1}")
-            if not self.delta2 > 0:
+            if not np.all(np.greater(self.delta2, 0)):
                 raise ParameterError(f"truncated pinball cap delta2 must be > 0, got delta2={self.delta2}")
 
     @classmethod
@@ -121,9 +135,10 @@ def loss_value(spec: LossSpec, u):
     elif k is LossKind.PINBALL:
         out = np.where(u > 0, u, -spec.tau * u)
     elif k is LossKind.TRUNCATED_HINGE:
-        out = np.clip(u, 0.0, spec.delta)
+        # np.clip with per-column bounds would turn u = -0.0 into 0.0
+        out = np.where(u < 0.0, 0.0, np.where(u > spec.delta, spec.delta, u))
     elif k is LossKind.TRUNCATED_PINBALL:
-        neg = np.minimum(-spec.tau * u, spec.delta2) if spec.tau > 0 else np.zeros_like(u)
+        neg = np.where(np.greater(spec.tau, 0), np.minimum(-spec.tau * u, spec.delta2), 0.0)
         out = np.where(u >= 0, np.minimum(u, spec.delta1), neg)
     elif k is LossKind.EXPSAT:
         t = spec.a * u
@@ -152,8 +167,10 @@ def loss_derivative(spec: LossSpec, u):
         out = np.where((u > 0) & (u < spec.delta), 1.0, 0.0)
     elif k is LossKind.TRUNCATED_PINBALL:
         out = np.where((u > 0) & (u < spec.delta1), 1.0, 0.0)
-        if spec.tau > 0:
-            out = np.where((u <= 0) & (u > -spec.delta2 / spec.tau), -spec.tau, out)
+        tau = np.asarray(spec.tau)
+        with np.errstate(divide="ignore"):
+            edge = -spec.delta2 / tau  # -inf where tau = 0, which the mask leaves out
+        out = np.where((tau > 0) & (u <= 0) & (u > edge), -spec.tau, out)
     elif k is LossKind.EXPSAT:
         t = spec.a * u
         tc = np.clip(t, -_EXP_CUTOFF, _EXP_CUTOFF)

@@ -22,6 +22,10 @@ and is surfaced here rather than silently softened. Once the rate is
 change beta, so the loop returns there (after iteration 122 at the
 defaults); ``iterations_run`` still records ``max_iters``, and the
 model and its file are the same as after the full loop.
+
+:func:`fit_columns` runs the same loop for many models at once, the
+columns of an n-by-B beta that share everything but C and the loss
+parameters; :func:`fit` is its one-column case.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from itertools import pairwise
 import numpy as np
 
 from .data import check_layout
-from .errors import DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import KernelMatrix, KernelSpec, gram_matrix, kernel_block
-from .loss import LossSpec, loss_derivative, loss_derivative_bound, loss_value
+from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
+from .kernel import BLOCK_BYTES, KernelMatrix, KernelSpec, gram_matrix, kernel_block
+from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
 
@@ -49,6 +53,10 @@ class TrainerConfig:
     Defaults are the reference constants: ``beta0 = v0 = 0.01``,
     ``alpha0 = eta = 0.1``, momentum ``r = 0.6``, 1000 iterations, and a
     batch size resolved at fit time to 4 when n < 100 and 32 otherwise.
+
+    ``C`` and the loss parameters may also be length-B arrays, one value
+    per column: :func:`fit_columns` then trains the B models that share
+    every other setting together.
     """
 
     C: float = 1.0
@@ -64,7 +72,7 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.C > 0:
+        if not np.all(np.greater(self.C, 0)):
             raise ParameterError(f"trade-off C must be > 0, got {self.C}")
         if not self.alpha0 > 0:
             raise ParameterError(f"initial learning rate must be > 0, got {self.alpha0}")
@@ -76,11 +84,25 @@ class TrainerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        shapes = [np.shape(v) for _, v in self.column_parameters()]
+        if any(len(shape) > 1 for shape in shapes) or len({shape for shape in shapes if shape}) > 1:
+            raise ShapeError("C and the loss parameters must be numbers or equal-length vectors", *shapes)
 
     def resolved_batch_size(self, n: int) -> int:
         if self.batch_size is not None:
             return self.batch_size
         return 4 if n < 100 else 32
+
+    def column_parameters(self) -> list[tuple[str, object]]:
+        """C and the parameters the loss uses, by name; each a number or
+        one value per column."""
+        return [("C", self.C), *((name, getattr(self.loss, name)) for name in PARAMETERS[self.loss.kind])]
+
+    @property
+    def columns(self) -> int | None:
+        """B when C or a loss parameter is given per column, else None."""
+        sizes = [np.size(v) for _, v in self.column_parameters() if np.ndim(v)]
+        return sizes[0] if sizes else None
 
 
 @dataclass(frozen=True)
@@ -115,15 +137,23 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def objective(config: TrainerConfig, K: KernelMatrix, y, beta) -> float:
-    """Regularized empirical risk 0.5*b'Kb + (C/n) * sum L(1 - y*(Kb))."""
+def objective(config: TrainerConfig, K: KernelMatrix, y, beta) -> float | np.ndarray:
+    """Regularized empirical risk 0.5*b'Kb + (C/n) * sum L(1 - y*(Kb)).
+
+    For an n-by-B ``beta``, one value per column, with the column's C and
+    loss parameters when ``config`` gives them per column.
+    """
     y = _check_labels(y)
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (K.n,) or y.shape != (K.n,):
+    if beta.shape[:1] != (K.n,) or beta.ndim > 2 or y.shape != (K.n,):
         raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, K.n)
     kb = K.entries @ beta
-    xi = 1.0 - y * kb
-    return float(0.5 * (beta @ kb) + (config.C / K.n) * np.sum(loss_value(config.loss, xi)))
+    if beta.ndim == 1:
+        xi = 1.0 - y * kb
+        return float(0.5 * (beta @ kb) + (config.C / K.n) * np.sum(loss_value(config.loss, xi)))
+    xi = 1.0 - y[:, None] * kb
+    quad = np.einsum("ij,ij->j", beta, kb)
+    return 0.5 * quad + (config.C / K.n) * np.sum(loss_value(config.loss, xi), axis=0)
 
 
 def full_gradient(config: TrainerConfig, K: KernelMatrix, y, beta) -> np.ndarray:
@@ -165,7 +195,8 @@ _SAFE_GRADIENT = 2.0**1000
 
 
 def _frozen(config: TrainerConfig, K: np.ndarray, beta: np.ndarray, v: np.ndarray) -> bool:
-    """Whether iterations at learning rate 0.0 can neither change beta nor raise.
+    """Whether iterations at learning rate 0.0 can neither change beta nor
+    raise, for every column of ``beta``.
 
     At rate 0.0 the update ``v <- r*v - 0.0*grad`` has the magnitude of
     ``r*v`` and only the sign of a zero can differ, so the steps only
@@ -182,23 +213,22 @@ def _frozen(config: TrainerConfig, K: np.ndarray, beta: np.ndarray, v: np.ndarra
         return False
     k_max = max(K.max(), -K.min(), 1.0)
     d_max = loss_derivative_bound(config.loss)
-    bound = k_max * (len(beta) * (np.abs(beta).max() + d_max) + config.C * d_max)
-    return bound < _SAFE_GRADIENT
+    bound = k_max * (len(beta) * (np.abs(beta).max(axis=0) + d_max) + config.C * d_max)
+    return bool(np.all(bound < _SAFE_GRADIENT))
 
 
-def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> TrainedModel:
-    """Train by mini-batch NAG for up to ``max_iters`` iterations.
+def _candidate(config: TrainerConfig, ok: np.ndarray) -> str:
+    """`` for C=..., <loss parameters>`` of the first column where ``ok``
+    is False, when ``config`` gives parameters per column; else ''."""
+    if config.columns is None:
+        return ""
+    j = int(np.argmin(ok))
+    return " for " + ", ".join(f"{name}={float(np.broadcast_to(v, ok.shape)[j])!r}"
+                               for name, v in config.column_parameters())
 
-    The loop returns early once the learning rate is exactly 0.0 and
-    beta can no longer move (see :func:`_frozen`): the result is then
-    bit-identical to running all ``max_iters`` iterations, including a
-    ``NumericError`` that a later iteration would raise, and
-    ``iterations_run`` records ``max_iters`` either way. A non-finite
-    final objective also raises ``NumericError``.
 
-    Deterministic for a fixed (config, data, seed). ``gram`` may be
-    supplied to reuse a precomputed kernel matrix over ``X``.
-    """
+def _prepare(config: TrainerConfig, X, y, gram: KernelMatrix | None):
+    """Checked training data, the Gram matrix over it and the batch size."""
     X = np.asarray(X, dtype=float)
     y = _check_labels(y)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -211,11 +241,22 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
         gram = gram_matrix(config.kernel, X)
     elif gram.n != n:
         raise ShapeError("precomputed gram matrix does not match X", gram.n, n)
+    return X, y, gram, s
 
-    K = gram.entries
+
+def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
+    """The mini-batch NAG loop over the columns of an n-by-B beta.
+
+    Every column draws the same batches, so each iteration makes one
+    batch draw and two matrix products for all columns; C and the loss
+    parameters broadcast over the columns. Returns once the rate is 0.0
+    and every column is frozen (see :func:`_frozen`).
+    """
+    n = len(y)
     scale = config.C / s
-    beta = np.full(n, config.beta0, dtype=float)
-    v = np.full(n, config.v0, dtype=float)
+    beta = np.full((n, 1 if config.columns is None else config.columns), config.beta0, dtype=float)
+    v = np.full(beta.shape, config.v0, dtype=float)
+    yc = y[:, None]
     rng = np.random.default_rng(config.seed)
 
     # overflow is detected explicitly and reported as a NumericError
@@ -225,15 +266,39 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
             batch = rng.choice(n, size=s, replace=False)
             beta_look = beta + config.r * v
             kb = K @ beta_look
-            xi = 1.0 - y[batch] * kb[batch]
-            w = loss_derivative(config.loss, xi) * y[batch]
+            yb = yc[batch]
+            xi = 1.0 - yb * kb[batch]
+            w = loss_derivative(config.loss, xi) * yb
             grad = kb - scale * (K[batch].T @ w)
             if not np.isfinite(grad).all():
-                raise NumericError(f"non-finite gradient at iteration {t}")
+                which = _candidate(config, np.isfinite(grad).all(axis=0))
+                raise NumericError(f"non-finite gradient at iteration {t}{which}")
             v = config.r * v - alpha * grad
             beta = beta_look + v
             if next_alpha == 0.0 and _frozen(config, K, beta, v):
                 break
+    return beta
+
+
+def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> TrainedModel:
+    """Train by mini-batch NAG for up to ``max_iters`` iterations.
+
+    The loop returns early once the learning rate is exactly 0.0 and
+    beta can no longer move (see :func:`_frozen`): the result is then
+    bit-identical to running all ``max_iters`` iterations, including a
+    ``NumericError`` that a later iteration would raise, and
+    ``iterations_run`` records ``max_iters`` either way. A non-finite
+    final objective also raises ``NumericError``. This is the one-column
+    case of :func:`fit_columns`.
+
+    Deterministic for a fixed (config, data, seed). ``gram`` may be
+    supplied to reuse a precomputed kernel matrix over ``X``.
+    """
+    if config.columns is not None:
+        raise ParameterError("fit trains one model; train per-column parameters with fit_columns")
+    X, y, gram, s = _prepare(config, X, y, gram)
+    beta = _nag(config, gram.entries, y, s)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
         final = objective(config, gram, y, beta)
     if not math.isfinite(final):
         raise NumericError(f"non-finite final objective {final!r}")
@@ -249,11 +314,34 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
     )
 
 
-# Largest size of the explicit query-minus-support differences that one
-# block of decision values holds. On a 2-vCPU Xeon with m = 10 this was
-# near the fastest budget: 1 query row per block at 3000 support points
-# (4 MiB blocks ran 14% slower) and 16 rows at 200 (1.7x faster than 1).
-BLOCK_BYTES = 1 << 18
+# Largest n-by-B coefficient matrix that fit_columns trains at once; the
+# loop holds a few more of that size. Callers split wider batches.
+COLUMN_BYTES = 1 << 22
+
+
+def fit_columns(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> np.ndarray:
+    """Train every column of ``config`` in one NAG loop; the n-by-B betas.
+
+    Column j is what :func:`fit` would train for the config holding
+    column j's C and loss parameters, up to rounding: the matrix products
+    sum in another order, and ``K beta`` differs by at most
+    ``1e-12 * sum_j |K_kj| * m_j``, with ``m_j`` the largest ``|beta_j|``
+    of the run. One column is bit-identical to :func:`fit`. A
+    ``NumericError`` names the failing column's parameters. The betas may
+    take at most ``COLUMN_BYTES`` (``CapacityError`` past it).
+    """
+    X, y, gram, s = _prepare(config, X, y, gram)
+    n, B = X.shape[0], config.columns or 1
+    if B > 1 and 8 * n * B > COLUMN_BYTES:
+        raise CapacityError(f"{B} columns of {n} coefficients exceed the {COLUMN_BYTES}-byte column budget")
+    beta = _nag(config, gram.entries, y, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = objective(config, gram, y, beta)
+    ok = np.isfinite(final)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise NumericError(f"non-finite final objective {float(final[j])!r}{_candidate(config, ok)}")
+    return beta
 
 
 def decision_values(model: TrainedModel, X) -> np.ndarray:

@@ -349,6 +349,19 @@ class TestGrid:
         assert float(rows[0][header.index("mean_acc")]) >= 95.0
 
 
+    def test_overflowing_candidate_is_numeric_error_naming_it(self, tmp_path, capsys):
+        ds = two_cluster_dataset(n=40, m=2, separation=3.0, spread=1.0, seed=0)
+        write_csv(ds, tmp_path / "d.csv")
+        out = tmp_path / "grid.csv"
+        code, _, err = run(["grid", "--input", str(tmp_path / "d.csv"), "--output", str(out),
+                            "--c-grid", "1,1e306", "--sigma-grid", "1", "--a-grid", "1",
+                            "--lambda-grid", "1"], capsys)
+        assert code == 4
+        _one_line_error(err)
+        assert "C=1e+306, a=1.0, lam=1.0" in err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "satsvm", "--version"],

@@ -21,6 +21,7 @@ from satsvm import (
     cross_validate,
     fit,
     grid_search,
+    grid_search_models,
     inject_label_noise,
     inject_outliers,
     make_folds,
@@ -405,9 +406,9 @@ class TestGramReuse:
         built, alive = [], []
         real = harness.gram_matrix
 
-        def counting(spec, X):
+        def counting(spec, X, *distances):
             assert all(ref() is None for ref in alive), "an earlier fold Gram is still alive"
-            K = real(spec, X)
+            K = real(spec, X, *distances)
             built.append(spec)
             alive.append(weakref.ref(K))
             return K
@@ -427,3 +428,84 @@ class TestGramReuse:
                   ("c", TrainerConfig(kernel=KernelSpec.gaussian(0.5)))]
         robustness_suite(ds, models, rates=(0.1, 0.2), plan=plan)
         assert len(built) == 2 * 5 * 2
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` to append the first argument of every call to ``calls``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda first, *a, **k: calls.append(first) or real(first, *a, **k))
+
+
+class TestBatchedEvaluation:
+    def test_split_chunks_match_one_chunk(self, monkeypatch):
+        ds = _overlapping(1)
+        folds = harness._plan_folds(ds, make_folds(ds.n, 5, seed=1))
+        grid = GridSpec(c_grid=(10.0, 0.5, 3.0), sigma_grid=(2.0, 0.5), a_grid=(2.0, 0.5, 1.0),
+                        lambda_grid=(1.0, 0.5))
+        _, configs = harness._grid_columns(TrainerConfig(seed=1), grid.validated())
+        whole = harness._evaluate(folds, configs)
+        chunks = []
+        _spy(monkeypatch, harness, "fit_columns", chunks)
+        # 5 of the 18 columns per (fold, sigma) at a time: chunks of 5, 5, 5 and 3
+        monkeypatch.setattr(trainer, "COLUMN_BYTES", 8 * 48 * 5)
+        split = harness._evaluate(folds, configs)
+        assert [c.columns for c in chunks] == [5, 5, 5, 3] * 2 * 5
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(split, whole))
+
+    def test_linear_kernel_trains_each_sigma_once(self, monkeypatch):
+        ds = _overlapping(3)
+        plan = make_folds(ds.n, 5, seed=3)
+        grid = GridSpec(c_grid=(10.0, 0.5), sigma_grid=(0.3, 1.0, 3.0), a_grid=(2.0, 0.5), lambda_grid=(1.0,))
+        config = TrainerConfig(kernel=KernelSpec.linear(), max_iters=200, seed=3)
+        want = _ref_grid_search(ds, config, grid, plan)
+        built, chunks = [], []
+        _spy(monkeypatch, harness, "gram_matrix", built)
+        _spy(monkeypatch, harness, "fit_columns", chunks)
+        res = grid_search(ds, config, grid, plan)
+        # one Gram per fold and one for the refit; one column per distinct (C, a, lam) per fold
+        assert len(built) == 5 + 1
+        assert [c.columns for c in chunks] == [2 * 2] * 5
+        assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == want
+        assert res.best_params["sigma"] == 0.3
+
+    def test_invalid_grid_value_raises_before_training(self, monkeypatch):
+        monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
+        monkeypatch.setattr(harness, "fit_columns", lambda *a, **k: pytest.fail("a candidate was trained"))
+        ds = _overlapping(0)
+        plan = make_folds(ds.n, 5, seed=0)
+        small = dict(c_grid=(1.0,), sigma_grid=(1.0,), a_grid=(1.0,), lambda_grid=(1.0,))
+        with pytest.raises(ParameterError, match="lam > 0"):
+            grid_search(ds, TrainerConfig(), GridSpec(**{**small, "lambda_grid": (1.0, -0.5)}), plan)
+        # an invalid value of a later model stops the earlier models as well
+        with pytest.raises(ParameterError, match="tau"):
+            grid_search_models(ds, [TrainerConfig(), TrainerConfig(loss=LossSpec.pinball(0.5))],
+                               GridSpec(**small, tau_grid=(0.5, 1.5)), plan)
+        with pytest.raises(ParameterError, match="a > 0"):
+            sensitivity_sweep(ds, TrainerConfig(), [1.0, -2.0], [1.0], plan)
+
+    def test_single_configuration_callers_reject_columns(self, separable):
+        ds, plan = separable
+        batched = replace(expsat_config(), C=np.array([1.0, 30.0]))
+        with pytest.raises(ParameterError, match="one C"):
+            cross_validate(ds, batched, plan)
+        with pytest.raises(ParameterError, match="one C"):
+            robustness_suite(ds, [("e", batched)], rates=(0.1,), plan=plan)
+
+    def test_models_share_each_fold_gram(self, monkeypatch):
+        ds = _overlapping(2)
+        plan = make_folds(ds.n, 5, seed=2)
+        configs = [TrainerConfig(seed=2), TrainerConfig(loss=LossSpec.hinge(), seed=3),
+                   TrainerConfig(loss=LossSpec.pinball(0.5), kernel=KernelSpec.gaussian(0.7), seed=4)]
+        alone = [grid_search(ds, config, REF_GRID, plan) for config in configs]
+        built, distances = [], []
+        _spy(monkeypatch, harness, "gram_matrix", built)
+        _spy(monkeypatch, harness, "squared_distances", distances)
+        together = grid_search_models(ds, configs, REF_GRID, plan)
+        # one Gram per (fold, sigma) for all three models, one distance matrix per fold, one refit each
+        assert len(built) == 5 * 2 + 3 and len(distances) == 5
+
+        def summary(results):
+            return [(r.model, r.best_params, r.mean_accuracy, r.std_accuracy, r.per_fold_accuracies)
+                    for r in results]
+
+        assert summary(together) == summary(alone)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satsvm import LossKind, LossSpec, ParameterError, loss_derivative, loss_supremum, loss_value
+from satsvm.loss import PARAMETERS, loss_derivative_bound
 
 # frozen oracles: 1 - 2/e and 1/e evaluated with 50-digit arithmetic
 ONE_MINUS_2_OVER_E = 0.26424111765711533
@@ -193,3 +194,47 @@ class TestValidation:
     def test_irrelevant_parameters_ignored(self):
         # hinge does not care about a/lam/tau domains
         LossSpec(kind="hinge", a=-5.0, lam=-1.0)
+
+
+def _column_params(kind, rng, B):
+    """Per-column parameter arrays for ``kind``; tau includes both ends of [0, 1]."""
+    draws = {
+        "a": rng.uniform(0.05, 8.0, B),
+        "lam": rng.uniform(0.1, 3.0, B),
+        "tau": np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, B - 2)]),
+        "delta": rng.uniform(1.0, 3.0, B),
+        "delta1": rng.uniform(0.1, 3.0, B),
+        "delta2": rng.uniform(0.1, 3.0, B),
+    }
+    return {name: draws[name] for name in PARAMETERS[kind]}
+
+
+class TestPerColumnParameters:
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_each_column_equals_the_scalar_spec(self, kind):
+        rng = np.random.default_rng(7)
+        B = 9
+        params = _column_params(kind, rng, B)
+        batched = LossSpec(kind, **params)
+        u = np.concatenate([
+            rng.uniform(-4.0, 4.0, (40, B)),
+            np.array([[0.0], [-0.0], [1e-300], [-1e-300], [1e300], [-1e300], [150.0], [-150.0]]).repeat(B, 1),
+        ])
+        values, derivs = loss_value(batched, u), loss_derivative(batched, u)
+        bounds = np.broadcast_to(loss_derivative_bound(batched), (B,))
+        for j in range(B):
+            spec = LossSpec(kind, **{name: float(v[j]) for name, v in params.items()})
+            assert values[:, j].tobytes() == loss_value(spec, u[:, j]).tobytes()
+            assert derivs[:, j].tobytes() == loss_derivative(spec, u[:, j]).tobytes()
+            assert bounds[j] == loss_derivative_bound(spec)
+
+    @pytest.mark.parametrize("bad,fragment", [
+        (dict(kind="expsat", a=np.array([1.0, -1.0])), "a > 0"),
+        (dict(kind="expsat", lam=np.array([0.5, 0.0])), "lam > 0"),
+        (dict(kind="pinball", tau=np.array([0.2, 1.5])), "tau"),
+        (dict(kind="truncated_pinball", tau=np.array([0.2, np.nan])), "tau"),
+        (dict(kind="truncated_hinge", delta=np.array([2.0, 0.5])), "delta"),
+    ])
+    def test_rejects_a_bad_column(self, bad, fragment):
+        with pytest.raises(ParameterError, match=fragment):
+            LossSpec(**bad)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import satsvm.trainer as trainer
 from satsvm import (
+    CapacityError,
     KernelSpec,
     LossKind,
     LossSpec,
@@ -18,6 +20,7 @@ from satsvm import (
     accuracy,
     decision_values,
     fit,
+    fit_columns,
     full_gradient,
     gram_matrix,
     learning_rate_at,
@@ -296,6 +299,150 @@ class TestEarlyReturnIsBitExact:
         assert model.beta.tobytes() == beta.tobytes()
         assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
         assert model.iterations_run == max_iters
+
+
+# Columns of fit_columns agree with separate fits to this tolerance, on
+# K beta and relative to sum_j |K_kj| m_j, where m_j is the largest |beta_j|
+# the training run reaches: rounding scales with the iterates, and the
+# final beta_j can be far smaller after cancellation.
+COLUMN_RTOL = 1e-12
+
+
+def _largest_iterates(config, X, y):
+    """Elementwise max of |beta| and |beta + r*v| over the full loop."""
+    n = X.shape[0]
+    s = config.resolved_batch_size(n)
+    K = gram_matrix(config.kernel, X).entries
+    beta = np.full(n, config.beta0, dtype=float)
+    v = np.full(n, config.v0, dtype=float)
+    top = np.abs(beta)
+    rng = np.random.default_rng(config.seed)
+    for alpha in learning_rate_sequence(config.alpha0, config.eta, config.max_iters):
+        batch = rng.choice(n, size=s, replace=False)
+        beta_look = beta + config.r * v
+        kb = K @ beta_look
+        w = loss_derivative(config.loss, 1.0 - y[batch] * kb[batch]) * y[batch]
+        v = config.r * v - alpha * (kb - config.C / s * (K[batch].T @ w))
+        beta = beta_look + v
+        top = np.maximum(top, np.maximum(np.abs(beta_look), np.abs(beta)))
+    return top
+
+
+def _column_config(config, **columns):
+    """``config`` with per-column C and loss parameters."""
+    columns = {key: np.asarray(value, dtype=float) for key, value in columns.items()}
+    C = columns.pop("C", config.C)
+    return replace(config, C=C, loss=replace(config.loss, **columns))
+
+
+class TestFitColumns:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 30), m=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1), batch=st.floats(0.0, 1.0), max_iters=st.integers(1, 300),
+        alpha0=_log_uniform(1e-3, 10.0), eta=_log_uniform(0.02, 1.0), r=st.floats(0.0, 0.95),
+        C=_log_uniform(1e-6, 1e6), sigma=_log_uniform(1e-3, 1e3), a=_log_uniform(0.1, 10.0),
+        kind=st.sampled_from(list(LossKind)), linear=st.booleans(), beta0=_START, v0=_START,
+    )
+    def test_one_column_matches_full_loop_bit_for_bit(self, n, m, data_seed, seed, batch, max_iters, alpha0,
+                                                      eta, r, C, sigma, a, kind, linear, beta0, v0):
+        rng = np.random.default_rng(data_seed)
+        X = rng.standard_normal((n, m))
+        y = rng.choice([-1.0, 1.0], size=n)
+        cfg = TrainerConfig(
+            C=C, loss=LossSpec(kind, a=a), kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(sigma),
+            beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
+            max_iters=max_iters, seed=seed,
+        )
+        one = _column_config(cfg, C=[C])
+        try:
+            beta, final = _reference_fit(cfg, X, y)
+            if not math.isfinite(final):
+                raise NumericError(f"non-finite final objective {final!r}")
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{exc} for C="):
+                fit_columns(one, X, y)
+            return
+        assert fit_columns(one, X, y)[:, 0].tobytes() == beta.tobytes()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 40), m=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1), batch=st.floats(0.0, 1.0), max_iters=st.integers(1, 300),
+        alpha0=_log_uniform(1e-3, 10.0), eta=_log_uniform(0.02, 1.0), r=st.floats(0.0, 0.95),
+        sigma=_log_uniform(1e-2, 1e2), kind=st.sampled_from(list(LossKind)), linear=st.booleans(),
+        width=st.integers(1, 6), param_seed=st.integers(0, 2**32 - 1), overflow=st.booleans(),
+    )
+    def test_columns_match_separate_fits(self, n, m, data_seed, seed, batch, max_iters, alpha0, eta, r,
+                                         sigma, kind, linear, width, param_seed, overflow):
+        rng = np.random.default_rng(data_seed)
+        X = rng.standard_normal((n, m))
+        y = rng.choice([-1.0, 1.0], size=n)
+        prng = np.random.default_rng(param_seed)
+        columns = {
+            "C": 10.0 ** prng.uniform(-4, 4, width),
+            "a": 10.0 ** prng.uniform(-1, 1, width),
+            "lam": 10.0 ** prng.uniform(-1, 0.5, width),
+            "tau": prng.choice([0.0, 0.3, 0.5, 1.0], width),
+            "delta": prng.uniform(1.0, 3.0, width),
+            "delta1": prng.uniform(0.2, 2.0, width),
+            "delta2": prng.uniform(0.2, 2.0, width),
+        }
+        if overflow:
+            columns["C"][prng.integers(width)] = 1e306
+        base = TrainerConfig(
+            loss=LossSpec(kind), kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(sigma),
+            alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)), max_iters=max_iters, seed=seed,
+        )
+        batched = _column_config(base, **columns)
+        K = gram_matrix(base.kernel, X).entries
+        separate, failed = [], False
+        for j in range(width):
+            try:
+                separate.append(fit(_column_config(base, **{k: v[j] for k, v in columns.items()}), X, y).beta)
+            except NumericError:
+                failed = True
+        if failed:
+            with pytest.raises(NumericError):
+                fit_columns(batched, X, y)
+            return
+        beta = fit_columns(batched, X, y)
+        for j, want in enumerate(separate):
+            top = _largest_iterates(_column_config(base, **{k: v[j] for k, v in columns.items()}), X, y)
+            assert (np.abs(K @ beta[:, j] - K @ want) <= COLUMN_RTOL * (np.abs(K) @ top)).all()
+
+    def test_numeric_errors_name_the_column(self):
+        ds = normalize(two_cluster_dataset(n=40, m=2, separation=3.0, spread=1.0, seed=0))
+        cfg = _column_config(TrainerConfig(), C=[1.0, 1e306], a=[0.5, 2.0])
+        want = r"^non-finite final objective nan for C=1e\+306, a=2.0, lam=1.0$"
+        with pytest.raises(NumericError, match=want):
+            fit_columns(cfg, ds.X, ds.y)
+        # the overflowing setting of test_gradient_check_kept_after_freeze, as column 1
+        n = 200
+        X = np.zeros((n, 1))
+        X[2:, 0] = 100.0 * np.arange(1, n - 1)
+        y = np.ones(n)
+        y[1] = -1.0
+        hinge = TrainerConfig(loss=LossSpec.hinge(), batch_size=1, seed=80)
+        with pytest.raises(NumericError, match=r"^non-finite gradient at iteration 327 for C=1.5e\+308$"):
+            fit_columns(_column_config(hinge, C=[1.0, 1.5e308]), X, y)
+
+    def test_column_budget(self, monkeypatch):
+        ds = two_cluster_dataset(n=30, seed=1)
+        cfg = _column_config(TrainerConfig(max_iters=5), C=[1.0, 2.0, 3.0])
+        monkeypatch.setattr(trainer, "COLUMN_BYTES", 8 * 30 * 2)
+        with pytest.raises(CapacityError, match="3 columns"):
+            fit_columns(cfg, ds.X, ds.y)
+        assert fit_columns(_column_config(cfg, C=[1.0, 2.0]), ds.X, ds.y).shape == (30, 2)
+
+    def test_column_parameters_must_agree(self):
+        with pytest.raises(ShapeError, match="equal-length"):
+            _column_config(TrainerConfig(), C=[1.0, 2.0], a=[1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError, match="C must be > 0"):
+            _column_config(TrainerConfig(), C=[1.0, 0.0])
+        ds = two_cluster_dataset(n=30, seed=1)
+        with pytest.raises(ParameterError, match="fit_columns"):
+            fit(_column_config(TrainerConfig(), C=[1.0, 2.0]), ds.X, ds.y)
 
 
 def _value(model, x) -> float:
