@@ -47,7 +47,7 @@ from .harness import (
     robustness_suite,
     sensitivity_sweep,
 )
-from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block, squared_distances
+from .kernel import KernelKind, KernelMatrix, KernelSpec, gram_matrix, kernel_block
 from .loss import LossKind, LossSpec, loss_derivative, loss_supremum, loss_value
 from .stats import (
     RankTable,

@@ -189,10 +189,15 @@ def _write_manifest(command: str, params: dict, output: str):
         fh.write("\n")
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, str):
-        return [float(v) for v in value.split(",") if v.strip() != ""]
-    return [float(v) for v in value]
+def _floats(p: dict, key: str) -> list[float]:
+    """The numbers of grid axis ``key``: a list, or comma-separated text."""
+    value = p[key]
+    try:
+        if isinstance(value, str):
+            return [float(v) for v in value.split(",") if v.strip() != ""]
+        return [float(v) for v in value]
+    except ValueError:
+        raise ParameterError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
 def _loss_spec(p: dict, kind: str | None = None) -> LossSpec:
@@ -245,7 +250,7 @@ def cmd_grid(p: dict) -> int:
     if p["normalize"]:
         ds = normalize(ds)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    grid = GridSpec(**{key: tuple(_floats(p[key])) for key in _GRID_KEYS})
+    grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
@@ -406,7 +411,7 @@ def cmd_sweep(p: dict) -> int:
         ds = normalize(ds)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     config = _trainer_config(p, child_seed(p["seed"], "train/expsat"), _loss_spec(p, "expsat"))
-    rows = sensitivity_sweep(ds, config, _floats(p["a_grid"]), _floats(p["lambda_grid"]), plan)
+    rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
     _write_manifest("sweep", p, p["output"])
     return 0

@@ -5,10 +5,12 @@ Cross-validation, grid search, sweeps and robustness tables share one
 evaluation loop, :func:`_evaluate`. It goes fold by fold and builds each
 distinct kernel's Gram matrix over the training part once for every
 configuration that uses it: one Gram per (fold, sigma), not per
-candidate, the Gaussian ones from one matrix of squared distances per
-fold. The candidates that share a Gram and every setting but C and the
-loss parameters train together as the columns of one NAG loop
-(:func:`trainer.fit_columns`). Its matrix products sum in another order
+candidate. A fold holds one Gram and its test-versus-training kernel
+block at a time, and the largest Gram of a run (a grid's refit on the
+full dataset, else the largest training part) is checked against the
+size cap before any fold trains. The candidates that share a Gram and
+every setting but C and the loss parameters train together as the
+columns of one NAG loop (:func:`trainer.fit_columns`). Its matrix products sum in another order
 than a separate fit's, so results are not bit-identical to separate fits:
 a decision value differs by at most 1e-12 * sum_j |K(x_j, x)| * m_j, with
 m_j the largest |beta_j| of the training run. On typical data that is
@@ -49,7 +51,7 @@ from .data import (
     normalize,
 )
 from .errors import ParameterError, ShapeError
-from .kernel import KernelKind, KernelSpec, gram_matrix, kernel_block, squared_distances
+from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_block
 from .loss import LossKind, LossSpec
 from .seeds import child_seed
 from .trainer import TrainerConfig, fit, fit_columns, sign_labels
@@ -197,11 +199,12 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     ``fit_columns``, at most ``trainer.COLUMN_BYTES`` of coefficients at a
     time, and are scored from one test-versus-training kernel block per
     fold and kernel. Per fold, each distinct kernel's Gram is built once
-    (from one shared matrix of squared distances when several Gaussian
-    widths need it) and one fold Gram is alive at a time. Decision values
+    and one fold Gram is alive at a time. The largest training part is
+    checked against the Gram size cap before fold 0. Decision values
     agree with separate ``fit`` runs to the tolerance in the module
     docstring.
     """
+    check_capacity(max(len(train.X) for train, _ in folds))
     matrices = [_column_matrix(config) for config in configs]
     members: dict = {}
     for i, config in enumerate(configs):
@@ -213,12 +216,10 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
         for kernel, by_settings in members.items()
     }
     per_fold = [np.empty((len(M), len(folds))) for M in matrices]
-    gaussians = sum(kernel.kind is KernelKind.GAUSSIAN for kernel in groups)
     for f, (train, test) in enumerate(folds):
-        distances = squared_distances(train.X) if gaussians > 1 else None
         step = max(1, trainer.COLUMN_BYTES // (8 * len(train.X)))
         for kernel, kernel_groups in groups.items():
-            gram = gram_matrix(kernel, train.X, distances)
+            gram = gram_matrix(kernel, train.X)
             block = kernel_block(kernel, train.X, test.X)
             for shared, idx, columns, rows in kernel_groups:
                 config = _fold_config(shared, f)
@@ -231,7 +232,6 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
                 for i, own in zip(idx, rows):
                     per_fold[i][:, f] = scores[own]
             del gram
-        del distances
     return per_fold
 
 
@@ -289,8 +289,11 @@ def _apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
 
 def _check_axes(config: TrainerConfig, axes) -> None:
     """Apply every value of every (key, values) axis to ``config`` on its
-    own, so that an invalid one raises before any training."""
+    own, so that an empty axis or an invalid value raises before any
+    training."""
     for key, values in axes:
+        if len(values) == 0:
+            raise ParameterError(f"the {key} grid is empty")
         for value in values:
             _apply_params(config, {key: value})
 
@@ -320,6 +323,7 @@ def grid_search_models(
     result per configuration, each with its own timed refit."""
     grid = grid.validated()
     searches = [_grid_columns(config, grid) for config in configs]
+    check_capacity(ds.n)  # the refit's Gram, the largest of the run
     batches = [batch for _, per_sigma in searches for batch in per_sigma]
     accs = iter(_evaluate(_plan_folds(ds, plan, train_only_scaling), batches))
     results = []

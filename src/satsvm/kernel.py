@@ -2,8 +2,10 @@
 
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
 enters squared in the denominator. Gram matrices are materialized in
-full because the trainer repeatedly needs arbitrary rows; construction
-refuses above a documented size cap to keep memory bounded.
+full because the trainer repeatedly needs arbitrary rows; a Gaussian
+Gram is built in place a block of rows at a time, so it is the only
+n-by-n array its build holds, and construction refuses above a
+documented size cap to keep memory bounded.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ class KernelMatrix:
 
 # Largest size of the explicit differences x - z that one pass of the
 # squared distances holds; more rows of ``Z`` are taken a block at a time.
-# Decision values use the same row blocks. On a 2-vCPU Xeon with m = 10
-# this was near the fastest budget: 1 query row per block at 3000 support
-# points (4 MiB blocks ran 14% slower) and 16 rows at 200 (1.7x faster
-# than 1).
+# Gaussian Grams and decision values use the same row blocks. On a 2-vCPU
+# Xeon with m = 10 this was near the fastest budget: 1 query row per block
+# at 3000 support points (4 MiB blocks ran 14% slower) and 16 rows at 200
+# (1.7x faster than 1).
 BLOCK_BYTES = 1 << 18
 
 
@@ -76,12 +78,6 @@ def _squared_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian(D: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """``exp(-D * (1/sigma**2))`` over squared distances ``D``."""
-    E = np.multiply(D, -1.0 / (sigma * sigma), out=out)
-    return np.exp(E, out=E)
-
-
 def _kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """K(x, z) for every row z of ``Z`` (block rows) and x of ``X`` (columns).
 
@@ -93,7 +89,8 @@ def _kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if spec.kind is KernelKind.LINEAR:
         return Z @ X.T
     D = _squared_distances(X, Z)
-    return _gaussian(D, spec.sigma, out=D)
+    np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
+    return np.exp(D, out=D)
 
 
 def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -106,58 +103,40 @@ def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
     return _kernel_block(spec, X, Z)
 
 
-def _samples(X) -> np.ndarray:
-    """``X`` as a non-empty 2-d float array within the Gram capacity."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ShapeError("sample matrix must be 2-d and non-empty", X.shape)
-    if X.shape[0] > GRAM_CAPACITY:
+def check_capacity(n: int) -> None:
+    """Raise ``CapacityError`` if an n-by-n Gram matrix exceeds the cap."""
+    if n > GRAM_CAPACITY:
         raise CapacityError(
-            f"gram matrix for n={X.shape[0]} samples exceeds the {GRAM_CAPACITY} cap; "
+            f"gram matrix for n={n} samples exceeds the {GRAM_CAPACITY} cap; "
             "subsample or raise the cap knowingly"
         )
-    return X
 
 
-def squared_distances(X) -> np.ndarray:
-    """The n-by-n squared distances between the rows of ``X``.
-
-    Every Gaussian Gram over ``X`` is ``exp(-D * (1/sigma**2))`` of this
-    matrix, so one ``D`` serves every width (see :func:`gram_matrix`).
-    The upper triangle is computed row by row and mirrored, so symmetry
-    holds bit-exactly, and the diagonal is exactly 0.
-    """
-    X = _samples(X)
-    n = X.shape[0]
-    D = np.empty((n, n), dtype=float)
-    for i in range(n):
-        row = _squared_distances(X[i + 1 :], X[i : i + 1])[0]
-        D[i, i] = 0.0
-        D[i, i + 1 :] = row
-        D[i + 1 :, i] = row
-    return D
-
-
-def gram_matrix(spec: KernelSpec, X, distances: np.ndarray | None = None) -> KernelMatrix:
+def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
     """Build the n-by-n kernel matrix of the rows of ``X``.
 
     The matrix is symmetric bit-exactly and Gaussian diagonals are
-    exactly 1. A Gaussian Gram is built from ``distances``, the
-    :func:`squared_distances` of ``X``, when given, so that Grams of
-    several widths share them; otherwise from its own distances, in
-    place. Either way the entries are the same.
+    exactly 1. A Gaussian Gram is built as the upper triangle, a
+    :func:`kernel_block` of ``BLOCK_BYTES`` worth of rows at a time, each
+    block mirrored below the diagonal; the Gram is the only n-by-n array
+    it allocates.
     """
-    X = _samples(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ShapeError("sample matrix must be 2-d and non-empty", X.shape)
     n = X.shape[0]
+    check_capacity(n)
     if spec.kind is KernelKind.LINEAR:
         G = X @ X.T
         K = np.triu(G) + np.triu(G, 1).T
-    elif distances is None:
-        D = squared_distances(X)
-        K = _gaussian(D, spec.sigma, out=D)
-    elif distances.shape != (n, n):
-        raise ShapeError("squared distances do not match the sample matrix", distances.shape, X.shape)
     else:
-        K = _gaussian(distances, spec.sigma)
+        K = np.empty((n, n), dtype=float)
+        rows = max(1, BLOCK_BYTES // max(X.nbytes, 1))
+        for i in range(0, n, rows):
+            # x - z and z - x square to the same bits, so the block's
+            # square on the diagonal is symmetric as computed
+            block = _kernel_block(spec, X[i:], X[i : i + rows])
+            K[i:, i : i + rows] = block.T
+            K[i : i + rows, i:] = block
     K.setflags(write=False)
     return KernelMatrix(n=n, entries=K, spec=spec)

@@ -315,6 +315,33 @@ class TestCurveEmitters:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("command,flags,config,key", [
+        ("grid", ["--c-grid", "abc"], None, "c_grid"),
+        ("sweep", ["--a-grid", "1,x"], None, "a_grid"),
+        ("grid", [], {"c_grid": "1,zz"}, "c_grid"),
+    ], ids=["grid-flag", "sweep-flag", "grid-config"])
+    def test_non_numeric_axis_is_usage_error(self, command, flags, config, key, tmp_path, data_csv,
+                                             capsys):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        code, _, err = run([command, "--input", str(data_csv), "--output", str(out), *flags], capsys)
+        assert code == 2
+        assert key in err
+        _one_line_error(err)
+        assert not out.exists()
+
+    def test_empty_sweep_axis_is_usage_error(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(["sweep", "--input", str(data_csv), "--output", str(out),
+                            "--a-grid", ","], capsys)
+        assert code == 2
+        assert "a grid is empty" in err
+        _one_line_error(err)
+        assert not out.exists()
+
     def test_unknown_model_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["grid", "--input", str(data_csv), "--output", str(tmp_path / "g.csv"),
                             "--models", "expsat,svm"], capsys)

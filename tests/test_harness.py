@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from conftest import expsat_config, hinge_config, separable_dataset
 import satsvm.harness as harness
 import satsvm.trainer as trainer
 from satsvm import (
+    CapacityError,
     CorruptionMode,
     GridSpec,
     KernelSpec,
@@ -483,6 +485,16 @@ class TestBatchedEvaluation:
         with pytest.raises(ParameterError, match="a > 0"):
             sensitivity_sweep(ds, TrainerConfig(), [1.0, -2.0], [1.0], plan)
 
+    def test_empty_sweep_axis_raises_before_any_gram(self, monkeypatch):
+        monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
+        monkeypatch.setattr(harness, "kernel_block", lambda *a: pytest.fail("a kernel block was built"))
+        ds = _overlapping(0)
+        plan = make_folds(ds.n, 5, seed=0)
+        with pytest.raises(ParameterError, match="a grid is empty"):
+            sensitivity_sweep(ds, TrainerConfig(), [], [1.0], plan)
+        with pytest.raises(ParameterError, match="lam grid is empty"):
+            sensitivity_sweep(ds, TrainerConfig(), [1.0], [], plan)
+
     def test_single_configuration_callers_reject_columns(self, separable):
         ds, plan = separable
         batched = replace(expsat_config(), C=np.array([1.0, 30.0]))
@@ -497,15 +509,58 @@ class TestBatchedEvaluation:
         configs = [TrainerConfig(seed=2), TrainerConfig(loss=LossSpec.hinge(), seed=3),
                    TrainerConfig(loss=LossSpec.pinball(0.5), kernel=KernelSpec.gaussian(0.7), seed=4)]
         alone = [grid_search(ds, config, REF_GRID, plan) for config in configs]
-        built, distances = [], []
+        built = []
         _spy(monkeypatch, harness, "gram_matrix", built)
-        _spy(monkeypatch, harness, "squared_distances", distances)
         together = grid_search_models(ds, configs, REF_GRID, plan)
-        # one Gram per (fold, sigma) for all three models, one distance matrix per fold, one refit each
-        assert len(built) == 5 * 2 + 3 and len(distances) == 5
+        # one Gram per (fold, sigma) for all three models, one refit each
+        assert len(built) == 5 * 2 + 3
 
         def summary(results):
             return [(r.model, r.best_params, r.mean_accuracy, r.std_accuracy, r.per_fold_accuracies)
                     for r in results]
 
         assert summary(together) == summary(alone)
+
+
+class TestFoldMemory:
+    def test_capacity_checked_before_any_fold(self, monkeypatch):
+        import satsvm.kernel as kernel
+
+        calls = []
+        _spy(monkeypatch, harness, "gram_matrix", calls)
+        _spy(monkeypatch, harness, "fit_columns", calls)
+        small = GridSpec(c_grid=(1.0,), sigma_grid=(1.0,), a_grid=(1.0,), lambda_grid=(1.0,))
+        # folds train on 96 of 120 rows: only the refit's Gram is past the cap
+        ds = two_cluster_dataset(n=120, m=2, seed=0)
+        monkeypatch.setattr(kernel, "GRAM_CAPACITY", 100)
+        with pytest.raises(CapacityError, match="n=120"):
+            grid_search(ds, TrainerConfig(), small, make_folds(ds.n, 5, seed=0))
+        assert calls == []
+        # training parts of 97, 97, 98, 98 and 98 rows: fold 2 is the first past the cap
+        ds = two_cluster_dataset(n=122, m=2, seed=0)
+        monkeypatch.setattr(kernel, "GRAM_CAPACITY", 97)
+        with pytest.raises(CapacityError, match="n=98"):
+            cross_validate(ds, TrainerConfig(), make_folds(ds.n, 5, seed=0))
+        assert calls == []
+
+    def test_one_gram_alive_per_fold(self, monkeypatch):
+        ds = two_cluster_dataset(n=400, m=10, seed=0)
+        folds = harness._plan_folds(ds, make_folds(ds.n, 5, seed=0))
+        configs = [TrainerConfig(kernel=KernelSpec.gaussian(sigma)) for sigma in (0.5, 2.0)]
+        gram_bytes = 8 * 320 * 320
+        real = harness.fit_columns
+        traced = []
+
+        def recording(*a, **k):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return real(*a, **k)
+
+        monkeypatch.setattr(harness, "fit_columns", recording)
+        tracemalloc.start()
+        try:
+            harness._evaluate(folds, configs)
+        finally:
+            tracemalloc.stop()
+        # the fold's Gram and its 80-by-320 test block, not a second n-by-n matrix
+        assert len(traced) == 5 * 2
+        assert max(traced) < 1.5 * gram_bytes

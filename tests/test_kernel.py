@@ -9,7 +9,6 @@ from satsvm import (
     ShapeError,
     gram_matrix,
     kernel_block,
-    squared_distances,
 )
 
 
@@ -124,24 +123,6 @@ class TestGramMatchesReference:
         X = np.random.default_rng(n * m).uniform(-1.0, 1.0, (n, m))
         spec = KernelSpec.gaussian(sigma)
         assert gram_matrix(spec, X).entries.tobytes() == _parent_gram_rows(spec, X).tobytes()
-
-    @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
-    def test_gaussian_from_shared_distances_bit_identical(self, n, m):
-        X = np.random.default_rng(n * m).uniform(-1.0, 1.0, (n, m))
-        D = squared_distances(X)
-        before = D.tobytes()
-        for sigma in (1e-3, 0.3, 1.0, 100.0):
-            spec = KernelSpec.gaussian(sigma)
-            assert gram_matrix(spec, X, D).entries.tobytes() == _parent_gram_rows(spec, X).tobytes()
-        assert D.tobytes() == before
-        assert (D == D.T).all() and (np.diag(D) == 0.0).all()
-
-    def test_distances_must_match_samples(self):
-        X = np.zeros((4, 2))
-        with pytest.raises(ShapeError, match="squared distances"):
-            gram_matrix(KernelSpec.gaussian(1.0), X, np.zeros((3, 3)))
-        with pytest.raises(CapacityError, match="20000"):
-            squared_distances(np.zeros((20001, 1)))
 
     @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
     def test_linear_bit_identical(self, n, m):
