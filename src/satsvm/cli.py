@@ -329,13 +329,16 @@ def _numbers(header, no, cells, columns) -> list[float]:
 
 def _pivot_results(header, body):
     """Long-format harness results (dataset, model, mean_acc, ...) to a
-    D-by-p accuracy matrix; every dataset must cover every model."""
+    D-by-p accuracy matrix; every dataset must cover every model once."""
     d_i, m_i, a_i = header.index("dataset"), header.index("model"), header.index("mean_acc")
     datasets = list(dict.fromkeys(cells[d_i] for _, cells in body))
     models = list(dict.fromkeys(cells[m_i] for _, cells in body))
     acc = np.full((len(datasets), len(models)), np.nan)
     for no, cells in body:
-        acc[datasets.index(cells[d_i]), models.index(cells[m_i])] = _numbers(header, no, cells, [a_i])[0]
+        cell = datasets.index(cells[d_i]), models.index(cells[m_i])
+        if not np.isnan(acc[cell]):
+            raise DataFormatError(f"line {no} repeats dataset {cells[d_i]!r}, model {cells[m_i]!r}")
+        acc[cell] = _numbers(header, no, cells, [a_i])[0]
     if np.isnan(acc).any():
         raise DataFormatError("results table is missing some (dataset, model) cells")
     return acc, models

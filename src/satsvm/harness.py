@@ -8,10 +8,14 @@ configuration that uses it: one Gram per (fold, sigma), not per
 candidate. A fold holds one Gram and its test-versus-training kernel
 block at a time, and the largest Gram of a run (a grid's refit on the
 full dataset, else the largest training part) is checked against the
-size cap before any fold trains. The candidates that share a Gram and
-every setting but C and the loss parameters train together as the
-columns of one NAG loop (:func:`trainer.fit_columns`). Its matrix products sum in another order
-than a separate fit's, so results are not bit-identical to separate fits:
+size cap before any fold trains. Each configuration is a batch of its
+own: its columns (one per candidate; a grid makes one configuration per
+sigma, whose columns run over C and the loss parameters) train together
+in one NAG loop (:func:`trainer.fit_columns`). A grid searches each
+distinct axis value once, and for a linear kernel, which sigma does not
+enter, only the smallest sigma. A batch's matrix products sum in another
+order than a separate fit's, so results are not bit-identical to
+separate fits (a one-column batch is):
 a decision value differs by at most 1e-12 * sum_j |K(x_j, x)| * m_j, with
 m_j the largest |beta_j| of the training run. On typical data that is
 the final |beta_j|: the largest drift measured on two-cluster data at
@@ -52,7 +56,7 @@ from .data import (
 )
 from .errors import ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_block
-from .loss import LossKind, LossSpec
+from .loss import LossKind
 from .seeds import child_seed
 from .trainer import TrainerConfig, fit, fit_columns, sign_labels
 
@@ -157,80 +161,41 @@ def _fold_config(config: TrainerConfig, fold: int) -> TrainerConfig:
     return replace(config, seed=child_seed(config.seed, f"batches/fold={fold}"))
 
 
-def _shared_settings(config: TrainerConfig) -> TrainerConfig:
-    """``config`` without its per-column parameters (C and the loss
-    parameters): what the columns trained together share. Sigma does not
-    enter a linear kernel, so it is dropped there."""
-    kernel = config.kernel if config.kernel.kind is KernelKind.GAUSSIAN else KernelSpec.linear()
-    return replace(config, C=1.0, loss=LossSpec(config.loss.kind), kernel=kernel)
-
-
-def _column_matrix(config: TrainerConfig) -> np.ndarray:
-    """The B-by-p matrix of C and the loss parameters of every column."""
-    values = [np.atleast_1d(np.asarray(v, dtype=float)) for _, v in config.column_parameters()]
-    return np.column_stack(np.broadcast_arrays(*values))
-
-
-def _with_columns(config: TrainerConfig, columns: np.ndarray) -> TrainerConfig:
-    """``config`` training the rows of ``columns`` (see :func:`_column_matrix`)."""
-    names = [name for name, _ in config.column_parameters()]
-    loss = replace(config.loss, **{name: columns[:, i] for i, name in enumerate(names[1:], start=1)})
-    return replace(config, C=columns[:, 0], loss=loss)
-
-
-def _distinct_columns(matrices: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The bit-for-bit distinct rows of the stacked ``matrices`` in order
-    of first appearance, and for each matrix the index of each of its
-    rows among them."""
-    index: dict = {}
-    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for M in matrices for row in M],
-                       dtype=np.intp)
-    stacked = np.vstack(matrices)[np.unique(inverse, return_index=True)[1]]
-    return stacked, np.split(inverse, np.cumsum([len(M) for M in matrices[:-1]]))
-
-
 def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]) -> list[np.ndarray]:
     """Accuracy of every column of every configuration, trained on each
     fold's training part and scored on its test part: one B-by-k array
     per configuration (B = 1 for a plain one).
 
-    Configurations that share every setting but C and the loss parameters
-    form a group; its distinct columns train together through
-    ``fit_columns``, at most ``trainer.COLUMN_BYTES`` of coefficients at a
-    time, and are scored from one test-versus-training kernel block per
-    fold and kernel. Per fold, each distinct kernel's Gram is built once
-    and one fold Gram is alive at a time. The largest training part is
-    checked against the Gram size cap before fold 0. Decision values
-    agree with separate ``fit`` runs to the tolerance in the module
-    docstring.
+    Per fold, each distinct kernel's Gram and test-versus-training block
+    are built once (sigma is dropped for a linear kernel) and one fold
+    Gram is alive at a time. Each configuration that uses the kernel is a
+    batch of its own: its columns train together through ``fit_columns``,
+    at most ``trainer.COLUMN_BYTES`` of coefficients at a time. The
+    largest training part is checked against the Gram size cap before
+    fold 0. Decision values agree with separate ``fit`` runs to the
+    tolerance in the module docstring; a one-column batch gives the same
+    bits as ``fit``.
     """
     check_capacity(max(len(train.X) for train, _ in folds))
-    matrices = [_column_matrix(config) for config in configs]
-    members: dict = {}
+    by_kernel: dict = {}
     for i, config in enumerate(configs):
-        shared = _shared_settings(config)
-        members.setdefault(shared.kernel, {}).setdefault(shared, []).append(i)
-    groups = {
-        kernel: [(shared, idx, *_distinct_columns([matrices[i] for i in idx]))
-                 for shared, idx in by_settings.items()]
-        for kernel, by_settings in members.items()
-    }
-    per_fold = [np.empty((len(M), len(folds))) for M in matrices]
+        kernel = config.kernel if config.kernel.kind is KernelKind.GAUSSIAN else KernelSpec.linear()
+        by_kernel.setdefault(kernel, []).append(i)
+    per_fold = [np.empty((config.columns or 1, len(folds))) for config in configs]
     for f, (train, test) in enumerate(folds):
         step = max(1, trainer.COLUMN_BYTES // (8 * len(train.X)))
-        for kernel, kernel_groups in groups.items():
+        for kernel, idx in by_kernel.items():
             gram = gram_matrix(kernel, train.X)
             block = kernel_block(kernel, train.X, test.X)
-            for shared, idx, columns, rows in kernel_groups:
-                config = _fold_config(shared, f)
-                scores = np.empty(len(columns))
-                for start in range(0, len(columns), step):
-                    chunk = _with_columns(config, columns[start : start + step])
+            for i in idx:
+                config = _fold_config(configs[i], f)
+                for start in range(0, len(per_fold[i]), step):
+                    cols = slice(start, start + step)
+                    chunk = _apply_params(config, {name: v[cols] for name, v in config.column_parameters()
+                                                   if np.ndim(v)})
                     beta = fit_columns(chunk, train.X, train.y, gram=gram)
                     hits = sign_labels(block @ beta) == test.y[:, None]
-                    scores[start : start + step] = 100.0 * np.mean(hits, axis=0)
-                for i, own in zip(idx, rows):
-                    per_fold[i][:, f] = scores[own]
+                    per_fold[i][cols, f] = 100.0 * np.mean(hits, axis=0)
             del gram
     return per_fold
 
@@ -289,22 +254,28 @@ def _apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
 
 def _check_axes(config: TrainerConfig, axes) -> None:
     """Apply every value of every (key, values) axis to ``config`` on its
-    own, so that an empty axis or an invalid value raises before any
-    training."""
+    own, so that an empty axis or an invalid or non-finite value raises
+    before any training."""
     for key, values in axes:
         if len(values) == 0:
             raise ParameterError(f"the {key} grid is empty")
         for value in values:
+            if not np.isfinite(value):
+                raise ParameterError(f"the {key} grid contains the non-finite value {float(value)!r}")
             _apply_params(config, {key: value})
 
 
 def _grid_columns(config: TrainerConfig, grid: GridSpec) -> tuple[list, list[TrainerConfig]]:
-    """The axes ``config``'s loss searches, as (key, sorted values) in
-    tie-break order, and one config per sigma whose columns run over the
-    other axes in that order. Every axis value is checked first."""
-    axes = [(key, sorted(getattr(grid, name)))
+    """The axes ``config``'s loss searches, as (key, distinct sorted
+    values) in tie-break order, and one config per sigma whose columns
+    run over the other axes in that order. Every axis value is checked
+    first. Sigma does not enter a linear kernel, so there only the
+    smallest sigma, which wins every tie, is searched."""
+    axes = [(key, sorted(set(getattr(grid, name))))
             for key, name, kinds in GRID_AXES if kinds is None or config.loss.kind in kinds]
     _check_axes(config, axes)
+    if config.kernel.kind is KernelKind.LINEAR:
+        axes = [(key, values[:1] if key == "sigma" else values) for key, values in axes]
     others = [(key, values) for key, values in axes if key != "sigma"]
     mesh = np.meshgrid(*(values for _, values in others), indexing="ij")
     columns = {key: points.ravel() for (key, _), points in zip(others, mesh)}

@@ -3,9 +3,10 @@
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
 enters squared in the denominator. Gram matrices are materialized in
 full because the trainer repeatedly needs arbitrary rows; a Gaussian
-Gram is built in place a block of rows at a time, so it is the only
-n-by-n array its build holds, and construction refuses above a
-documented size cap to keep memory bounded.
+Gram is built in place a block of rows at a time and a linear Gram is
+one matrix product, so either is the only n-by-n array its build holds,
+and construction refuses above a documented size cap to keep memory
+bounded.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
     The matrix is symmetric bit-exactly and Gaussian diagonals are
     exactly 1. A Gaussian Gram is built as the upper triangle, a
     :func:`kernel_block` of ``BLOCK_BYTES`` worth of rows at a time, each
-    block mirrored below the diagonal; the Gram is the only n-by-n array
-    it allocates.
+    block mirrored below the diagonal. Either kind's Gram is the only
+    n-by-n array its build allocates.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -127,8 +128,11 @@ def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
     n = X.shape[0]
     check_capacity(n)
     if spec.kind is KernelKind.LINEAR:
-        G = X @ X.T
-        K = np.triu(G) + np.triu(G, 1).T
+        # numpy computes a C- or F-contiguous matrix times its own
+        # transpose as one symmetric product, so the entries mirror bit
+        # for bit; other strides would take a general product
+        X = np.ascontiguousarray(X)
+        K = X @ X.T
     else:
         K = np.empty((n, n), dtype=float)
         rows = max(1, BLOCK_BYTES // max(X.nbytes, 1))

@@ -183,7 +183,9 @@ class TestStats:
         ("dataset,m1,m2\nd1,90,80\nd2,85\n", "accuracies", "line 3 has 2 cells"),
         ("dataset,model,mean_acc\nd1,m1,high\nd1,m2,80\n", "accuracies", "column 'mean_acc'"),
         ("m1,m2,m3\n1.5,x,2.5\n", "mean-ranks", "line 2, column 'm2': 'x'"),
-    ], ids=["non-numeric", "nan", "ragged-row", "harness-results", "mean-ranks"])
+        ("dataset,model,mean_acc\nd1,a,90\nd1,b,80\nd1,a,10\n", "accuracies",
+         "line 4 repeats dataset 'd1', model 'a'"),
+    ], ids=["non-numeric", "nan", "ragged-row", "harness-results", "mean-ranks", "repeated-row"])
     def test_bad_cell_is_data_error(self, text, kind, where, tmp_path, capsys):
         src = tmp_path / "acc.csv"
         src.write_text(text)
@@ -339,6 +341,15 @@ class TestGrid:
                             "--a-grid", ","], capsys)
         assert code == 2
         assert "a grid is empty" in err
+        _one_line_error(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,key", [("--a-grid", "a"), ("--lambda-grid", "lam")])
+    def test_non_finite_sweep_axis_is_usage_error(self, flag, key, tmp_path, data_csv, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(["sweep", "--input", str(data_csv), "--output", str(out), flag, "1,inf"], capsys)
+        assert code == 2
+        assert f"the {key} grid contains the non-finite value inf" in err
         _one_line_error(err)
         assert not out.exists()
 

@@ -470,6 +470,37 @@ class TestBatchedEvaluation:
         assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == want
         assert res.best_params["sigma"] == 0.3
 
+    def test_each_configuration_trains_as_its_own_batch(self, monkeypatch):
+        ds = _overlapping(4)
+        plan = make_folds(ds.n, 5, seed=4)
+        folds = harness._plan_folds(ds, plan)
+        # the same settings but C: one fit_columns call each per fold, and
+        # each batch of one column gives the bits of a separate fit
+        configs = [TrainerConfig(seed=4), TrainerConfig(C=5.0, seed=4)]
+        chunks = []
+        _spy(monkeypatch, harness, "fit_columns", chunks)
+        per_fold = harness._evaluate(folds, configs)
+        assert [c.C for c in chunks] == [1.0, 5.0] * 5
+        for config, accs in zip(configs, per_fold):
+            assert _ref_summary(accs[0]) == _ref_cross_validate(ds, config, plan)
+
+    def test_repeated_grid_values_train_once(self, monkeypatch):
+        ds = _overlapping(5)
+        plan = make_folds(ds.n, 5, seed=5)
+        config = TrainerConfig(seed=5)
+        distinct = GridSpec(c_grid=(1.0, 30.0), sigma_grid=(0.5,), a_grid=(2.0, 0.5), lambda_grid=(1.0,))
+        want = grid_search(ds, config, distinct, plan)
+        built, chunks = [], []
+        _spy(monkeypatch, harness, "gram_matrix", built)
+        _spy(monkeypatch, harness, "fit_columns", chunks)
+        repeated = GridSpec(c_grid=(1.0, 1.0, 30.0), sigma_grid=(0.5, 0.5), a_grid=(2.0, 0.5, 2.0),
+                            lambda_grid=(1.0, 1.0))
+        res = grid_search(ds, config, repeated, plan)
+        # one Gram per fold and one for the refit; one column per distinct (C, a, lam) per fold
+        assert len(built) == 5 + 1
+        assert [c.columns for c in chunks] == [2 * 2] * 5
+        assert replace(res, train_time_seconds=0.0) == replace(want, train_time_seconds=0.0)
+
     def test_invalid_grid_value_raises_before_training(self, monkeypatch):
         monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
         monkeypatch.setattr(harness, "fit_columns", lambda *a, **k: pytest.fail("a candidate was trained"))
@@ -484,6 +515,10 @@ class TestBatchedEvaluation:
                                GridSpec(**small, tau_grid=(0.5, 1.5)), plan)
         with pytest.raises(ParameterError, match="a > 0"):
             sensitivity_sweep(ds, TrainerConfig(), [1.0, -2.0], [1.0], plan)
+        with pytest.raises(ParameterError, match="a grid contains the non-finite value inf"):
+            sensitivity_sweep(ds, TrainerConfig(), [1.0, np.inf], [1.0], plan)
+        with pytest.raises(ParameterError, match="lam grid contains the non-finite value nan"):
+            sensitivity_sweep(ds, TrainerConfig(), [1.0], [np.nan], plan)
 
     def test_empty_sweep_axis_raises_before_any_gram(self, monkeypatch):
         monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,10 +62,24 @@ class TestGramMatrix:
 
     def test_symmetry_bit_exact(self):
         rng = np.random.default_rng(11)
-        X = rng.standard_normal((30, 4))
-        for spec in (KernelSpec.gaussian(0.7), KernelSpec.linear()):
-            K = gram_matrix(spec, X).entries
-            assert (K == K.T).all()
+        # a strided view, which numpy would multiply by its transpose
+        # with a general (not bit-symmetric) product
+        for X in (rng.standard_normal((30, 4)), rng.standard_normal((400, 64))[::2, ::2]):
+            for spec in (KernelSpec.gaussian(0.7), KernelSpec.linear()):
+                K = gram_matrix(spec, X).entries
+                assert (K == K.T).all()
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.7), KernelSpec.linear()], ids=["gaussian", "linear"])
+    def test_build_holds_one_gram(self, spec):
+        X = np.random.default_rng(12).standard_normal((1000, 10))
+        gram_bytes = 8 * 1000 * 1000
+        tracemalloc.start()
+        try:
+            gram_matrix(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gram_bytes
 
     def test_gaussian_diagonal_exactly_one_and_range(self):
         rng = np.random.default_rng(5)
@@ -127,6 +142,8 @@ class TestGramMatchesReference:
     @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
     def test_linear_bit_identical(self, n, m):
         X = np.random.default_rng(n + m).standard_normal((n, m))
+        assert gram_matrix(KernelSpec.linear(), X).entries.tobytes() == _parent_linear_gram(X).tobytes()
+        X = np.asfortranarray(X)
         assert gram_matrix(KernelSpec.linear(), X).entries.tobytes() == _parent_linear_gram(X).tobytes()
 
     def test_rows_equal_kernel_block(self):
