@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Every subcommand writes its outputs plus a manifest (the fully resolved
-parameter set) beside the primary output; re-running a command from its
-manifest via ``--config`` reproduces the outputs byte for byte. The one
-exception is the measured wall-clock ``time_s`` field of grid results,
-which is honest timing and therefore not reproducible.
+parameter set) beside the primary output, the manifest once the command
+has succeeded, so a failing command writes none; re-running a command
+from its manifest via ``--config`` reproduces the outputs byte for byte.
+The one exception is the measured wall-clock ``time_s`` field of grid
+results, which is honest timing and therefore not reproducible.
 
 Exit codes: 0 success, 2 usage or validation error, 3 data error,
 4 numeric failure during optimization.
@@ -227,7 +228,6 @@ def cmd_train(p: dict) -> int:
     with open(p["output"], "w", encoding="utf-8") as fh:
         fh.write(save_model(model))
     train_acc = accuracy(predict_batch(model, ds.X), ds.y)
-    _write_manifest("train", p, p["output"])
     print(f"final_objective={model.final_objective!r} train_accuracy={train_acc!r}")
     return 0
 
@@ -241,7 +241,6 @@ def cmd_predict(p: dict) -> int:
     values = decision_values(model, ds.X)
     _write_rows(p["output"], ["prediction", "decision_value"],
                 [(float(a), float(b)) for a, b in zip(sign_labels(values), values)])
-    _write_manifest("predict", p, p["output"])
     return 0
 
 
@@ -266,7 +265,6 @@ def cmd_grid(p: dict) -> int:
     ]
     _write_rows(p["output"], ["dataset", "model", "mean_acc", "std_acc", "time_s",
                               *(key for key, _, _ in GRID_AXES)], rows)
-    _write_manifest("grid", p, p["output"])
     return 0
 
 
@@ -282,7 +280,6 @@ def cmd_corrupt(p: dict) -> int:
         record = CorruptionRecord.from_dict(doc)
         restored = invert_corruption(ds, record)
         write_csv(restored, p["output"])
-        _write_manifest("corrupt", p, p["output"])
         return 0
     mode = CorruptionMode(p["mode"])
     seed = child_seed(p["seed"], "corruption")
@@ -294,7 +291,6 @@ def cmd_corrupt(p: dict) -> int:
     with open(record_path, "w", encoding="utf-8") as fh:
         json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest("corrupt", p, p["output"])
     print(f"touched {len(record.touched_indices)} of {ds.n} samples")
     return 0
 
@@ -375,7 +371,6 @@ def cmd_stats(p: dict) -> int:
         ))
     _write_rows(p["output"], ["model", "mean_rank", "rank_diff", "significant",
                               "chi2", "F_F", "dof1", "dof2", "critical_F", "reject", "CD"], rows)
-    _write_manifest("stats", p, p["output"])
     print(f"chi2={report.chi2!r} F_F={report.F_F!r} CD={report.CD!r} reject={report.reject}")
     return 0
 
@@ -387,7 +382,6 @@ def cmd_loss_curve(p: dict) -> int:
     derivs = loss_derivative(spec, u)
     _write_rows(p["output"], ["u", "value", "derivative"],
                 [(float(a), float(b), float(c)) for a, b, c in zip(u, values, derivs)])
-    _write_manifest("loss-curve", p, p["output"])
     return 0
 
 
@@ -396,11 +390,10 @@ def cmd_calibration(p: dict) -> int:
         loss=LossSpec.expsat(a=p["a"], lam=p["lam"]), P=p["p"],
         f_lo=p["f_lo"], f_hi=p["f_hi"], f_step=p["f_step"],
     )
+    result: CalibrationResult = calibration_check(q)
     f = q.grid()
     risk = conditional_risk(q, f)
     _write_rows(p["output"], ["f", "risk"], [(float(a), float(b)) for a, b in zip(f, risk)])
-    _write_manifest("calibration", p, p["output"])
-    result: CalibrationResult = calibration_check(q)
     if result.degenerate:
         print(f"f_star={result.f_star!r} degenerate=true")
     else:
@@ -416,7 +409,6 @@ def cmd_sweep(p: dict) -> int:
     config = _trainer_config(p, child_seed(p["seed"], "train/expsat"), _loss_spec(p, "expsat"))
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
-    _write_manifest("sweep", p, p["output"])
     return 0
 
 
@@ -481,7 +473,9 @@ def main(argv=None) -> int:
     supplied = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         params = resolve_params(args.command, supplied)
-        return _COMMANDS[args.command](params)
+        code = _COMMANDS[args.command](params)
+        _write_manifest(args.command, params, params["output"])
+        return code
     except (SatsvmError, OSError, UnicodeDecodeError) as exc:
         print(f"satsvm: {exc}", file=sys.stderr)
         if isinstance(exc, NumericError):

@@ -63,9 +63,9 @@ class Dataset:
     def m(self) -> int:
         return self.X.shape[1]
 
-    def subset(self, indices, suffix: str = "") -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return replace(self, X=self.X[idx], y=self.y[idx], name=self.name + suffix)
+        return replace(self, X=self.X[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)

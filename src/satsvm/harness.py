@@ -11,7 +11,12 @@ full dataset, else the largest training part) is checked against the
 size cap before any fold trains. Each configuration is a batch of its
 own: its columns (one per candidate; a grid makes one configuration per
 sigma, whose columns run over C and the loss parameters) train together
-in one NAG loop (:func:`trainer.fit_columns`). A grid searches each
+in one NAG loop (:func:`trainer.fit_columns`). Grid and sweep build
+those columns with one mesh builder, :func:`_columns`, and check their
+axes with one check, :func:`_check_axes`, before any Gram is built; a
+grid checks every axis, searched or not, after
+:meth:`GridSpec.validated` has silently dropped the a grid's values
+<= 0 (the default a grid starts at 0). A grid searches each
 distinct axis value once, and for a linear kernel, which sigma does not
 enter, only the smallest sigma. A batch's matrix products sum in another
 order than a separate fit's, so results are not bit-identical to
@@ -39,7 +44,6 @@ faithful reproduction of their native solvers; their labels carry a
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,20 +92,11 @@ class GridSpec:
     tau_grid: tuple[float, ...] = (0.0, 0.3, 0.5, 0.7, 0.9)
 
     def validated(self) -> "GridSpec":
-        """Drop the degenerate a=0 point (the loss vanishes identically
-        there) and reject empty or non-finite grids."""
-        for _, name, _ in GRID_AXES:
-            g = getattr(self, name)
-            if len(g) == 0:
-                raise ParameterError(f"{name} is empty")
-            if not all(np.isfinite(v) for v in g):
-                raise ParameterError(f"{name} contains non-finite values")
-        a_grid = tuple(v for v in self.a_grid if v > 0)
-        if len(a_grid) < len(self.a_grid):
-            warnings.warn("dropping a=0 from the shape-parameter grid (requires a > 0)", stacklevel=2)
-        if not a_grid:
-            raise ParameterError("a_grid is empty after dropping a=0")
-        return replace(self, a_grid=a_grid)
+        """Drop the a grid's finite values <= 0, the default's a = 0 among
+        them, where the loss vanishes identically or is undefined. Nothing
+        is reported; the grid search checks every axis afterwards, so a
+        non-finite a stays for it to reject."""
+        return replace(self, a_grid=tuple(v for v in self.a_grid if v > 0 or not np.isfinite(v)))
 
 
 @dataclass(frozen=True)
@@ -265,21 +260,28 @@ def _check_axes(config: TrainerConfig, axes) -> None:
             _apply_params(config, {key: value})
 
 
+def _columns(config: TrainerConfig, axes) -> TrainerConfig:
+    """``config`` with one column per point of the mesh of the (key,
+    values) axes, in the order and with the repeats the axes give; the
+    last axis varies fastest."""
+    mesh = np.meshgrid(*(np.asarray(values, dtype=float) for _, values in axes), indexing="ij")
+    return _apply_params(config, {key: points.ravel() for (key, _), points in zip(axes, mesh)})
+
+
 def _grid_columns(config: TrainerConfig, grid: GridSpec) -> tuple[list, list[TrainerConfig]]:
     """The axes ``config``'s loss searches, as (key, distinct sorted
     values) in tie-break order, and one config per sigma whose columns
-    run over the other axes in that order. Every axis value is checked
-    first. Sigma does not enter a linear kernel, so there only the
-    smallest sigma, which wins every tie, is searched."""
+    run over the other axes in that order. Every :data:`GRID_AXES` axis
+    is checked first, searched or not. Sigma does not enter a linear
+    kernel, so there only the smallest sigma, which wins every tie, is
+    searched."""
+    _check_axes(config, [(key, getattr(grid, name)) for key, name, _ in GRID_AXES])
     axes = [(key, sorted(set(getattr(grid, name))))
             for key, name, kinds in GRID_AXES if kinds is None or config.loss.kind in kinds]
-    _check_axes(config, axes)
     if config.kernel.kind is KernelKind.LINEAR:
         axes = [(key, values[:1] if key == "sigma" else values) for key, values in axes]
     others = [(key, values) for key, values in axes if key != "sigma"]
-    mesh = np.meshgrid(*(values for _, values in others), indexing="ij")
-    columns = {key: points.ravel() for (key, _), points in zip(others, mesh)}
-    return axes, [_apply_params(config, {**columns, "sigma": sigma}) for sigma in dict(axes)["sigma"]]
+    return axes, [_columns(_apply_params(config, {"sigma": sigma}), others) for sigma in dict(axes)["sigma"]]
 
 
 def grid_search_models(
@@ -350,11 +352,12 @@ def sensitivity_sweep(
     all other hyperparameters held fixed."""
     if config.loss.kind is not LossKind.EXPSAT:
         raise ParameterError("the sensitivity sweep varies the saturating-loss parameters")
-    _check_axes(config, [("a", a_grid), ("lam", lambda_grid)])
-    A, L = (m.ravel() for m in np.meshgrid(np.asarray(a_grid, dtype=float),
-                                           np.asarray(lambda_grid, dtype=float), indexing="ij"))
-    (per_fold,) = _evaluate(_plan_folds(ds, plan), [_apply_params(config, {"a": A, "lam": L})])
-    return [(float(a), float(lam), _summarize(accs).mean) for a, lam, accs in zip(A, L, per_fold)]
+    axes = [("a", a_grid), ("lam", lambda_grid)]
+    _check_axes(config, axes)
+    batch = _columns(config, axes)
+    (per_fold,) = _evaluate(_plan_folds(ds, plan), [batch])
+    return [(float(a), float(lam), _summarize(accs).mean)
+            for a, lam, accs in zip(batch.loss.a, batch.loss.lam, per_fold)]
 
 
 def _corrupted(train: Dataset, mode: CorruptionMode, rate: float, factor: float, seed: int) -> Dataset:

@@ -2,7 +2,8 @@
 
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
 enters squared in the denominator. Gram matrices are materialized in
-full because the trainer repeatedly needs arbitrary rows; a Gaussian
+full, as plain read-only n-by-n arrays, because the trainer repeatedly
+needs arbitrary rows; a Gaussian
 Gram is built in place a block of rows at a time and a linear Gram is
 one matrix product, so either is the only n-by-n array its build holds,
 and construction refuses above a documented size cap to keep memory
@@ -44,19 +45,6 @@ class KernelSpec:
     @classmethod
     def linear(cls) -> "KernelSpec":
         return cls(KernelKind.LINEAR)
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Precomputed symmetric Gram matrix over one sample set.
-
-    ``entries`` is read-only, so the matrix can be shared across threads
-    and fits freely.
-    """
-
-    n: int
-    entries: np.ndarray
-    spec: KernelSpec
 
 
 # Largest size of the explicit differences x - z that one pass of the
@@ -113,11 +101,11 @@ def check_capacity(n: int) -> None:
         )
 
 
-def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
+def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Build the n-by-n kernel matrix of the rows of ``X``.
 
-    The matrix is symmetric bit-exactly and Gaussian diagonals are
-    exactly 1. A Gaussian Gram is built as the upper triangle, a
+    The matrix is symmetric bit-exactly, Gaussian diagonals are exactly
+    1, and it is read-only, so one Gram can be shared by many fits. A Gaussian Gram is built as the upper triangle, a
     :func:`kernel_block` of ``BLOCK_BYTES`` worth of rows at a time, each
     block mirrored below the diagonal. Either kind's Gram is the only
     n-by-n array its build allocates.
@@ -143,4 +131,4 @@ def gram_matrix(spec: KernelSpec, X) -> KernelMatrix:
             K[i:, i : i + rows] = block.T
             K[i : i + rows, i:] = block
     K.setflags(write=False)
-    return KernelMatrix(n=n, entries=K, spec=spec)
+    return K

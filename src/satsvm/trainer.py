@@ -25,7 +25,10 @@ model and its file are the same as after the full loop.
 
 :func:`fit_columns` runs the same loop for many models at once, the
 columns of an n-by-B beta that share everything but C and the loss
-parameters; :func:`fit` is its one-column case.
+parameters. A single model is a batch of one: :func:`fit` goes through
+the same training body and only wraps its one column as a
+:class:`TrainedModel`. Gram matrices are plain read-only n-by-n arrays
+(:func:`kernel.gram_matrix`).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .data import check_layout
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import BLOCK_BYTES, KernelMatrix, KernelSpec, gram_matrix, kernel_block
+from .kernel import BLOCK_BYTES, KernelSpec, gram_matrix, kernel_block
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -137,26 +140,28 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def objective(config: TrainerConfig, K: KernelMatrix, y, beta) -> float | np.ndarray:
-    """Regularized empirical risk 0.5*b'Kb + (C/n) * sum L(1 - y*(Kb)).
+def objective(config: TrainerConfig, K: np.ndarray, y, beta) -> float | np.ndarray:
+    """Regularized empirical risk 0.5*b'Kb + (C/n) * sum L(1 - y*(Kb)),
+    with ``K`` the n-by-n Gram matrix.
 
     For an n-by-B ``beta``, one value per column, with the column's C and
     loss parameters when ``config`` gives them per column.
     """
     y = _check_labels(y)
     beta = np.asarray(beta, dtype=float)
-    if beta.shape[:1] != (K.n,) or beta.ndim > 2 or y.shape != (K.n,):
-        raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, K.n)
-    kb = K.entries @ beta
+    n = len(K)
+    if beta.shape[:1] != (n,) or beta.ndim > 2 or y.shape != (n,):
+        raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, n)
+    kb = K @ beta
     if beta.ndim == 1:
         xi = 1.0 - y * kb
-        return float(0.5 * (beta @ kb) + (config.C / K.n) * np.sum(loss_value(config.loss, xi)))
+        return float(0.5 * (beta @ kb) + (config.C / n) * np.sum(loss_value(config.loss, xi)))
     xi = 1.0 - y[:, None] * kb
     quad = np.einsum("ij,ij->j", beta, kb)
-    return 0.5 * quad + (config.C / K.n) * np.sum(loss_value(config.loss, xi), axis=0)
+    return 0.5 * quad + (config.C / n) * np.sum(loss_value(config.loss, xi), axis=0)
 
 
-def full_gradient(config: TrainerConfig, K: KernelMatrix, y, beta) -> np.ndarray:
+def full_gradient(config: TrainerConfig, K: np.ndarray, y, beta) -> np.ndarray:
     """Exact gradient of :func:`objective` at ``beta``.
 
     ``K beta - (C/n) * sum_k L'(xi_k) y_k K_k``; samples on or past the
@@ -164,12 +169,13 @@ def full_gradient(config: TrainerConfig, K: KernelMatrix, y, beta) -> np.ndarray
     """
     y = _check_labels(y)
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (K.n,) or y.shape != (K.n,):
-        raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, K.n)
-    kb = K.entries @ beta
+    n = len(K)
+    if beta.shape != (n,) or y.shape != (n,):
+        raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, n)
+    kb = K @ beta
     xi = 1.0 - y * kb
     w = loss_derivative(config.loss, xi) * y
-    return kb - (config.C / K.n) * (K.entries @ w)
+    return kb - (config.C / n) * (K @ w)
 
 
 def learning_rate_sequence(alpha0: float, eta: float, n_iters: int):
@@ -227,7 +233,7 @@ def _candidate(config: TrainerConfig, ok: np.ndarray) -> str:
                                for name, v in config.column_parameters())
 
 
-def _prepare(config: TrainerConfig, X, y, gram: KernelMatrix | None):
+def _prepare(config: TrainerConfig, X, y, gram: np.ndarray | None):
     """Checked training data, the Gram matrix over it and the batch size."""
     X = np.asarray(X, dtype=float)
     y = _check_labels(y)
@@ -239,8 +245,8 @@ def _prepare(config: TrainerConfig, X, y, gram: KernelMatrix | None):
         raise ParameterError(f"batch size {s} exceeds the {n} training samples")
     if gram is None:
         gram = gram_matrix(config.kernel, X)
-    elif gram.n != n:
-        raise ShapeError("precomputed gram matrix does not match X", gram.n, n)
+    elif gram.shape != (n, n):
+        raise ShapeError("precomputed gram matrix does not match X", gram.shape, n)
     return X, y, gram, s
 
 
@@ -280,7 +286,36 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
     return beta
 
 
-def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> TrainedModel:
+# Largest n-by-B coefficient matrix that fit_columns trains at once; the
+# loop holds a few more of that size. Callers split wider batches.
+COLUMN_BYTES = 1 << 22
+
+
+def _train(config: TrainerConfig, X, y, gram: np.ndarray | None):
+    """The one training body behind :func:`fit` and :func:`fit_columns`.
+
+    Returns the checked ``X``, the batch size, the n-by-B betas and their
+    final objectives, after raising ``NumericError`` for a non-finite one
+    with the failing column's parameters. A plain config (no per-column
+    parameters) takes the 1-D objective of its one column, the value a
+    model records: the n-by-B form sums in another order.
+    """
+    X, y, gram, s = _prepare(config, X, y, gram)
+    n, B = X.shape[0], config.columns or 1
+    if B > 1 and 8 * n * B > COLUMN_BYTES:
+        raise CapacityError(f"{B} columns of {n} coefficients exceed the {COLUMN_BYTES}-byte column budget")
+    beta = _nag(config, gram, y, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = objective(config, gram, y, beta[:, 0] if config.columns is None else beta)
+    finals = np.atleast_1d(final)
+    ok = np.isfinite(finals)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise NumericError(f"non-finite final objective {float(finals[j])!r}{_candidate(config, ok)}")
+    return X, s, beta, final
+
+
+def fit(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> TrainedModel:
     """Train by mini-batch NAG for up to ``max_iters`` iterations.
 
     The loop returns early once the learning rate is exactly 0.0 and
@@ -289,37 +324,25 @@ def fit(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> Traine
     ``NumericError`` that a later iteration would raise, and
     ``iterations_run`` records ``max_iters`` either way. A non-finite
     final objective also raises ``NumericError``. This is the one-column
-    case of :func:`fit_columns`.
+    case of :func:`fit_columns`, wrapped as a model.
 
     Deterministic for a fixed (config, data, seed). ``gram`` may be
-    supplied to reuse a precomputed kernel matrix over ``X``.
+    supplied to reuse a precomputed n-by-n kernel matrix over ``X``.
     """
     if config.columns is not None:
         raise ParameterError("fit trains one model; train per-column parameters with fit_columns")
-    X, y, gram, s = _prepare(config, X, y, gram)
-    beta = _nag(config, gram.entries, y, s)[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = objective(config, gram, y, beta)
-    if not math.isfinite(final):
-        raise NumericError(f"non-finite final objective {final!r}")
-
-    snapshot = replace(config, batch_size=s)
+    X, s, beta, final = _train(config, X, y, gram)
     return TrainedModel(
-        beta=beta,
+        beta=beta[:, 0],
         support_points=X,
         kernel=config.kernel,
-        config_snapshot=snapshot,
+        config_snapshot=replace(config, batch_size=s),
         iterations_run=config.max_iters,
         final_objective=final,
     )
 
 
-# Largest n-by-B coefficient matrix that fit_columns trains at once; the
-# loop holds a few more of that size. Callers split wider batches.
-COLUMN_BYTES = 1 << 22
-
-
-def fit_columns(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -> np.ndarray:
+def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> np.ndarray:
     """Train every column of ``config`` in one NAG loop; the n-by-B betas.
 
     Column j is what :func:`fit` would train for the config holding
@@ -330,18 +353,7 @@ def fit_columns(config: TrainerConfig, X, y, gram: KernelMatrix | None = None) -
     ``NumericError`` names the failing column's parameters. The betas may
     take at most ``COLUMN_BYTES`` (``CapacityError`` past it).
     """
-    X, y, gram, s = _prepare(config, X, y, gram)
-    n, B = X.shape[0], config.columns or 1
-    if B > 1 and 8 * n * B > COLUMN_BYTES:
-        raise CapacityError(f"{B} columns of {n} coefficients exceed the {COLUMN_BYTES}-byte column budget")
-    beta = _nag(config, gram.entries, y, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = objective(config, gram, y, beta)
-    ok = np.isfinite(final)
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise NumericError(f"non-finite final objective {float(final[j])!r}{_candidate(config, ok)}")
-    return beta
+    return _train(config, X, y, gram)[2]
 
 
 def decision_values(model: TrainedModel, X) -> np.ndarray:

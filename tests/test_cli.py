@@ -305,6 +305,14 @@ class TestCurveEmitters:
         _one_line_error(err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_calibration_check_fails_before_any_output(self, p, tmp_path, capsys):
+        code, _, err = run(["calibration", "--p", p, "--output", str(tmp_path / "c.csv")], capsys)
+        assert code == 2
+        assert "0 < P < 1" in err
+        _one_line_error(err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_grid(self, tmp_path, data_csv, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run(["sweep", "--input", str(data_csv), "--output", str(out),
@@ -352,6 +360,26 @@ class TestGrid:
         assert f"the {key} grid contains the non-finite value inf" in err
         _one_line_error(err)
         assert not out.exists()
+
+    def test_unsearched_axis_is_checked(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "grid.csv"
+        code, _, err = run(["grid", "--input", str(data_csv), "--output", str(out),
+                            "--models", "expsat", "--tau-grid", "inf"], capsys)
+        assert code == 2
+        assert "the tau grid contains the non-finite value inf" in err
+        _one_line_error(err)
+        assert not out.exists()
+
+    def test_a_zero_is_dropped_without_stderr(self, tmp_path, data_csv):
+        out = tmp_path / "grid.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "satsvm", "grid", "--input", str(data_csv), "--output", str(out),
+             "--models", "truncated_pinball", "--a-grid", "0,1", "--c-grid", "30",
+             "--sigma-grid", "0.3", "--tau-grid", "0.5"],
+            capture_output=True, text=True, env=_program_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert out.exists()
 
     def test_unknown_model_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["grid", "--input", str(data_csv), "--output", str(tmp_path / "g.csv"),
@@ -406,6 +434,17 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "satsvm" in proc.stdout
+
+
+def _program_env():
+    """The environment with this checkout's package first on the path."""
+    import os
+    from pathlib import Path
+
+    import satsvm
+
+    src = str(Path(satsvm.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def _one_line_error(err):
@@ -545,14 +584,8 @@ class TestBadDataFiles:
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy(self):
-        import os
-        from pathlib import Path
-
-        import satsvm
-
-        src = str(Path(satsvm.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys, satsvm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_program_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -103,16 +104,11 @@ class TestGridSpec:
         assert len(g.lambda_grid) == 20 and g.lambda_grid[0] == 0.1 and g.lambda_grid[-1] == 2.0
         assert g.tau_grid == (0.0, 0.3, 0.5, 0.7, 0.9)
 
-    def test_validation_drops_a_zero_with_warning(self):
-        with pytest.warns(UserWarning, match="a=0"):
+    def test_validation_drops_a_zero_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             g = GridSpec().validated()
         assert 0.0 not in g.a_grid and len(g.a_grid) == 50
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            GridSpec(c_grid=()).validated()
-        with pytest.raises(ParameterError), pytest.warns(UserWarning):
-            GridSpec(a_grid=(0.0,)).validated()
 
 
 class TestGridSearch:
@@ -120,6 +116,23 @@ class TestGridSearch:
         base = dict(c_grid=(30.0,), sigma_grid=(0.3,), a_grid=(0.5,), lambda_grid=(1.0,))
         base.update(kw)
         return GridSpec(**base)
+
+    def test_empty_grid_rejected(self, separable, monkeypatch):
+        monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
+        ds, plan = separable
+        with pytest.raises(ParameterError, match="the C grid is empty"):
+            grid_search(ds, expsat_config(), self._small_grid(c_grid=()), plan)
+        # a = 0 is dropped, which leaves the a grid empty
+        with pytest.raises(ParameterError, match="the a grid is empty"):
+            grid_search(ds, expsat_config(), self._small_grid(a_grid=(0.0,)), plan)
+        # axes a loss does not search are checked as well
+        with pytest.raises(ParameterError, match="the a grid is empty"):
+            grid_search(ds, hinge_config(), self._small_grid(a_grid=(0.0,)), plan)
+        with pytest.raises(ParameterError, match="the tau grid contains the non-finite value inf"):
+            grid_search(ds, expsat_config(), self._small_grid(tau_grid=(np.inf,)), plan)
+        # dropping a <= 0 keeps non-finite values for the check to reject
+        with pytest.raises(ParameterError, match="the a grid contains the non-finite value -inf"):
+            grid_search(ds, expsat_config(), self._small_grid(a_grid=(1.0, -np.inf)), plan)
 
     def test_single_point_grid(self, separable):
         ds, plan = separable

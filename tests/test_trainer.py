@@ -76,7 +76,7 @@ class TestObjective:
         cfg = TrainerConfig(C=2.5, loss=LossSpec.expsat(1.3, 0.7), kernel=KernelSpec.gaussian(0.9))
         K = gram_matrix(cfg.kernel, X)
         got = objective(cfg, K, y, beta)
-        want = _naive_objective(2.5, 1.3, 0.7, K.entries, y, beta)
+        want = _naive_objective(2.5, 1.3, 0.7, K, y, beta)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_rejects_bad_labels(self):
@@ -92,7 +92,7 @@ class TestFullGradient:
         K = gram_matrix(KernelSpec.linear(), X)
         beta = y.copy()  # margins y*(K beta) = 4 >= 1, loss inactive
         grad = full_gradient(TrainerConfig(), K, y, beta)
-        assert (grad == K.entries @ beta).all()
+        assert (grad == K @ beta).all()
 
     def test_hand_computed_single_sample(self):
         K = gram_matrix(KernelSpec.linear(), np.array([[1.0]]))
@@ -240,8 +240,7 @@ def _reference_fit(config, X, y):
     """The NAG loop as it ran before the early return: all max_iters iterations."""
     n = X.shape[0]
     s = config.resolved_batch_size(n)
-    gram = gram_matrix(config.kernel, X)
-    K = gram.entries
+    K = gram_matrix(config.kernel, X)
     scale = config.C / s
     beta = np.full(n, config.beta0, dtype=float)
     v = np.full(n, config.v0, dtype=float)
@@ -260,7 +259,7 @@ def _reference_fit(config, X, y):
                 raise NumericError(f"non-finite gradient at iteration {t}")
             v = config.r * v - alpha * grad
             beta = beta_look + v
-    return beta, objective(config, gram, y, beta)
+    return beta, objective(config, K, y, beta)
 
 
 def _log_uniform(lo, hi):
@@ -312,7 +311,7 @@ def _largest_iterates(config, X, y):
     """Elementwise max of |beta| and |beta + r*v| over the full loop."""
     n = X.shape[0]
     s = config.resolved_batch_size(n)
-    K = gram_matrix(config.kernel, X).entries
+    K = gram_matrix(config.kernel, X)
     beta = np.full(n, config.beta0, dtype=float)
     v = np.full(n, config.v0, dtype=float)
     top = np.abs(beta)
@@ -395,7 +394,7 @@ class TestFitColumns:
             alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)), max_iters=max_iters, seed=seed,
         )
         batched = _column_config(base, **columns)
-        K = gram_matrix(base.kernel, X).entries
+        K = gram_matrix(base.kernel, X)
         separate, failed = [], False
         for j in range(width):
             try:
