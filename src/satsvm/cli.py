@@ -236,6 +236,11 @@ def cmd_predict(p: dict) -> int:
     with open(p["model"], "r", encoding="utf-8") as fh:
         model = load_model(fh.read())
     ds = _load(p)
+    width = model.support_points.shape[1]
+    if DataFormat(p["format"]) is DataFormat.SPARSE and ds.m < width:
+        # a sparse file is only as wide as its highest index; the model's
+        # further features are implicit zeros
+        ds = replace(ds, X=np.pad(ds.X, ((0, 0), (0, width - ds.m))))
     if model.scaler is not None:
         ds = apply_scaler(ds, model.scaler)
     values = decision_values(model, ds.X)

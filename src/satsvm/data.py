@@ -167,17 +167,21 @@ def _normalize_labels(raw: list[float]) -> np.ndarray:
     raise DataFormatError(f"labels must be from {{0,1}} or {{-1,+1}}, found {sorted(values)}")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_csv(text: str, name: str) -> Dataset:
     rows: list[list[float]] = []
     linenos: list[int] = []
     lines = text.splitlines()
     start = 0
-    if lines:
-        first = [c.strip() for c in lines[0].split(",")]
-        try:
-            [float(c) for c in first]
-        except ValueError:
-            start = 1  # header row
+    if lines and not any(_is_number(c) for c in lines[0].split(",")):
+        start = 1  # header row
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -248,8 +252,9 @@ def load_dataset(path, fmt: DataFormat = DataFormat.CSV, name: str | None = None
     """Load a dataset from disk.
 
     CSV files use the last column as the label ({0,1} is remapped to
-    {-1,+1} with 0 -> -1); an optional header row is detected by a
-    non-numeric first line. Sparse files use ``label idx:val ...`` lines
+    {-1,+1} with 0 -> -1); the first line is a header row when none of
+    its cells is a number, and data otherwise, so a non-numeric cell in it
+    is a ``DataFormatError``. Sparse files use ``label idx:val ...`` lines
     with 1-based indices and implicit zeros.
     """
     fmt = DataFormat(fmt)

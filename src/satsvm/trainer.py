@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import check_layout
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import BLOCK_BYTES, KernelSpec, gram_matrix, kernel_block
+from .kernel import KernelSpec, block_rows, gram_matrix, kernel_block
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -359,15 +359,16 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
 def decision_values(model: TrainedModel, X) -> np.ndarray:
     """sum_j beta_j K(x_j, x) over the support points, for every row x of ``X``.
 
-    Query rows go through the kernel in blocks whose differences take at
-    most ``BLOCK_BYTES``, so the query-by-support matrix is never held
-    whole.
+    Query rows go through the kernel in blocks of
+    :func:`~satsvm.kernel.block_rows` rows, so a block of kernel values and
+    its scratch take at most ``BLOCK_BYTES`` and the query-by-support
+    matrix is never held whole.
     """
     X = np.asarray(X, dtype=float)
     S = model.support_points
     if X.ndim != 2 or X.shape[1] != S.shape[1]:
         raise ShapeError("query dimension must match support points", X.shape, S.shape)
-    rows = max(1, BLOCK_BYTES // max(S.nbytes, 1))
+    rows = block_rows(S.shape[0])
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], rows):
         out[start : start + rows] = kernel_block(model.kernel, S, X[start : start + rows]) @ model.beta

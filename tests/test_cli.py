@@ -116,6 +116,28 @@ class TestPredict:
         assert code == 2
         assert "dimension" in err or "match" in err
 
+    def test_sparse_query_narrower_than_the_model(self, tmp_path, capsys):
+        train = tmp_path / "train.svm"
+        train.write_text("1 1:0.9 2:0.1 3:0.5\n-1 1:-0.8 2:0.2\n1 1:0.7 3:-0.4\n-1 1:-0.9 2:-0.3 3:0.1\n")
+        model = tmp_path / "m.json"
+        code, _, _ = run(["train", "--input", str(train), "--format", "sparse", "--output", str(model)], capsys)
+        assert code == 0
+        queries = {"narrow": "1 1:0.5 2:0.3\n-1 1:-0.6\n", "explicit": "1 1:0.5 2:0.3 3:0\n-1 1:-0.6 3:0\n",
+                   "wide": "1 1:0.5 4:0.3\n"}
+        results = {}
+        for name, text in queries.items():
+            query = tmp_path / f"{name}.svm"
+            query.write_text(text)
+            out = tmp_path / f"{name}.csv"
+            code, _, err = run(["predict", "--model", str(model), "--input", str(query), "--format", "sparse",
+                                "--output", str(out)], capsys)
+            results[name] = code, err, out.read_text() if code == 0 else None
+        assert results["narrow"][0] == results["explicit"][0] == 0
+        assert results["narrow"][2] == results["explicit"][2]
+        code, err, _ = results["wide"]
+        assert code == 2
+        _one_line_error(err)
+
 
 class TestCorrupt:
     def test_outlier_record_size(self, tmp_path, data_csv, capsys):
@@ -568,6 +590,14 @@ class TestBadDataFiles:
                            capsys)
         assert code == 3
         assert "line 3" in err
+        _one_line_error(err)
+
+    def test_partly_numeric_first_line_is_data(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.5,abc,1\n0.1,0.2,-1\n0.3,0.4,1\n0.5,0.6,-1\n0.7,0.8,1\n")
+        code, _, err = run(["train", "--input", str(bad), "--output", str(tmp_path / "m.json")], capsys)
+        assert code == 3
+        assert "line 1: non-numeric cell" in err
         _one_line_error(err)
 
     @pytest.mark.parametrize("line", ["1 1:nan 2:0.5", "1 1:0.5 1:0.7", "nan 1:0.5"],

@@ -111,9 +111,26 @@ class TestGramMatrix:
             gram_matrix(KernelSpec.gaussian(1.0), X)
 
 
+def _feature_order_gram(spec, X):
+    """Frozen scalar reference for the Gaussian Gram: every squared
+    distance added up pair by pair, feature by feature from the left, then
+    scaled by -1/sigma**2 and exponentiated."""
+    points = X.tolist()
+    D = np.empty((len(points), len(points)))
+    for i, x in enumerate(points):
+        for j, z in enumerate(points):
+            s = 0.0
+            for a, b in zip(x, z):
+                d = a - b
+                s += d * d
+            D[i, j] = s
+    return np.exp(D * (-1.0 / (spec.sigma * spec.sigma)))
+
+
 def _parent_gram_rows(spec, X):
-    """Frozen copy of the original Gaussian Gram row loop, kept as the
-    reference that gram_matrix must reproduce bit for bit."""
+    """Frozen copy of version 0.1.0's Gaussian Gram row loop, which summed
+    the squares in ``einsum``'s order; kept as the reference that the
+    feature-order Gram must stay within the summation bound of."""
     n = X.shape[0]
     K = np.empty((n, n), dtype=float)
     inv_s2 = 1.0 / (spec.sigma * spec.sigma)
@@ -137,7 +154,22 @@ class TestGramMatchesReference:
     def test_gaussian_bit_identical(self, n, m, sigma):
         X = np.random.default_rng(n * m).uniform(-1.0, 1.0, (n, m))
         spec = KernelSpec.gaussian(sigma)
-        assert gram_matrix(spec, X).tobytes() == _parent_gram_rows(spec, X).tobytes()
+        assert gram_matrix(spec, X).tobytes() == _feature_order_gram(spec, X).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 100.0])
+    def test_gaussian_within_the_summation_bound_of_0_1_0(self, n, m, sigma):
+        # both sums lie within m*u*D of the exact squared distance; the
+        # scaling adds u*D/sigma**2 to each side and exp at most a unit in
+        # the last place
+        X = np.random.default_rng(n * m).uniform(-1.0, 1.0, (n, m))
+        spec = KernelSpec.gaussian(sigma)
+        old = _parent_gram_rows(spec, X)
+        d = X[:, None, :] - X[None, :, :]
+        x = np.einsum("ijk,ijk->ij", d, d) / (sigma * sigma)
+        u = 2.0 ** -53
+        bound = 2 * (m + 1) * u * x * old + 2 * np.spacing(old)
+        assert (np.abs(gram_matrix(spec, X) - old) <= bound).all()
 
     @pytest.mark.parametrize("n,m", [(40, 3), (320, 10), (101, 50)])
     def test_linear_bit_identical(self, n, m):
@@ -160,3 +192,26 @@ class TestGramMatchesReference:
         whole = kernel_block(spec, X, Z)
         monkeypatch.setattr(kernel, "BLOCK_BYTES", 2 * X.nbytes)
         assert kernel_block(spec, X, Z).tobytes() == whole.tobytes()
+
+    def test_gram_bytes_do_not_depend_on_the_byte_budget(self, monkeypatch):
+        import satsvm.kernel as kernel
+
+        n = 60
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, (n, 5))
+        spec = KernelSpec.gaussian(0.5)
+        whole = gram_matrix(spec, X).tobytes()
+        # first blocks of one row and of seven rows, and a single block
+        for budget in (16 * n, 7 * 16 * n, 1 << 30):
+            monkeypatch.setattr(kernel, "BLOCK_BYTES", budget)
+            assert gram_matrix(spec, X).tobytes() == whole
+
+    def test_kernel_block_transposes_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        X, Z = rng.uniform(-1.0, 1.0, (50, 7)), rng.uniform(-1.0, 1.0, (23, 7))
+        spec = KernelSpec.gaussian(0.4)
+        assert kernel_block(spec, X, Z).tobytes() == np.ascontiguousarray(kernel_block(spec, Z, X).T).tobytes()
+
+    def test_zero_features_give_all_ones(self):
+        spec = KernelSpec.gaussian(0.3)
+        assert (kernel_block(spec, np.zeros((4, 0)), np.zeros((3, 0))) == np.ones((3, 4))).all()
+        assert (gram_matrix(spec, np.zeros((5, 0))) == np.ones((5, 5))).all()

@@ -548,6 +548,7 @@ class TestDecisionValues:
 
     def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
         import satsvm.trainer as trainer
+        from satsvm.kernel import BLOCK_BYTES
 
         blocks = []
         real = trainer.kernel_block
@@ -562,7 +563,8 @@ class TestDecisionValues:
         model = self._model(rng, n, m)
         X = rng.uniform(-1, 1, (1000, m))
         decision_values(model, X)
-        rows = max(1, trainer.BLOCK_BYTES // (n * m * 8))
+        # a block of kernel values and its scratch, 8 bytes per entry each
+        rows = BLOCK_BYTES // (16 * n)
         assert sum(blocks) == 1000 and max(blocks) == rows < 1000
 
     def test_empty_query_set(self):
