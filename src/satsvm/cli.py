@@ -36,14 +36,14 @@ from .data import (
     normalize,
     write_csv,
 )
-from .errors import DataFormatError, NumericError, ParameterError, SatsvmError
+from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
-from .kernel import KernelKind, KernelSpec
+from .kernel import KernelKind, KernelSpec, gram_matrix
 from .loss import LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
 from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk, step_grid
-from .trainer import TrainerConfig, decision_values, fit, load_model, predict_batch, save_model, sign_labels
+from .trainer import TrainerConfig, decision_values, fit, load_model, save_model, sign_labels
 
 MANIFEST_FORMAT = 1
 
@@ -222,12 +222,15 @@ def cmd_train(p: dict) -> int:
     if p["normalize"]:
         ds = normalize(ds)
     config = _trainer_config(p, child_seed(p["seed"], "batches"))
-    model = fit(config, ds.X, ds.y)
+    # the fit's Gram gives the training decision values as K @ beta
+    K = gram_matrix(config.kernel, ds.X)
+    model = fit(config, ds.X, ds.y, gram=K)
+    train_acc = accuracy(sign_labels(K @ model.beta), ds.y)
+    del K
     if ds.scaler is not None:
         model = replace(model, scaler=ds.scaler)
     with open(p["output"], "w", encoding="utf-8") as fh:
         fh.write(save_model(model))
-    train_acc = accuracy(predict_batch(model, ds.X), ds.y)
     print(f"final_objective={model.final_objective!r} train_accuracy={train_acc!r}")
     return 0
 
@@ -237,7 +240,9 @@ def cmd_predict(p: dict) -> int:
         model = load_model(fh.read())
     ds = _load(p)
     width = model.support_points.shape[1]
-    if DataFormat(p["format"]) is DataFormat.SPARSE and ds.m < width:
+    if DataFormat(p["format"]) is DataFormat.SPARSE:
+        if ds.m > width:
+            raise ShapeError(f"sparse query index {ds.m} is past the model's {width} features")
         # a sparse file is only as wide as its highest index; the model's
         # further features are implicit zeros
         ds = replace(ds, X=np.pad(ds.X, ((0, 0), (0, width - ds.m))))

@@ -76,10 +76,11 @@ def _squared_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """``(x_0 - z_0)**2 + (x_1 - z_1)**2 + ...``, summed left to right over
     the features, for every row z of ``Z`` (rows) and x of ``X`` (columns).
 
-    The support points are taken feature-major once, and each feature is
-    one pass of three ufuncs over a contiguous block of rows. An entry's
-    bits therefore depend on neither the block shape nor the order of its
-    rows and columns: ``D(X, Z)`` is ``D(Z, X).T`` bit for bit.
+    The support points are taken feature-major once (a Fortran-ordered
+    ``X`` without a copy), and each feature is one pass of three ufuncs
+    over a contiguous block of rows. An entry's bits therefore depend on
+    neither the block shape nor the order of its rows and columns:
+    ``D(X, Z)`` is ``D(Z, X).T`` bit for bit.
     """
     n, m = X.shape
     if m == 0:

@@ -17,11 +17,17 @@ applies the velocity update. The learning rate follows the recurrence
 ``alpha <- alpha * exp(-eta * t)`` after each iteration. At the defaults
 ``alpha0 = eta = 0.1`` the rate is 2.8e-6 at iteration 15 and exactly
 0.0 from iteration 123 on; this is faithful to the published schedule
-and is surfaced here rather than silently softened. Once the rate is
-0.0 and the momentum step no longer moves beta, no later iteration can
-change beta, so the loop returns there (after iteration 122 at the
-defaults); ``iterations_run`` still records ``max_iters``, and the
-model and its file are the same as after the full loop.
+and is surfaced here rather than silently softened. Two shortcuts
+follow from it, and both keep the bits of the full loop. An iteration
+whose gradient step ``alpha*grad`` is provably below a quarter ulp of
+every entry of ``r*v``, by a bound on the gradient that holds for any
+batch, cannot change ``v``: it skips both matrix products and the loss
+derivative but still draws its batch. At the defaults that is every
+iteration after the first 35 to 40 or so. Once the rate is 0.0 and the
+momentum step no longer moves beta, no later iteration can change beta,
+so the loop returns there (after iteration 122 at the defaults);
+``iterations_run`` still records ``max_iters``, and the model and its
+file are the same as after the full loop.
 
 :func:`fit_columns` runs the same loop for many models at once, the
 columns of an n-by-B beta that share everything but C and the loss
@@ -43,7 +49,7 @@ import numpy as np
 
 from .data import check_layout
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import KernelSpec, block_rows, gram_matrix, kernel_block
+from .kernel import KernelKind, KernelSpec, block_rows, gram_matrix, kernel_block
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -195,12 +201,29 @@ def learning_rate_at(alpha0: float, eta: float, t: int) -> float:
     return alpha0 * math.exp(-eta * t * (t - 1) / 2.0)
 
 
-# Gradients are kept below this bound once beta is frozen; it leaves a
-# factor of 2**24 below the float64 maximum for rounding in any order.
+# Gradients are kept below this bound wherever the loop skips them; it leaves
+# a factor of 2**24 below the float64 maximum for rounding in any order.
 _SAFE_GRADIENT = 2.0**1000
 
 
-def _frozen(config: TrainerConfig, K: np.ndarray, beta: np.ndarray, v: np.ndarray) -> bool:
+def _gradient_bound(beta: np.ndarray, k_max: float, loss_term: float, batch_sum: float) -> float:
+    """A bound ``g`` on ``|grad|`` at ``beta`` in every column and for every
+    batch, or inf where that gradient might not be finite.
+
+    ``|K beta| <= n*k_max*max|beta|`` with ``k_max >= max|K|``. The loss
+    term is at most ``batch_sum = n*k_max*d`` before its scaling by
+    ``C/s`` and ``loss_term = k_max*C*d`` after, with ``d >= max|L'|``,
+    both largest over the columns. So ``g = n*k_max*max|beta| +
+    loss_term`` bounds ``|grad|`` up to a relative rounding error far
+    below 1. The loop raises ``NumericError`` on a non-finite gradient,
+    so ``g`` is inf unless it and ``batch_sum`` stay below
+    ``_SAFE_GRADIENT``.
+    """
+    g = k_max * len(beta) * np.abs(beta).max() + loss_term
+    return g if g + batch_sum < _SAFE_GRADIENT else math.inf
+
+
+def _frozen(config: TrainerConfig, beta: np.ndarray, v: np.ndarray, bounds: tuple) -> bool:
     """Whether iterations at learning rate 0.0 can neither change beta nor
     raise, for every column of ``beta``.
 
@@ -210,17 +233,34 @@ def _frozen(config: TrainerConfig, K: np.ndarray, beta: np.ndarray, v: np.ndarra
     well, because rounding is monotone. A -0.0 in beta is excluded, since
     adding +0.0 turns it into +0.0. The full loop would still raise
     ``NumericError`` on a non-finite gradient, so every later gradient,
-    whatever its batch, must also stay far inside the float range. With
-    ``k = max(max|K|, 1)``: ``|K beta| <= n*k*max|beta|``, the batch sum
-    of the loss term is at most ``n*k*max|L'|`` before scaling by ``C/s``
-    and ``C*k*max|L'|`` after.
+    whatever its batch, must also have a finite :func:`_gradient_bound`
+    from ``bounds = (k_max, loss_term, batch_sum)``.
     """
     if np.any(np.signbit(beta) & (beta == 0.0)) or not np.array_equal(beta + config.r * v, beta):
         return False
-    k_max = max(K.max(), -K.min(), 1.0)
-    d_max = loss_derivative_bound(config.loss)
-    bound = k_max * (len(beta) * (np.abs(beta).max(axis=0) + d_max) + config.C * d_max)
-    return bool(np.all(bound < _SAFE_GRADIENT))
+    return _gradient_bound(beta, *bounds) < math.inf
+
+
+def _step_absorbed(alpha: float, beta_look: np.ndarray, rv_min: float, bounds: tuple) -> bool:
+    """Whether ``r*v - alpha*grad`` rounds to ``r*v`` in every entry, for
+    the gradient at ``beta_look`` of any batch, and that gradient is finite.
+
+    ``fl(rv - a) == rv`` when ``|a|`` is below half the gap between
+    ``rv`` and either neighbour. ``spacing(|rv|)/4`` is at most that, and
+    ``spacing`` grows with ``|rv|``, so the smallest ``|r*v|``,
+    ``rv_min``, decides it; rounding is monotone, so that is ``r`` times
+    the smallest ``|v|``. The test ``2*alpha*g < spacing/4``, with ``g``
+    from :func:`_gradient_bound`, leaves a factor 2 for the rounding of
+    the gradient, of ``g`` and of ``alpha*grad``. A zero in ``r*v`` never
+    passes, even at rate 0.0: ``spacing(0)/4`` rounds to 0.0, and
+    ``-0.0 - 0.0*grad`` is +0.0 for a negative gradient. ``bounds`` is
+    ``(k_max, loss_term, batch_sum)``; the loss term alone is tested
+    first, since it fails while the rate is large, before any pass over
+    ``beta_look``.
+    """
+    loss_term = bounds[1]
+    quarter = np.spacing(rv_min) / 4
+    return bool(2.0 * alpha * loss_term < quarter and 2.0 * alpha * _gradient_bound(beta_look, *bounds) < quarter)
 
 
 def _candidate(config: TrainerConfig, ok: np.ndarray) -> str:
@@ -255,8 +295,12 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
 
     Every column draws the same batches, so each iteration makes one
     batch draw and two matrix products for all columns; C and the loss
-    parameters broadcast over the columns. Returns once the rate is 0.0
-    and every column is frozen (see :func:`_frozen`).
+    parameters broadcast over the columns. An iteration whose gradient
+    step cannot change any bit of ``v`` (see :func:`_step_absorbed`)
+    skips the products and the loss derivative and sets ``v = r*v``,
+    which is what they would give; it still draws its batch, so later
+    iterations draw the same ones. Returns once the rate is 0.0 and every
+    column is frozen (see :func:`_frozen`).
     """
     n = len(y)
     scale = config.C / s
@@ -267,21 +311,28 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
 
     # overflow is detected explicitly and reported as a NumericError
     with np.errstate(over="ignore", invalid="ignore"):
+        # (k_max, loss_term, batch_sum) of _gradient_bound, once per fit
+        k_max = max(K.max(), -K.min(), 1.0)
+        d_max = loss_derivative_bound(config.loss)
+        bounds = (k_max, k_max * float(np.max(config.C * d_max)), k_max * n * float(np.max(d_max)))
         rates = pairwise(learning_rate_sequence(config.alpha0, config.eta, config.max_iters + 1))
         for t, (alpha, next_alpha) in enumerate(rates, start=1):
             batch = rng.choice(n, size=s, replace=False)
             beta_look = beta + config.r * v
-            kb = K @ beta_look
-            yb = yc[batch]
-            xi = 1.0 - yb * kb[batch]
-            w = loss_derivative(config.loss, xi) * yb
-            grad = kb - scale * (K[batch].T @ w)
-            if not np.isfinite(grad).all():
-                which = _candidate(config, np.isfinite(grad).all(axis=0))
-                raise NumericError(f"non-finite gradient at iteration {t}{which}")
-            v = config.r * v - alpha * grad
+            if _step_absorbed(alpha, beta_look, config.r * np.abs(v).min(), bounds):
+                v = config.r * v
+            else:
+                kb = K @ beta_look
+                yb = yc[batch]
+                xi = 1.0 - yb * kb[batch]
+                w = loss_derivative(config.loss, xi) * yb
+                grad = kb - scale * (K[batch].T @ w)
+                if not np.isfinite(grad).all():
+                    which = _candidate(config, np.isfinite(grad).all(axis=0))
+                    raise NumericError(f"non-finite gradient at iteration {t}{which}")
+                v = config.r * v - alpha * grad
             beta = beta_look + v
-            if next_alpha == 0.0 and _frozen(config, K, beta, v):
+            if next_alpha == 0.0 and _frozen(config, beta, v, bounds):
                 break
     return beta
 
@@ -318,10 +369,12 @@ def _train(config: TrainerConfig, X, y, gram: np.ndarray | None):
 def fit(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> TrainedModel:
     """Train by mini-batch NAG for up to ``max_iters`` iterations.
 
-    The loop returns early once the learning rate is exactly 0.0 and
-    beta can no longer move (see :func:`_frozen`): the result is then
-    bit-identical to running all ``max_iters`` iterations, including a
-    ``NumericError`` that a later iteration would raise, and
+    Iterations whose gradient step cannot change a bit of the velocity
+    skip the matrix products (see :func:`_step_absorbed`), and the loop
+    returns early once the learning rate is exactly 0.0 and beta can no
+    longer move (see :func:`_frozen`): the result is bit-identical to
+    running every product of all ``max_iters`` iterations, including a
+    ``NumericError`` at the iteration where that loop raises it, and
     ``iterations_run`` records ``max_iters`` either way. A non-finite
     final objective also raises ``NumericError``. This is the one-column
     case of :func:`fit_columns`, wrapped as a model.
@@ -362,12 +415,17 @@ def decision_values(model: TrainedModel, X) -> np.ndarray:
     Query rows go through the kernel in blocks of
     :func:`~satsvm.kernel.block_rows` rows, so a block of kernel values and
     its scratch take at most ``BLOCK_BYTES`` and the query-by-support
-    matrix is never held whole.
+    matrix is never held whole. For the Gaussian kernel the support points
+    are copied feature-major once per call, which every block then uses
+    as it is; the linear kernel's matrix product takes them as stored,
+    since a product's rounding may depend on its operands' layout.
     """
     X = np.asarray(X, dtype=float)
     S = model.support_points
     if X.ndim != 2 or X.shape[1] != S.shape[1]:
         raise ShapeError("query dimension must match support points", X.shape, S.shape)
+    if model.kernel.kind is KernelKind.GAUSSIAN:
+        S = np.asfortranarray(S)
     rows = block_rows(S.shape[0])
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], rows):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from satsvm import two_cluster_dataset, write_csv
+from satsvm import accuracy, two_cluster_dataset, write_csv
 from satsvm.cli import main
 
 D1_RANK_CSV = "hinge,pinball,linex,qtself,wave,expsat\n3.35,2.96,3.96,4.45,4.12,2.16\n"
@@ -53,6 +53,23 @@ class TestTrain:
         assert "final_objective=" in stdout
         assert out.exists()
         assert (tmp_path / "model.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_printed_accuracy_is_that_of_the_saved_model(self, tmp_path, seed, capsys):
+        # train reads the accuracy off the fit's Gram; predict on the same
+        # file evaluates the saved model's kernel afresh
+        ds = two_cluster_dataset(n=150, m=2, separation=1.0, spread=1.0, seed=seed)
+        data, model, preds = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+        write_csv(ds, data)
+        code, stdout, _ = run(["train", "--input", str(data), "--output", str(model), "--seed", str(seed),
+                               *TRAIN_FLAGS], capsys)
+        assert code == 0
+        printed = float(stdout.split("train_accuracy=")[1])
+        assert printed < 100.0
+        code, _, _ = run(["predict", "--model", str(model), "--input", str(data), "--output", str(preds)], capsys)
+        assert code == 0
+        labels = np.array([float(row[0]) for row in _read_rows(preds)[1]])
+        assert printed == accuracy(labels, ds.y)
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code, _, err = run(["train", "--input", str(tmp_path / "nope.csv"),
@@ -137,6 +154,7 @@ class TestPredict:
         code, err, _ = results["wide"]
         assert code == 2
         _one_line_error(err)
+        assert "sparse query index 4 is past the model's 3 features" in err
 
 
 class TestCorrupt:

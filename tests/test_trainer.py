@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -195,13 +196,61 @@ class TestFit:
     @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 122), (0.01, 1000, 385),
                                                         (1e-9, 200, 200), (0.1, 50, 50)])
     def test_returns_once_beta_is_frozen(self, monkeypatch, eta, max_iters, expected):
+        # the loop reads one rate ahead, so t iterations consume t + 1 rates
+        rates = []
+        real = trainer.learning_rate_sequence
+
+        def counted(*args):
+            for alpha in real(*args):
+                rates.append(alpha)
+                yield alpha
+
+        monkeypatch.setattr(trainer, "learning_rate_sequence", counted)
+        ds = two_cluster_dataset(n=60, seed=4)
+        model = fit(TrainerConfig(eta=eta, max_iters=max_iters, seed=2), ds.X, ds.y)
+        assert len(rates) - 1 == expected
+        assert model.iterations_run == max_iters
+
+    def test_products_skipped_once_steps_are_absorbed(self, monkeypatch):
+        # At the defaults the 122 iterations before the early return run
+        # the products and the loss derivative only up to iteration 37; the
+        # later gradient steps are below a quarter ulp of r*v.
         calls = []
         real = trainer.loss_derivative
         monkeypatch.setattr(trainer, "loss_derivative", lambda *a: calls.append(1) or real(*a))
         ds = two_cluster_dataset(n=60, seed=4)
-        model = fit(TrainerConfig(eta=eta, max_iters=max_iters, seed=2), ds.X, ds.y)
-        assert len(calls) == expected
-        assert model.iterations_run == max_iters
+        model = fit(TrainerConfig(seed=2), ds.X, ds.y)
+        assert len(calls) == 37
+        beta, final = _reference_fit(TrainerConfig(seed=2), ds.X, ds.y)
+        assert model.beta.tobytes() == beta.tobytes()
+        assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
+
+    def test_skipped_and_live_iterations_alternate_bit_exactly(self, monkeypatch):
+        # At alpha0 = 1e-25 the first steps are absorbed; once r*v has
+        # shrunk below the gradient step the products run again, until the
+        # rate has decayed far enough.
+        absorbed = []
+        real = trainer._step_absorbed
+        monkeypatch.setattr(trainer, "_step_absorbed", lambda *a: absorbed.append(real(*a)) or absorbed[-1])
+        ds = two_cluster_dataset(n=60, seed=4)
+        cfg = TrainerConfig(alpha0=1e-25, eta=0.01, max_iters=400, seed=2)
+        model = fit(cfg, ds.X, ds.y)
+        runs = [(state, len(list(group))) for state, group in itertools.groupby(absorbed)]
+        assert runs == [(True, 19), (False, 65), (True, 287)]
+        assert model.beta.tobytes() == _reference_fit(cfg, ds.X, ds.y)[0].tobytes()
+
+    def test_zero_momentum_step_is_never_absorbed(self):
+        bounds = (1.0, 700.0, 1400.0)
+        beta = np.ones((2, 1))
+        assert trainer._step_absorbed(1e-300, beta, 1.0, bounds)
+        assert not trainer._step_absorbed(1e-300, beta, 0.0, bounds)
+        assert not trainer._step_absorbed(1e-300, beta, np.float64(np.nan), bounds)
+        assert not trainer._step_absorbed(1e-300, np.array([[1.0], [np.inf]]), 1.0, bounds)
+        # not even at rate 0.0, where -0.0 - 0.0*grad is +0.0 for grad < 0;
+        # nor does the smallest subnormal, whose quarter spacing is 0.0
+        assert not trainer._step_absorbed(0.0, beta, 0.0, bounds)
+        assert not trainer._step_absorbed(0.0, beta, 5e-324, bounds)
+        assert trainer._step_absorbed(0.0, beta, 2.0**-1000, bounds)
 
     def test_gradient_check_kept_after_freeze(self):
         # One -1 sample sits on a +1 sample; the others are far apart, so
@@ -221,11 +270,12 @@ class TestFit:
             fit(cfg, X, y)
 
     def test_frozen_rules_out_negative_zero(self):
-        K = np.eye(2)
+        # the bounds of K = I with the default expsat loss: k_max, C*d, n*d
+        bounds = (1.0, 700.0, 1400.0)
         cfg = TrainerConfig(r=0.5)
-        assert trainer._frozen(cfg, K, np.array([0.0, 1.0]), np.array([-0.0, 1e-20]))
-        assert not trainer._frozen(cfg, K, np.array([-0.0, 1.0]), np.zeros(2))
-        assert not trainer._frozen(cfg, K, np.array([1.0, 1.0]), np.array([0.0, 1e-15]))
+        assert trainer._frozen(cfg, np.array([0.0, 1.0]), np.array([-0.0, 1e-20]), bounds)
+        assert not trainer._frozen(cfg, np.array([-0.0, 1.0]), np.zeros(2), bounds)
+        assert not trainer._frozen(cfg, np.array([1.0, 1.0]), np.array([0.0, 1e-15]), bounds)
 
     def test_snapshot_records_resolved_batch_size(self):
         ds = two_cluster_dataset(n=50, seed=3)
@@ -288,16 +338,57 @@ class TestEarlyReturnIsBitExact:
             beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
             max_iters=max_iters, seed=seed,
         )
-        try:
+        _assert_matches_full_loop(cfg, X, y)
+
+    # A slowly decaying rate from as low as alpha0 = 1e-30 lets absorbed
+    # gradient steps come and go. r = 0 keeps r*v zero and a zero v0 makes
+    # the first r*v zero; a step onto a zero is never absorbed.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 30), m=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1), batch=st.floats(0.0, 1.0), max_iters=st.integers(100, 400),
+        alpha0=_log_uniform(1e-30, 1.0), eta=_log_uniform(3e-3, 0.03),
+        r=st.sampled_from([0.0, 0.6]) | st.floats(0.0, 0.95), C=_log_uniform(1e-6, 1e6),
+        sigma=_log_uniform(1e-3, 1e3), kind=st.sampled_from(list(LossKind)), linear=st.booleans(),
+        beta0=_START, v0=st.sampled_from([0.0, -0.0]) | _START,
+    )
+    def test_slow_decay_matches_full_loop(self, n, m, data_seed, seed, batch, max_iters, alpha0, eta, r, C,
+                                          sigma, kind, linear, beta0, v0):
+        rng = np.random.default_rng(data_seed)
+        X = rng.standard_normal((n, m))
+        y = rng.choice([-1.0, 1.0], size=n)
+        cfg = TrainerConfig(
+            C=C, loss=LossSpec(kind), kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(sigma),
+            beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
+            max_iters=max_iters, seed=seed,
+        )
+        _assert_matches_full_loop(cfg, X, y)
+
+    def test_signed_zeros_at_a_rate_that_underflows(self):
+        # alpha0 = 5e-324 rounds to 0.0 from iteration 5 on, while beta and
+        # v hold only signed zeros, whose signs a 0.0 step can still flip
+        ds = two_cluster_dataset(n=20, seed=1)
+        for seed, beta0, v0 in itertools.product(range(20), [0.0, -0.0], [0.0, -0.0]):
+            cfg = TrainerConfig(loss=LossSpec.hinge(), beta0=beta0, v0=v0, alpha0=5e-324, eta=0.1, r=0.5,
+                                max_iters=50, seed=seed)
+            _assert_matches_full_loop(cfg, ds.X, ds.y)
+
+
+def _assert_matches_full_loop(cfg, X, y):
+    """``fit`` gives the bits, or the NumericError, of all max_iters iterations."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
             beta, final = _reference_fit(cfg, X, y)
-        except NumericError as exc:
-            with pytest.raises(NumericError, match=f"^{exc}$"):
-                fit(cfg, X, y)
-            return
-        model = fit(cfg, X, y)
-        assert model.beta.tobytes() == beta.tobytes()
-        assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
-        assert model.iterations_run == max_iters
+        if not math.isfinite(final):
+            raise NumericError(f"non-finite final objective {final!r}")
+    except NumericError as exc:
+        with pytest.raises(NumericError, match=f"^{exc}$"):
+            fit(cfg, X, y)
+        return
+    model = fit(cfg, X, y)
+    assert model.beta.tobytes() == beta.tobytes()
+    assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
+    assert model.iterations_run == cfg.max_iters
 
 
 # Columns of fit_columns agree with separate fits to this tolerance, on
@@ -566,6 +657,19 @@ class TestDecisionValues:
         # a block of kernel values and its scratch, 8 bytes per entry each
         rows = BLOCK_BYTES // (16 * n)
         assert sum(blocks) == 1000 and max(blocks) == rows < 1000
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.linear()], ids=["gauss", "linear"])
+    @pytest.mark.parametrize("queries", [1, 7, 1001])
+    def test_bits_match_blocks_over_the_stored_support_points(self, spec, queries):
+        from satsvm.kernel import block_rows, kernel_block
+
+        rng = np.random.default_rng(queries)
+        model = replace(self._model(rng, 500, 10), kernel=spec)
+        X = rng.uniform(-1, 1, (queries, 10))
+        rows = block_rows(500)
+        want = np.concatenate([kernel_block(spec, model.support_points, X[i : i + rows]) @ model.beta
+                               for i in range(0, queries, rows)])
+        assert decision_values(model, X).tobytes() == want.tobytes()
 
     def test_empty_query_set(self):
         model = self._model(np.random.default_rng(1), 5, 2)
