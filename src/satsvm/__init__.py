@@ -16,6 +16,7 @@ from .data import (
     Dataset,
     FoldPlan,
     apply_scaler,
+    corrupt,
     inject_label_noise,
     inject_outliers,
     invert_corruption,
@@ -71,6 +72,7 @@ from .theory import (
 from .trainer import (
     TrainedModel,
     TrainerConfig,
+    apply_params,
     decision_values,
     fit,
     fit_columns,

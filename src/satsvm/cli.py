@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage or validation error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -26,24 +25,26 @@ from .data import (
     CorruptionMode,
     CorruptionRecord,
     DataFormat,
+    Dataset,
     apply_scaler,
     check_layout,
+    corrupt,
+    dump_json,
     invert_corruption,
-    inject_label_noise,
-    inject_outliers,
     load_dataset,
     make_folds,
     normalize,
+    parse_json,
     write_csv,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
-from .kernel import KernelKind, KernelSpec, gram_matrix
+from .kernel import KernelKind, gram_matrix
 from .loss import LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
 from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk, step_grid
-from .trainer import TrainerConfig, decision_values, fit, load_model, save_model, sign_labels
+from .trainer import TrainerConfig, apply_params, decision_values, fit, load_model, save_model, sign_labels
 
 MANIFEST_FORMAT = 1
 
@@ -94,7 +95,7 @@ def _values(enum_type) -> tuple[str, ...]:
 
 
 _GRID_DEFAULT = GridSpec()
-_GRID_KEYS = tuple(name for _, name, _ in GRID_AXES)
+_GRID_KEYS = tuple(name for _, name in GRID_AXES)
 
 _OPTIONS = {o.key: o for o in (
     Option("input"), Option("model"), Option("output"), Option("record"),
@@ -177,6 +178,16 @@ def _write_rows(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_manifest(command: str, params: dict, output: str):
     doc = {
         "tool": "satsvm",
@@ -185,9 +196,7 @@ def _write_manifest(command: str, params: dict, output: str):
         "command": command,
         "params": params,
     }
-    with open(output + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(output + ".manifest.json", dump_json(doc))
 
 
 def _floats(p: dict, key: str) -> list[float]:
@@ -201,27 +210,26 @@ def _floats(p: dict, key: str) -> list[float]:
         raise ParameterError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
-def _loss_spec(p: dict, kind: str | None = None) -> LossSpec:
-    return LossSpec(kind=kind or p["loss"], **{k: p[k] for k in _LOSS_KEYS[1:]})
+def _config(p: dict, stream: str, **params) -> TrainerConfig:
+    """The trainer settings in ``p``, overridden by ``params``, seeded
+    from the child stream ``stream`` of ``p["seed"]``."""
+    seed = child_seed(p["seed"], stream)
+    return apply_params(TrainerConfig(seed=seed), {**{k: p[k] for k in _TRAINER_KEYS}, **params})
 
 
-def _trainer_config(p: dict, seed: int, loss: LossSpec | None = None) -> TrainerConfig:
-    return TrainerConfig(
-        C=p["C"], loss=loss or _loss_spec(p), kernel=KernelSpec(kind=p["kernel"], sigma=p["sigma"]),
-        beta0=p["beta0"], v0=p["v0"], alpha0=p["alpha0"], eta=p["eta"], r=p["r"],
-        batch_size=p["batch_size"], max_iters=p["max_iters"], seed=seed,
-    )
-
-
-def _load(p: dict):
+def _load(p: dict) -> Dataset:
     return load_dataset(p["input"], DataFormat(p["format"]))
 
 
-def cmd_train(p: dict) -> int:
+def _training_data(p: dict) -> Dataset:
+    """The input dataset, normalized unless ``--no-normalize``."""
     ds = _load(p)
-    if p["normalize"]:
-        ds = normalize(ds)
-    config = _trainer_config(p, child_seed(p["seed"], "batches"))
+    return normalize(ds) if p["normalize"] else ds
+
+
+def cmd_train(p: dict) -> int:
+    ds = _training_data(p)
+    config = _config(p, "batches")
     # the fit's Gram gives the training decision values as K @ beta
     K = gram_matrix(config.kernel, ds.X)
     model = fit(config, ds.X, ds.y, gram=K)
@@ -229,15 +237,13 @@ def cmd_train(p: dict) -> int:
     del K
     if ds.scaler is not None:
         model = replace(model, scaler=ds.scaler)
-    with open(p["output"], "w", encoding="utf-8") as fh:
-        fh.write(save_model(model))
+    _write_text(p["output"], save_model(model))
     print(f"final_objective={model.final_objective!r} train_accuracy={train_acc!r}")
     return 0
 
 
 def cmd_predict(p: dict) -> int:
-    with open(p["model"], "r", encoding="utf-8") as fh:
-        model = load_model(fh.read())
+    model = load_model(_read_text(p["model"]))
     ds = _load(p)
     width = model.support_points.shape[1]
     if DataFormat(p["format"]) is DataFormat.SPARSE:
@@ -255,52 +261,35 @@ def cmd_predict(p: dict) -> int:
 
 
 def cmd_grid(p: dict) -> int:
-    ds = _load(p)
-    if p["normalize"]:
-        ds = normalize(ds)
+    ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
         raise ParameterError(f"unknown model(s) {unknown}; choose from {list(_values(LossKind))}")
-    configs = []
-    for kind in kinds:
-        loss = _loss_spec(p, kind)
-        configs.append(_trainer_config(p, child_seed(p["seed"], f"train/{loss.kind.value}"), loss))
+    configs = [_config(p, f"train/{kind}", loss=kind) for kind in kinds]
     rows = [
         (result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
-         result.train_time_seconds, *(result.best_params.get(key) for key, _, _ in GRID_AXES))
+         result.train_time_seconds, *(result.best_params.get(key) for key, _ in GRID_AXES))
         for result in grid_search_models(ds, configs, grid, plan)
     ]
     _write_rows(p["output"], ["dataset", "model", "mean_acc", "std_acc", "time_s",
-                              *(key for key, _, _ in GRID_AXES)], rows)
+                              *(key for key, _ in GRID_AXES)], rows)
     return 0
 
 
 def cmd_corrupt(p: dict) -> int:
     ds = _load(p)
-    record_path = p["record"] or p["output"] + ".record.json"
     if p["invert"]:
-        with open(record_path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"corruption record {record_path} is not valid JSON: {exc}") from None
-        record = CorruptionRecord.from_dict(doc)
-        restored = invert_corruption(ds, record)
-        write_csv(restored, p["output"])
+        # the corrupting run wrote the record beside its output, this run's input
+        record_path = p["record"] or p["input"] + ".record.json"
+        doc = parse_json(_read_text(record_path), f"corruption record {record_path}")
+        write_csv(invert_corruption(ds, CorruptionRecord.from_dict(doc)), p["output"])
         return 0
-    mode = CorruptionMode(p["mode"])
-    seed = child_seed(p["seed"], "corruption")
-    if mode is CorruptionMode.OUTLIERS:
-        corrupted, record = inject_outliers(ds, p["rate"], factor=p["factor"], seed=seed)
-    else:
-        corrupted, record = inject_label_noise(ds, p["rate"], seed=seed)
+    corrupted, record = corrupt(ds, p["mode"], p["rate"], p["factor"], child_seed(p["seed"], "corruption"))
     write_csv(corrupted, p["output"])
-    with open(record_path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(p["record"] or p["output"] + ".record.json", dump_json(record.to_dict()))
     print(f"touched {len(record.touched_indices)} of {ds.n} samples")
     return 0
 
@@ -386,7 +375,7 @@ def cmd_stats(p: dict) -> int:
 
 
 def cmd_loss_curve(p: dict) -> int:
-    spec = _loss_spec(p)
+    spec = apply_params(TrainerConfig(), {k: p[k] for k in _LOSS_KEYS}).loss
     u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)
@@ -412,11 +401,9 @@ def cmd_calibration(p: dict) -> int:
 
 
 def cmd_sweep(p: dict) -> int:
-    ds = _load(p)
-    if p["normalize"]:
-        ds = normalize(ds)
+    ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    config = _trainer_config(p, child_seed(p["seed"], "train/expsat"), _loss_spec(p, "expsat"))
+    config = _config(p, "train/expsat", loss="expsat")
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
     return 0
@@ -451,11 +438,7 @@ def resolve_params(command: str, supplied: dict) -> dict:
     params = dict(DEFAULTS[command])
     config_path = supplied.pop("config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"config {config_path} is not valid JSON: {exc}") from None
+        doc = parse_json(_read_text(config_path), f"config {config_path}", ParameterError)
         if isinstance(doc, dict) and "params" in doc:
             if doc.get("command") not in (None, command):
                 raise ParameterError(

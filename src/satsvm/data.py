@@ -1,4 +1,6 @@
-"""Dataset ingestion, scaling, fold plans, and corruption procedures.
+"""Dataset ingestion, scaling, fold plans, corruption procedures, and the
+JSON layout check and canonical JSON codec shared by every file the
+package writes or reads as JSON.
 
 Datasets are immutable after construction (arrays are marked read-only);
 every operation returns a new value. Corruption operations return an
@@ -11,6 +13,7 @@ point.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +37,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     name: str = "dataset"
-    normalized: bool = False
     scaler: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
@@ -46,14 +48,17 @@ class Dataset:
             raise ParameterError("features contain NaN or Inf")
         if not np.isin(y, (-1.0, 1.0)).all():
             raise ParameterError("labels must be exactly -1 or +1")
-        if self.normalized != (self.scaler is not None):
-            raise ParameterError("scaler must be present exactly when the dataset is normalized")
         X = X.copy()
         y = y.copy()
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the features were scaled, which is when a scaler is held."""
+        return self.scaler is not None
 
     @property
     def n(self) -> int:
@@ -110,6 +115,22 @@ def check_layout(value, schema, where: str, error=DataFormatError) -> None:
                 check_layout(item, schema[0], f"{where}[{i}]", error)
     elif not _is(value, schema):
         raise error(f"{where} must be of type {schema.__name__}, got {type(value).__name__}")
+
+
+def dump_json(doc) -> str:
+    """The canonical JSON text of ``doc``: sorted keys, an indent of two
+    and a final newline, so equal documents give identical bytes. Model
+    files, corruption records and manifests are written in it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def parse_json(text: str, what: str, error=DataFormatError):
+    """The JSON document in ``text``; text that is not valid JSON raises
+    ``error`` with the message ``<what> is not valid JSON: <reason>``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
 
 
 _RECORD_DOC = {
@@ -285,7 +306,7 @@ def normalize(ds: Dataset) -> Dataset:
     lo = ds.X.min(axis=0)
     hi = ds.X.max(axis=0)
     scaler = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return replace(ds, X=_scale(ds.X, scaler), normalized=True, scaler=scaler)
+    return replace(ds, X=_scale(ds.X, scaler), scaler=scaler)
 
 
 def apply_scaler(ds: Dataset, scaler) -> Dataset:
@@ -294,7 +315,7 @@ def apply_scaler(ds: Dataset, scaler) -> Dataset:
     scaler = tuple((float(a), float(b)) for a, b in scaler)
     if len(scaler) != ds.m:
         raise ShapeError("scaler width must match feature count", len(scaler), ds.m)
-    return replace(ds, X=_scale(ds.X, scaler), normalized=True, scaler=scaler)
+    return replace(ds, X=_scale(ds.X, scaler), scaler=scaler)
 
 
 def _scale(X: np.ndarray, scaler) -> np.ndarray:
@@ -363,6 +384,15 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int = 0):
         seed=seed,
     )
     return replace(ds, y=y), record
+
+
+def corrupt(ds: Dataset, mode: CorruptionMode, rate: float, factor: float, seed: int):
+    """Corrupt ``ds`` by ``mode``: :func:`inject_outliers` with ``factor``,
+    or :func:`inject_label_noise`, which ignores ``factor``. Returns the
+    corrupted dataset and its audit record."""
+    if CorruptionMode(mode) is CorruptionMode.OUTLIERS:
+        return inject_outliers(ds, rate, factor=factor, seed=seed)
+    return inject_label_noise(ds, rate, seed=seed)
 
 
 def invert_corruption(ds: Dataset, record: CorruptionRecord) -> Dataset:

@@ -49,20 +49,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import trainer
-from .data import (
-    CorruptionMode,
-    Dataset,
-    FoldPlan,
-    apply_scaler,
-    inject_label_noise,
-    inject_outliers,
-    normalize,
-)
+from .data import CorruptionMode, Dataset, FoldPlan, apply_scaler, corrupt, normalize
 from .errors import ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_block
-from .loss import LossKind
+from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
-from .trainer import TrainerConfig, fit, fit_columns, sign_labels
+from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
 
 
 def _decade_grid() -> tuple[float, ...]:
@@ -70,14 +62,15 @@ def _decade_grid() -> tuple[float, ...]:
 
 
 # The grid axes in enumeration and tie-break order: the ``best_params``
-# key (also the config, kernel or loss field it sets), the GridSpec field
-# holding its values, and the loss kinds that search it (None: all kinds).
+# key (also the parameter it sets, see :func:`trainer.apply_params`) and
+# the GridSpec field holding its values. Every loss kind searches C and
+# sigma, and the others where ``loss.PARAMETERS`` gives them to its kind.
 GRID_AXES = (
-    ("C", "c_grid", None),
-    ("sigma", "sigma_grid", None),
-    ("a", "a_grid", (LossKind.EXPSAT,)),
-    ("lam", "lambda_grid", (LossKind.EXPSAT,)),
-    ("tau", "tau_grid", (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL)),
+    ("C", "c_grid"),
+    ("sigma", "sigma_grid"),
+    ("a", "a_grid"),
+    ("lam", "lambda_grid"),
+    ("tau", "tau_grid"),
 )
 
 
@@ -186,8 +179,8 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
                 config = _fold_config(configs[i], f)
                 for start in range(0, len(per_fold[i]), step):
                     cols = slice(start, start + step)
-                    chunk = _apply_params(config, {name: v[cols] for name, v in config.column_parameters()
-                                                   if np.ndim(v)})
+                    chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters()
+                                                  if np.ndim(v)})
                     beta = fit_columns(chunk, train.X, train.y, gram=gram)
                     hits = sign_labels(block @ beta) == test.y[:, None]
                     per_fold[i][cols, f] = 100.0 * np.mean(hits, axis=0)
@@ -238,15 +231,6 @@ def cross_validate(
     return _summarize(_evaluate(_plan_folds(ds, plan, train_only_scaling), [config])[0][0])
 
 
-def _apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
-    """``config`` with the grid parameters set: C on the config, sigma on
-    the kernel, the rest on the loss."""
-    loss_params = dict(params)
-    C = loss_params.pop("C", config.C)
-    kernel = replace(config.kernel, sigma=loss_params.pop("sigma", config.kernel.sigma))
-    return replace(config, C=C, kernel=kernel, loss=replace(config.loss, **loss_params))
-
-
 def _check_axes(config: TrainerConfig, axes) -> None:
     """Apply every value of every (key, values) axis to ``config`` on its
     own, so that an empty axis or an invalid or non-finite value raises
@@ -257,7 +241,7 @@ def _check_axes(config: TrainerConfig, axes) -> None:
         for value in values:
             if not np.isfinite(value):
                 raise ParameterError(f"the {key} grid contains the non-finite value {float(value)!r}")
-            _apply_params(config, {key: value})
+            apply_params(config, {key: value})
 
 
 def _columns(config: TrainerConfig, axes) -> TrainerConfig:
@@ -265,7 +249,7 @@ def _columns(config: TrainerConfig, axes) -> TrainerConfig:
     values) axes, in the order and with the repeats the axes give; the
     last axis varies fastest."""
     mesh = np.meshgrid(*(np.asarray(values, dtype=float) for _, values in axes), indexing="ij")
-    return _apply_params(config, {key: points.ravel() for (key, _), points in zip(axes, mesh)})
+    return apply_params(config, {key: points.ravel() for (key, _), points in zip(axes, mesh)})
 
 
 def _grid_columns(config: TrainerConfig, grid: GridSpec) -> tuple[list, list[TrainerConfig]]:
@@ -275,13 +259,13 @@ def _grid_columns(config: TrainerConfig, grid: GridSpec) -> tuple[list, list[Tra
     is checked first, searched or not. Sigma does not enter a linear
     kernel, so there only the smallest sigma, which wins every tie, is
     searched."""
-    _check_axes(config, [(key, getattr(grid, name)) for key, name, _ in GRID_AXES])
-    axes = [(key, sorted(set(getattr(grid, name))))
-            for key, name, kinds in GRID_AXES if kinds is None or config.loss.kind in kinds]
+    _check_axes(config, [(key, getattr(grid, name)) for key, name in GRID_AXES])
+    searched = ("C", "sigma", *PARAMETERS[config.loss.kind])
+    axes = [(key, sorted(set(getattr(grid, name)))) for key, name in GRID_AXES if key in searched]
     if config.kernel.kind is KernelKind.LINEAR:
         axes = [(key, values[:1] if key == "sigma" else values) for key, values in axes]
     others = [(key, values) for key, values in axes if key != "sigma"]
-    return axes, [_columns(_apply_params(config, {"sigma": sigma}), others) for sigma in dict(axes)["sigma"]]
+    return axes, [_columns(apply_params(config, {"sigma": sigma}), others) for sigma in dict(axes)["sigma"]]
 
 
 def grid_search_models(
@@ -311,7 +295,7 @@ def grid_search_models(
         best = int(np.argmax(per_fold.mean(axis=1)))
         params = {key: values[i] for (key, values), i in zip(axes, np.unravel_index(best, shape))}
         cv = _summarize(per_fold[best])
-        refit_config = _apply_params(config, params)
+        refit_config = apply_params(config, params)
         gram = gram_matrix(refit_config.kernel, ds.X)
         t0 = time.perf_counter()
         fit(refit_config, ds.X, ds.y, gram=gram)
@@ -360,30 +344,20 @@ def sensitivity_sweep(
             for a, lam, accs in zip(batch.loss.a, batch.loss.lam, per_fold)]
 
 
-def _corrupted(train: Dataset, mode: CorruptionMode, rate: float, factor: float, seed: int) -> Dataset:
-    """Corrupt a training part; fold evaluation data stays clean."""
-    if rate == 0.0:
-        return train
-    if mode is CorruptionMode.OUTLIERS:
-        return inject_outliers(train, rate, factor=factor, seed=seed)[0]
-    return inject_label_noise(train, rate, seed=seed)[0]
-
-
 def robustness_suite(
     ds: Dataset,
     models: list[tuple[str, TrainerConfig]],
     rates=(0.05, 0.1, 0.2, 0.3),
     mode: CorruptionMode = CorruptionMode.OUTLIERS,
-    plan: FoldPlan | None = None,
+    *,
+    plan: FoldPlan,
     factor: float = 10.0,
     seed: int = 0,
 ):
     """Accuracy per (model, corruption rate), training folds corrupted,
     test folds untouched. The same corrupted folds are shared by every
-    model so the comparison is paired. Returns the rows plus per-model
-    average accuracy over the rates."""
-    if plan is None:
-        raise ParameterError("a fold plan is required")
+    model so the comparison is paired; ``plan`` gives the folds. Returns
+    the rows plus per-model average accuracy over the rates."""
     _check_plain([config for _, config in models])
     mode = CorruptionMode(mode)
     clean = _plan_folds(ds, plan)
@@ -392,7 +366,7 @@ def robustness_suite(
         folds = []
         for f, (train, test) in enumerate(clean):
             cseed = child_seed(seed, f"corruption/rate={rate}/fold={f}")
-            folds.append((_corrupted(train, mode, float(rate), factor, cseed), test))
+            folds.append((train if rate == 0.0 else corrupt(train, mode, float(rate), factor, cseed)[0], test))
         for (name, _), per_fold in zip(models, _evaluate(folds, [config for _, config in models])):
             cv = _summarize(per_fold[0])
             rows.append(RobustnessRow(name, float(rate), cv.mean, cv.std, cv.per_fold))

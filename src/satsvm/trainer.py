@@ -40,14 +40,13 @@ the same training body and only wraps its one column as a
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import pairwise
 
 import numpy as np
 
-from .data import check_layout
+from .data import check_layout, dump_json, parse_json
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, block_rows, gram_matrix, kernel_block
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
@@ -112,6 +111,27 @@ class TrainerConfig:
         """B when C or a loss parameter is given per column, else None."""
         sizes = [np.size(v) for _, v in self.column_parameters() if np.ndim(v)]
         return sizes[0] if sizes else None
+
+
+# Flat parameter key -> field, for the keys that set the loss and the kernel.
+_LOSS_KEYS = {"loss": "kind", **{f.name: f.name for f in fields(LossSpec) if f.name != "kind"}}
+_KERNEL_KEYS = {"kernel": "kind", "sigma": "sigma"}
+
+
+def apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
+    """``config`` with the flat ``params`` set, the one map from parameter
+    keys to fields: ``loss`` and the loss parameters (``a``, ``lam``,
+    ``tau``, ``delta``, ``delta1``, ``delta2``) set the loss, ``kernel``
+    and ``sigma`` the kernel, and every other key (``C``, ``beta0``,
+    ``max_iters``, ...) the config field of its name. A value may be an
+    array where the field takes one value per column. The loss is built
+    and checked first, then the kernel, then the config, so of several
+    invalid values the first in that order is reported.
+    """
+    loss = replace(config.loss, **{f: params[k] for k, f in _LOSS_KEYS.items() if k in params})
+    kernel = replace(config.kernel, **{f: params[k] for k, f in _KERNEL_KEYS.items() if k in params})
+    rest = {k: v for k, v in params.items() if k not in _LOSS_KEYS and k not in _KERNEL_KEYS}
+    return replace(config, loss=loss, kernel=kernel, **rest)
 
 
 @dataclass(frozen=True)
@@ -472,7 +492,7 @@ def save_model(model: TrainedModel) -> str:
         "final_objective": model.final_objective,
         "scaler": None if model.scaler is None else [[a, b] for a, b in model.scaler],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_json(doc)
 
 
 # The layout of a model file, in the terms of :func:`data.check_layout`.
@@ -493,10 +513,7 @@ def load_model(text: str) -> TrainedModel:
 
     Every field is checked; a malformed file raises ``DataFormatError``.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"model file is not valid JSON: {exc}") from None
+    doc = parse_json(text, "model file")
     check_layout(doc, _MODEL_DOC, "model")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise DataFormatError(f"unsupported model format version {doc['format_version']}")

@@ -7,6 +7,7 @@ import pytest
 
 from satsvm import accuracy, two_cluster_dataset, write_csv
 from satsvm.cli import main
+from satsvm.seeds import child_seed
 
 D1_RANK_CSV = "hinge,pinball,linex,qtself,wave,expsat\n3.35,2.96,3.96,4.45,4.12,2.16\n"
 BHIS_RANK_CSV = "hinge,pinball,linex,qtself,wave,expsat\n4.22,3.47,3.72,4.59,3.63,1.38\n"
@@ -86,6 +87,39 @@ class TestTrain:
         assert code == 4
         _one_line_error(err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--a", "-1", "--sigma", "-1", "--C", "-1"], "expsat requires shape parameter a > 0, got a=-1.0"),
+        (["--sigma", "-1", "--C", "-1", "--momentum", "2"], "gaussian kernel width sigma must be > 0, got sigma=-1.0"),
+        (["--C", "-1", "--momentum", "2"], "trade-off C must be > 0, got -1.0"),
+    ], ids=["loss-first", "kernel-next", "config-last"])
+    def test_invalid_values_checked_loss_then_kernel_then_config(self, flags, message, tmp_path, data_csv,
+                                                                 capsys):
+        out = tmp_path / "m.json"
+        code, _, err = run(["train", "--input", str(data_csv), "--output", str(out), *flags], capsys)
+        assert code == 2
+        assert err == f"satsvm: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss", [["--loss", "hinge"], ["--loss", "pinball", "--tau", "0.3"]],
+                             ids=["hinge", "pinball"])
+    def test_saved_config_is_the_manifest_params(self, loss, tmp_path, data_csv, capsys):
+        out = tmp_path / "m.json"
+        code, _, _ = run(["train", "--input", str(data_csv), "--output", str(out), "--seed", "4", *loss,
+                          "--kernel", "linear", "--momentum", "0.3", "--batch-size", "8",
+                          "--max-iters", "50", "--eta", "0.05"], capsys)
+        assert code == 0
+        config = json.loads(out.read_text())["config"]
+        params = json.loads((tmp_path / "m.json.manifest.json").read_text())["params"]
+        assert (params["kernel"], params["r"], params["batch_size"], params["max_iters"], params["eta"]) == (
+            "linear", 0.3, 8, 50, 0.05)
+        assert config.pop("loss") == {"kind": params["loss"], **{
+            key: params[key] for key in ("a", "lam", "tau", "delta", "delta1", "delta2")}}
+        assert config.pop("kernel") == {"kind": params["kernel"], "sigma": params["sigma"]}
+        assert config.pop("r") == params["r"]
+        assert config.pop("seed") == child_seed(params["seed"], "batches")
+        assert sorted(config) == ["C", "alpha0", "batch_size", "beta0", "eta", "max_iters", "v0"]
+        assert config == {key: params[key] for key in config}
 
     def test_oversized_batch_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["train", "--input", str(data_csv),
@@ -186,6 +220,17 @@ class TestCorrupt:
                           "--invert", "--record", str(corrupted) + ".record.json"], capsys)
         assert code == 0
         assert restored.read_bytes() == data_csv.read_bytes()
+
+    def test_invert_reads_the_record_beside_its_input(self, tmp_path, data_csv, capsys):
+        corrupted = tmp_path / "noisy.csv"
+        restored = tmp_path / "restored.csv"
+        code, _, _ = run(["corrupt", "--input", str(data_csv), "--output", str(corrupted)], capsys)
+        assert code == 0
+        code, _, err = run(["corrupt", "--input", str(corrupted), "--invert", "--output", str(restored)],
+                           capsys)
+        assert code == 0, err
+        assert restored.read_bytes() == data_csv.read_bytes()
+        assert not (tmp_path / "restored.csv.record.json").exists()
 
     def test_rate_out_of_range(self, tmp_path, data_csv, capsys):
         code, _, err = run(["corrupt", "--input", str(data_csv),

@@ -8,6 +8,7 @@ from satsvm import (
     Dataset,
     ParameterError,
     apply_scaler,
+    corrupt,
     inject_label_noise,
     inject_outliers,
     invert_corruption,
@@ -17,6 +18,7 @@ from satsvm import (
     two_cluster_dataset,
     write_csv,
 )
+from satsvm.data import dump_json, parse_json
 
 
 class TestLoadCsv:
@@ -227,6 +229,18 @@ class TestCorruption:
             with pytest.raises(ParameterError, match="rate"):
                 inject_outliers(ds, bad)
 
+    @pytest.mark.parametrize("mode", ["outliers", "labels"])
+    def test_corrupt_calls_the_mode_injector(self, mode):
+        ds = two_cluster_dataset(n=50, seed=2)
+        got, record = corrupt(ds, mode, 0.2, 5.0, 7)
+        if mode == "outliers":
+            want, want_record = inject_outliers(ds, 0.2, factor=5.0, seed=7)
+        else:
+            want, want_record = inject_label_noise(ds, 0.2, seed=7)
+            assert record.factor == 10.0  # label noise ignores the factor
+        assert record == want_record
+        assert (got.X == want.X).all() and (got.y == want.y).all()
+
     def test_record_serialization_roundtrip(self):
         ds = two_cluster_dataset(n=30, seed=1)
         _, rec = inject_outliers(ds, 0.1, seed=2)
@@ -252,6 +266,24 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.y[0] = -ds.y[0]
 
-    def test_scaler_presence_tied_to_flag(self):
-        with pytest.raises(ParameterError, match="scaler"):
-            Dataset(X=np.zeros((2, 1)), y=np.array([1.0, -1.0]), normalized=True)
+    def test_normalized_follows_the_scaler(self):
+        ds = two_cluster_dataset(n=10, seed=0)
+        scaled = normalize(ds)
+        assert not ds.normalized
+        assert scaled.normalized and apply_scaler(ds, scaled.scaler).normalized
+        with pytest.raises(AttributeError):
+            ds.normalized = True
+
+
+class TestJsonCodec:
+    def test_canonical_text(self):
+        doc = {"b": [1, 2.5], "a": None}
+        assert dump_json(doc) == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert parse_json(dump_json(doc), "doc") == doc
+
+    @pytest.mark.parametrize("error", [DataFormatError, ParameterError])
+    def test_decode_error_is_the_callers_class(self, error):
+        with pytest.raises(error, match=r"^thing t\.json is not valid JSON: Expecting property name"):
+            parse_json("{broken", "thing t.json", error)
+        with pytest.raises(DataFormatError, match="^thing is not valid JSON"):
+            parse_json("", "thing")
