@@ -30,21 +30,25 @@ from .data import (
     check_layout,
     corrupt,
     dump_json,
+    from_doc,
     invert_corruption,
+    layout,
     load_dataset,
     make_folds,
     normalize,
     parse_json,
+    to_doc,
     write_csv,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
 from .kernel import KernelKind, gram_matrix
-from .loss import LossKind, LossSpec, loss_derivative, loss_value
+from .loss import PARAMETERS, LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
 from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk, step_grid
-from .trainer import TrainerConfig, apply_params, decision_values, fit, load_model, save_model, sign_labels
+from .trainer import (FLAT_PARAMETERS, TrainerConfig, apply_params, decision_values, fit, load_model,
+                      save_model, sign_labels)
 
 MANIFEST_FORMAT = 1
 
@@ -96,33 +100,28 @@ def _values(enum_type) -> tuple[str, ...]:
 
 _GRID_DEFAULT = GridSpec()
 _GRID_KEYS = tuple(name for _, name in GRID_AXES)
+# The trainer keys, the loss's first; the seed is the root of the child
+# streams, its own option, and each command seeds its config from a stream.
+_LOSS_KEYS = tuple(key for key, p in FLAT_PARAMETERS.items() if p.field == "loss")
+_TRAINER_KEYS = (*_LOSS_KEYS, *(key for key in FLAT_PARAMETERS if key not in _LOSS_KEYS and key != "seed"))
 
 _OPTIONS = {o.key: o for o in (
     Option("input"), Option("model"), Option("output"), Option("record"),
     Option("format", "csv", choices=_values(DataFormat)),
-    Option("loss", "expsat", choices=_values(LossKind)),
-    Option("kernel", "gaussian", choices=_values(KernelKind)),
     Option("mode", "outliers", choices=_values(CorruptionMode)),
     Option("input_kind", "accuracies", choices=("accuracies", "mean-ranks")),
     Option("models", "expsat", help="comma-separated loss kinds"),
     Option("normalize", True, bool),
     Option("invert", False, bool),
-    Option("r", 0.6, float, flag="--momentum"),
+    *(Option(key, p.default, p.type, p.choices, flag="--momentum" if key == "r" else None)
+      for key, p in FLAT_PARAMETERS.items() if key in _TRAINER_KEYS),
     *(Option(key, default, float) for key, default in dict(
-        C=1.0, a=1.0, lam=1.0, tau=0.5, delta=1.0, delta1=1.0, delta2=1.0, sigma=1.0,
-        beta0=0.01, v0=0.01, alpha0=0.1, eta=0.1, rate=0.1, factor=10.0, alpha=0.05,
-        critical_f=None, u_min=-2.0, u_max=3.0, u_step=0.01, p=0.7, f_lo=-3.0, f_hi=3.0,
-        f_step=1e-3,
-    ).items()),
-    *(Option(key, default, int) for key, default in dict(
-        seed=0, batch_size=None, max_iters=1000, folds=5, num_datasets=None,
-    ).items()),
+        rate=0.1, factor=10.0, alpha=0.05, critical_f=None, u_min=-2.0, u_max=3.0, u_step=0.01, p=0.7,
+        f_lo=-3.0, f_hi=3.0, f_step=1e-3).items()),
+    *(Option(key, default, int) for key, default in dict(seed=0, folds=5, num_datasets=None).items()),
     *(Option(key, list(getattr(_GRID_DEFAULT, key))) for key in _GRID_KEYS),
 )}
 
-_LOSS_KEYS = ("loss", "a", "lam", "tau", "delta", "delta1", "delta2")
-_TRAINER_KEYS = (*_LOSS_KEYS, "C", "kernel", "sigma", "beta0", "v0", "alpha0", "eta", "r",
-                 "batch_size", "max_iters")
 _DATA_KEYS = ("input", "format", "output", "seed", "normalize")
 _SWEEP_FLAGS = (*_DATA_KEYS, "folds", "a_grid", "lambda_grid", "C", "sigma", "batch_size", "max_iters")
 
@@ -146,7 +145,7 @@ _SUBCOMMANDS = {
                    (*_LOSS_KEYS, "u_min", "u_max", "u_step", "output"), (),
                    {"output": "loss_curve.csv"}),
     "calibration": ("emit the conditional-risk curve for one P",
-                    ("a", "lam", "p", "f_lo", "f_hi", "f_step", "output"), (),
+                    (*PARAMETERS[LossKind.EXPSAT], "p", "f_lo", "f_hi", "f_step", "output"), (),
                     {"output": "calibration_curve.csv"}),
     "sweep": ("loss-parameter sensitivity surface",
               _SWEEP_FLAGS, tuple(k for k in _TRAINER_KEYS if k not in _SWEEP_FLAGS),
@@ -264,6 +263,8 @@ def cmd_grid(p: dict) -> int:
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
+    if p["loss"] != _OPTIONS["loss"].default:
+        raise ParameterError(f"grid trains the losses that --models names, not loss {p['loss']!r}")
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
@@ -285,11 +286,12 @@ def cmd_corrupt(p: dict) -> int:
         # the corrupting run wrote the record beside its output, this run's input
         record_path = p["record"] or p["input"] + ".record.json"
         doc = parse_json(_read_text(record_path), f"corruption record {record_path}")
-        write_csv(invert_corruption(ds, CorruptionRecord.from_dict(doc)), p["output"])
+        check_layout(doc, layout(CorruptionRecord), "corruption record")
+        write_csv(invert_corruption(ds, from_doc(CorruptionRecord, doc)), p["output"])
         return 0
     corrupted, record = corrupt(ds, p["mode"], p["rate"], p["factor"], child_seed(p["seed"], "corruption"))
     write_csv(corrupted, p["output"])
-    _write_text(p["record"] or p["output"] + ".record.json", dump_json(record.to_dict()))
+    _write_text(p["record"] or p["output"] + ".record.json", dump_json(to_doc(record)))
     print(f"touched {len(record.touched_indices)} of {ds.n} samples")
     return 0
 
@@ -386,7 +388,7 @@ def cmd_loss_curve(p: dict) -> int:
 
 def cmd_calibration(p: dict) -> int:
     q = ConditionalRiskQuery(
-        loss=LossSpec.expsat(a=p["a"], lam=p["lam"]), P=p["p"],
+        loss=LossSpec(LossKind.EXPSAT, **{k: p[k] for k in PARAMETERS[LossKind.EXPSAT]}), P=p["p"],
         f_lo=p["f_lo"], f_hi=p["f_hi"], f_step=p["f_step"],
     )
     result: CalibrationResult = calibration_check(q)
@@ -403,7 +405,7 @@ def cmd_calibration(p: dict) -> int:
 def cmd_sweep(p: dict) -> int:
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    config = _config(p, "train/expsat", loss="expsat")
+    config = _config(p, "train/expsat")
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
     return 0

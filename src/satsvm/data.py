@@ -1,6 +1,6 @@
 """Dataset ingestion, scaling, fold plans, corruption procedures, and the
-JSON layout check and canonical JSON codec shared by every file the
-package writes or reads as JSON.
+JSON layout check, canonical JSON text and dataclass codec shared by
+every file the package writes or reads as JSON.
 
 Datasets are immutable after construction (arrays are marked read-only);
 every operation returns a new value. Corruption operations return an
@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -133,14 +134,46 @@ def parse_json(text: str, what: str, error=DataFormatError):
         raise error(f"{what} is not valid JSON: {exc}") from None
 
 
-_RECORD_DOC = {
-    "mode": str, "rate": float, "touched_indices": [int], "touched_features": [int],
-    "original_values": [float], "factor": float, "seed": int,
-}
+def layout(hint):
+    """The :func:`check_layout` schema of the JSON document of a dataclass,
+    from its field types: a nested dataclass is its own layout, an enum
+    ``str``, ``tuple[X, ...]`` the list ``[X]`` and ``X | None`` the
+    nullable ``(X,)``."""
+    if is_dataclass(hint):
+        return {name: layout(item) for name, item in get_type_hints(hint).items()}
+    if get_origin(hint) is tuple:
+        return [layout(get_args(hint)[0])]
+    if type(None) in get_args(hint):
+        return (layout(get_args(hint)[0]),)
+    return str if isinstance(hint, enum.EnumMeta) else hint
+
+
+def to_doc(value):
+    """The JSON document of a dataclass value: fields by name, enums as
+    their values, tuples as lists and nested dataclasses as objects."""
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_doc(v) for v in value]
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def from_doc(hint, doc):
+    """The value of type ``hint`` that a JSON document fitting
+    :func:`layout` holds, the inverse of :func:`to_doc`. An enum field is
+    given its value, which the dataclass converts; an invalid value raises
+    the dataclass's own error."""
+    if is_dataclass(hint):
+        return hint(**{name: from_doc(item, doc[name]) for name, item in get_type_hints(hint).items()})
+    return tuple(doc) if get_origin(hint) is tuple else doc
 
 
 @dataclass(frozen=True)
 class CorruptionRecord:
+    """The audit record of one corruption, as written beside its output.
+    ``mode`` may be given as its value; one that is no
+    :class:`CorruptionMode` is a malformed record (``DataFormatError``)."""
+
     mode: CorruptionMode
     rate: float
     touched_indices: tuple[int, ...]
@@ -149,33 +182,11 @@ class CorruptionRecord:
     factor: float = 10.0
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "rate": self.rate,
-            "touched_indices": list(self.touched_indices),
-            "touched_features": list(self.touched_features),
-            "original_values": list(self.original_values),
-            "factor": self.factor,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorruptionRecord":
-        """Rebuild a record from :meth:`to_dict` output; a malformed one
-        raises ``DataFormatError``."""
-        check_layout(d, _RECORD_DOC, "corruption record")
-        if d["mode"] not in {mode.value for mode in CorruptionMode}:
-            raise DataFormatError(f"corruption record has unknown mode {d['mode']!r}")
-        return cls(
-            mode=CorruptionMode(d["mode"]),
-            rate=d["rate"],
-            touched_indices=tuple(d["touched_indices"]),
-            touched_features=tuple(d["touched_features"]),
-            original_values=tuple(d["original_values"]),
-            factor=d["factor"],
-            seed=d["seed"],
-        )
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", CorruptionMode(self.mode))
+        except ValueError:
+            raise DataFormatError(f"corruption record has unknown mode {self.mode!r}") from None
 
 
 def _normalize_labels(raw: list[float]) -> np.ndarray:

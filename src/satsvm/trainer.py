@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 import numpy as np
 
-from .data import check_layout, dump_json, parse_json
+from .data import check_layout, dump_json, from_doc, layout, parse_json, to_doc
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, block_rows, gram_matrix, kernel_block
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
@@ -113,25 +113,53 @@ class TrainerConfig:
         return sizes[0] if sizes else None
 
 
-# Flat parameter key -> field, for the keys that set the loss and the kernel.
-_LOSS_KEYS = {"loss": "kind", **{f.name: f.name for f in fields(LossSpec) if f.name != "kind"}}
-_KERNEL_KEYS = {"kernel": "kind", "sigma": "sigma"}
+@dataclass(frozen=True)
+class FlatParameter:
+    """One flat parameter key: the ``TrainerConfig`` field it sets, the
+    field of that spec it sets when the config field is a spec (else
+    None), its default in ``TrainerConfig()``, its type, and for an enum
+    kind the values it may take."""
+
+    field: str
+    spec: str | None
+    default: object
+    type: type
+    choices: tuple[str, ...] | None
+
+
+def _flat_parameters():
+    config = TrainerConfig()
+    for name, schema in layout(TrainerConfig).items():
+        for spec, item in schema.items() if isinstance(schema, dict) else [(None, schema)]:
+            default = getattr(config, name) if spec is None else getattr(getattr(config, name), spec)
+            choices = tuple(member.value for member in type(default)) if isinstance(default, enum.Enum) else None
+            scalar = item[0] if isinstance(item, tuple) else item  # X for X | None
+            yield name if spec in (None, "kind") else spec, FlatParameter(
+                name, spec, default.value if choices else default, scalar, choices)
+
+
+# The flat parameter view, derived from the declarations of TrainerConfig,
+# LossSpec and KernelSpec, in their field order: a config field is keyed by
+# its name, except that a spec (the loss, the kernel) has one key per field,
+# its kind keyed by the config field's name and the others by their own.
+FLAT_PARAMETERS = dict(_flat_parameters())
+# The config fields that hold a spec, in field order.
+_SPECS = dict.fromkeys(p.field for p in FLAT_PARAMETERS.values() if p.spec is not None)
 
 
 def apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
-    """``config`` with the flat ``params`` set, the one map from parameter
-    keys to fields: ``loss`` and the loss parameters (``a``, ``lam``,
-    ``tau``, ``delta``, ``delta1``, ``delta2``) set the loss, ``kernel``
-    and ``sigma`` the kernel, and every other key (``C``, ``beta0``,
-    ``max_iters``, ...) the config field of its name. A value may be an
-    array where the field takes one value per column. The loss is built
-    and checked first, then the kernel, then the config, so of several
-    invalid values the first in that order is reported.
+    """``config`` with the flat ``params`` set, the one map from the keys
+    of :data:`FLAT_PARAMETERS` to fields: ``loss`` and the other
+    ``LossSpec`` field names set the loss, ``kernel`` and the other
+    ``KernelSpec`` field names the kernel, and every other key (``C``,
+    ``beta0``, ``max_iters``, ...) the config field of its name. A value
+    may be an array where the field takes one value per column. The loss
+    is built and checked first, then the kernel, then the config, so of
+    several invalid values the first in that order is reported.
     """
-    loss = replace(config.loss, **{f: params[k] for k, f in _LOSS_KEYS.items() if k in params})
-    kernel = replace(config.kernel, **{f: params[k] for k, f in _KERNEL_KEYS.items() if k in params})
-    rest = {k: v for k, v in params.items() if k not in _LOSS_KEYS and k not in _KERNEL_KEYS}
-    return replace(config, loss=loss, kernel=kernel, **rest)
+    specs = {name: replace(getattr(config, name), **{p.spec: params[key] for key, p in FLAT_PARAMETERS.items()
+                                                      if p.field == name and key in params}) for name in _SPECS}
+    return replace(config, **specs, **{k: v for k, v in params.items() if FLAT_PARAMETERS[k].spec is None})
 
 
 @dataclass(frozen=True)
@@ -462,20 +490,6 @@ def predict_batch(model: TrainedModel, X) -> np.ndarray:
     return sign_labels(decision_values(model, X))
 
 
-def _to_dict(spec) -> dict:
-    """Fields of a config or spec, nested specs included and enum kinds
-    as their string values."""
-    out = {}
-    for f in fields(spec):
-        v = getattr(spec, f.name)
-        out[f.name] = v.value if isinstance(v, enum.Enum) else _to_dict(v) if is_dataclass(v) else v
-    return out
-
-
-def config_from_dict(d: dict) -> TrainerConfig:
-    return TrainerConfig(**{**d, "loss": LossSpec(**d["loss"]), "kernel": KernelSpec(**d["kernel"])})
-
-
 def save_model(model: TrainedModel) -> str:
     """Canonical JSON text for a trained model.
 
@@ -484,28 +498,21 @@ def save_model(model: TrainedModel) -> str:
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kernel": _to_dict(model.kernel),
+        "kernel": to_doc(model.kernel),
         "beta": [float(b) for b in model.beta],
         "support_points": [[float(v) for v in row] for row in model.support_points],
-        "config": _to_dict(model.config_snapshot),
+        "config": to_doc(model.config_snapshot),
         "iterations_run": model.iterations_run,
         "final_objective": model.final_objective,
-        "scaler": None if model.scaler is None else [[a, b] for a, b in model.scaler],
+        "scaler": to_doc(model.scaler),
     }
     return dump_json(doc)
 
 
 # The layout of a model file, in the terms of :func:`data.check_layout`.
-_KERNEL_DOC = {"kind": str, "sigma": float}
-_MODEL_DOC = {
-    "format_version": int, "kernel": _KERNEL_DOC, "beta": [float], "support_points": [[float]],
-    "iterations_run": int, "final_objective": float, "scaler": ([[float]],),
-    "config": {
-        **dict.fromkeys(("C", "beta0", "v0", "alpha0", "eta", "r"), float),
-        "loss": {"kind": str, **dict.fromkeys(("a", "lam", "tau", "delta", "delta1", "delta2"), float)},
-        "kernel": _KERNEL_DOC, "batch_size": (int,), "max_iters": int, "seed": int,
-    },
-}
+_MODEL_DOC = {"format_version": int, "kernel": layout(KernelSpec), "beta": [float],
+              "support_points": [[float]], "iterations_run": int, "final_objective": float,
+              "scaler": ([[float]],), "config": layout(TrainerConfig)}
 
 
 def load_model(text: str) -> TrainedModel:
@@ -533,14 +540,17 @@ def load_model(text: str) -> TrainedModel:
     if not math.isfinite(doc["final_objective"]):
         raise DataFormatError(f"model final_objective must be finite, got {doc['final_objective']!r}")
     try:
-        return TrainedModel(
+        model = TrainedModel(
             beta=np.array(doc["beta"], dtype=float),
             support_points=support_points,
-            kernel=KernelSpec(**doc["kernel"]),
-            config_snapshot=config_from_dict(doc["config"]),
+            kernel=from_doc(KernelSpec, doc["kernel"]),
+            config_snapshot=from_doc(TrainerConfig, doc["config"]),
             iterations_run=doc["iterations_run"],
             final_objective=doc["final_objective"],
             scaler=None if scaler is None else tuple((float(a), float(b)) for a, b in scaler),
         )
     except ValueError as exc:
         raise DataFormatError(f"invalid model: {exc}") from None
+    if model.kernel != model.config_snapshot.kernel:
+        raise DataFormatError(f"model kernel {doc['kernel']} != config.kernel {doc['config']['kernel']}")
+    return model

@@ -466,6 +466,24 @@ class TestGrid:
         assert proc.stderr == ""
         assert out.exists()
 
+    @pytest.mark.parametrize("command,config,flags,message", [
+        ("grid", {}, ["--loss", "hinge", "--models", "expsat"], "--models"),
+        ("sweep", {"loss": "hinge"}, ["--a-grid", "1", "--lambda-grid", "1"], "saturating-loss"),
+    ])
+    def test_loss_other_than_its_default_is_usage_error(self, command, config, flags, message, tmp_path,
+                                                        data_csv, capsys):
+        # grid trains the --models kinds and sweep varies expsat's a and lam;
+        # neither may record one loss in its manifest and train another
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "max_iters": 20}))
+        out = tmp_path / "out.csv"
+        code, _, err = run([command, "--input", str(data_csv), "--config", str(cfg), "--output", str(out),
+                            *flags], capsys)
+        assert code == 2
+        assert message in err
+        _one_line_error(err)
+        assert not out.exists()
+
     def test_unknown_model_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["grid", "--input", str(data_csv), "--output", str(tmp_path / "g.csv"),
                             "--models", "expsat,svm"], capsys)
@@ -562,6 +580,7 @@ MANGLED_MODELS = {
     "nan-support-point": lambda text: text.replace("[\n    [\n      ", "[\n    [\n      NaN, ", 1),
     "infinite-beta": _edit(lambda d: d["beta"].__setitem__(0, float("inf"))),
     "bad-kernel-kind": _edit(lambda d: d["kernel"].update(kind="cubic")),
+    "kernel-disagrees-with-config": _edit(lambda d: d["kernel"].update(sigma=5.0)),
     "bad-sigma": _edit(lambda d: d["kernel"].update(sigma=-1.0)),
     "bad-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=-1.0)),
     "unsupported-version": _edit(lambda d: d.update(format_version=2)),

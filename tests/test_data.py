@@ -18,7 +18,7 @@ from satsvm import (
     two_cluster_dataset,
     write_csv,
 )
-from satsvm.data import dump_json, parse_json
+from satsvm.data import dump_json, from_doc, parse_json, to_doc
 
 
 class TestLoadCsv:
@@ -246,7 +246,7 @@ class TestCorruption:
         _, rec = inject_outliers(ds, 0.1, seed=2)
         from satsvm.data import CorruptionRecord
 
-        assert CorruptionRecord.from_dict(rec.to_dict()) == rec
+        assert from_doc(CorruptionRecord, parse_json(dump_json(to_doc(rec)), "record")) == rec
         assert rec.mode is CorruptionMode.OUTLIERS
 
 
