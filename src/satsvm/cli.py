@@ -216,6 +216,15 @@ def _config(p: dict, stream: str, **params) -> TrainerConfig:
     return apply_params(TrainerConfig(seed=seed), {**{k: p[k] for k in _TRAINER_KEYS}, **params})
 
 
+def _check_searched(command: str, p: dict, axes) -> None:
+    """Raise ``ParameterError`` where ``p`` sets a key that the grid named
+    beside it in ``axes`` (``(key, grid key)`` pairs) overwrites, so that
+    no manifest records a value its run ignored."""
+    for key, grid in axes:
+        if p[key] != _OPTIONS[key].default:
+            raise ParameterError(f"{command} takes {key} from --{grid.replace('_', '-')}, not {key}={p[key]!r}")
+
+
 def _load(p: dict) -> Dataset:
     return load_dataset(p["input"], DataFormat(p["format"]))
 
@@ -270,6 +279,7 @@ def cmd_grid(p: dict) -> int:
     if unknown:
         raise ParameterError(f"unknown model(s) {unknown}; choose from {list(_values(LossKind))}")
     configs = [_config(p, f"train/{kind}", loss=kind) for kind in kinds]
+    _check_searched("grid", p, GRID_AXES)
     rows = [
         (result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
          result.train_time_seconds, *(result.best_params.get(key) for key, _ in GRID_AXES))
@@ -406,6 +416,7 @@ def cmd_sweep(p: dict) -> int:
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     config = _config(p, "train/expsat")
+    _check_searched("sweep", p, [("a", "a_grid"), ("lam", "lambda_grid")])
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
     return 0

@@ -78,7 +78,6 @@ class Dataset:
 class FoldPlan:
     k: int
     assignments: np.ndarray
-    seed: int
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -280,7 +279,7 @@ def _parse_sparse(text: str, name: str) -> Dataset:
     return Dataset(X=X, y=_normalize_labels(labels), name=name)
 
 
-def load_dataset(path, fmt: DataFormat = DataFormat.CSV, name: str | None = None) -> Dataset:
+def load_dataset(path, fmt: DataFormat = DataFormat.CSV) -> Dataset:
     """Load a dataset from disk.
 
     CSV files use the last column as the label ({0,1} is remapped to
@@ -293,7 +292,7 @@ def load_dataset(path, fmt: DataFormat = DataFormat.CSV, name: str | None = None
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stem = name if name is not None else path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     if fmt is DataFormat.CSV:
         return _parse_csv(text, stem)
     return _parse_sparse(text, stem)
@@ -346,7 +345,7 @@ def make_folds(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
     perm = np.random.default_rng(seed).permutation(n)
     assignments = np.empty(n, dtype=int)
     assignments[perm] = np.arange(n) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def _corruption_count(rate: float, n: int) -> int:

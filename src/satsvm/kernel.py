@@ -1,23 +1,29 @@
 """Kernel evaluation and Gram-matrix construction.
 
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
-enters squared in the denominator. The squared distance is the explicit
-differences, squared and added feature by feature from left to right, so
-an entry's bits depend only on its two points, and its relative error
-stays near ``m u`` (``u = 2**-53``) even for near-duplicate points, where
-the expansion ``|x|**2 + |z|**2 - 2 x.z`` leaves an absolute error of
-order ``u |x|**2`` that the narrowest widths would blow up. Version 0.1.0
-summed the same squares in ``einsum``'s order; both sums lie within the
-recursive-summation bound ``m u D`` of the exact squared distance ``D``,
-so a Gaussian entry ``K`` differs from 0.1.0's by at most
-``2 (m + 1) u (D / sigma**2) K``, the scaling's rounding included, plus
-the last-place rounding of ``exp``.
+enters squared in the denominator. One loop over blocks of rows
+evaluates every kernel value the package uses: Gram matrices, the
+cross-validation test blocks and decision values (:func:`gram_matrix`,
+:func:`kernel_block`, :func:`kernel_product`). The squared distance is
+the explicit differences, squared and added feature by feature from left
+to right, so an entry's bits depend only on its two points, and its
+relative error stays near ``m u`` (``u = 2**-53``) even for
+near-duplicate points, where the expansion ``|x|**2 + |z|**2 - 2 x.z``
+leaves an absolute error of order ``u |x|**2`` that the narrowest widths
+would blow up. Version 0.1.0 summed the same squares in ``einsum``'s
+order; both sums lie within the recursive-summation bound ``m u D`` of
+the exact squared distance ``D``, so a Gaussian entry ``K`` differs from
+0.1.0's by at most ``2 (m + 1) u (D / sigma**2) K``, the scaling's
+rounding included, plus the last-place rounding of ``exp``.
 
 Gram matrices are materialized in full, as plain read-only n-by-n arrays,
 because the trainer repeatedly needs arbitrary rows; a Gaussian Gram is
-built in place a block of rows at a time and a linear Gram is one matrix
-product, so either is the only n-by-n array its build holds, and
-construction refuses above a documented size cap to keep memory bounded.
+the full square, built in place a block of rows at a time, and a linear
+Gram is one symmetric matrix product, so either is the only n-by-n array
+its build holds, and construction refuses above a documented size cap to
+keep memory bounded. Decision values never hold the query-by-support
+matrix: :func:`kernel_product` multiplies each block by the coefficients
+as it comes.
 """
 
 from __future__ import annotations
@@ -58,11 +64,11 @@ class KernelSpec:
 
 
 # Largest size of one block of squared distances together with the scratch
-# block that each feature's squared differences pass through. Gaussian
-# Grams and decision values use the same budget. On a 2-vCPU Xeon with
-# m = 10, decision values for 20000 queries against 3000 support points
-# (5 rows per block) were fastest at this budget among 64 KiB to 4 MiB:
-# 64 KiB ran 2.3x and 1 MiB 1.2x slower.
+# block that each feature's squared differences pass through, the budget of
+# every Gaussian block: Gram rows, test blocks and decision values. On a
+# 2-vCPU Xeon with m = 10, decision values for 20000 queries against 3000
+# support points (5 rows per block) were fastest at this budget among
+# 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x slower.
 BLOCK_BYTES = 1 << 18
 
 
@@ -72,59 +78,91 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_BYTES // (16 * max(n, 1)))
 
 
-def _squared_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``(x_0 - z_0)**2 + (x_1 - z_1)**2 + ...``, summed left to right over
-    the features, for every row z of ``Z`` (rows) and x of ``X`` (columns).
+def _blocks(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None):
+    """Yield ``(start, K)`` for each block of :func:`block_rows` rows of
+    ``Z``, ``K`` being the kernel values between those rows (block rows)
+    and the rows of ``X`` (columns): the package's one loop over row
+    blocks and its one kernel evaluation. Shapes are not checked here.
 
-    The support points are taken feature-major once (a Fortran-ordered
-    ``X`` without a copy), and each feature is one pass of three ufuncs
-    over a contiguous block of rows. An entry's bits therefore depend on
-    neither the block shape nor the order of its rows and columns:
-    ``D(X, Z)`` is ``D(Z, X).T`` bit for bit.
+    A linear block is a matrix product. A Gaussian block is
+    ``exp(D * (-1/sigma**2))`` over the squared distances ``D``, the
+    explicit differences squared and added feature by feature from the
+    left. ``X`` is taken feature-major once per call, and each feature is
+    one pass of three ufuncs over a contiguous block of rows, through one
+    reused scratch block. A block is computed in the rows of ``out`` when
+    it is given, else in one reused array, valid until the next block is
+    yielded. An entry's bits therefore depend on neither the block shape
+    nor the order of its rows and columns: ``K(X, Z)`` is ``K(Z, X).T``
+    bit for bit.
     """
     n, m = X.shape
-    if m == 0:
-        return np.zeros((Z.shape[0], n))
-    XT = np.ascontiguousarray(X.T)
-    out = np.empty((Z.shape[0], n))
     rows = block_rows(n)
-    scratch = np.empty((min(rows, Z.shape[0]), n))
-    for start in range(0, Z.shape[0], rows):
-        z = Z[start : start + rows]
-        D, t = out[start : start + rows], scratch[: len(z)]
-        np.subtract(XT[0], z[:, :1], out=D)
-        np.multiply(D, D, out=D)
-        for j in range(1, m):
-            np.subtract(XT[j], z[:, j : j + 1], out=t)
-            np.multiply(t, t, out=t)
-            np.add(D, t, out=D)
-    return out
-
-
-def _kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """K(x, z) for every row z of ``Z`` (block rows) and x of ``X`` (columns).
-
-    The package's one kernel evaluation. The Gaussian is
-    ``exp(D * (-1/sigma**2))`` over the feature-by-feature sums ``D`` of
-    :func:`_squared_distances`, so Gram matrices, cross-validation test
-    blocks and decision values use the same arithmetic. Shapes are not
-    checked here.
-    """
     if spec.kind is KernelKind.LINEAR:
-        return Z @ X.T
-    D = _squared_distances(X, Z)
-    np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
-    return np.exp(D, out=D)
+        for start in range(0, len(Z), rows):
+            yield start, Z[start : start + rows] @ X.T
+        return
+    XT = np.ascontiguousarray(X.T)
+    scratch = np.empty((min(rows, len(Z)), n))
+    own = np.empty_like(scratch) if out is None else None
+    for start in range(0, len(Z), rows):
+        z = Z[start : start + rows]
+        D = own[: len(z)] if out is None else out[start : start + rows]
+        t = scratch[: len(z)]
+        if m == 0:
+            D.fill(0.0)
+        for j in range(m):
+            # the first feature's squares start the sum in D
+            np.subtract(XT[j], z[:, j : j + 1], out=t)
+            np.multiply(t, t, out=t if j else D)
+            if j:
+                np.add(D, t, out=D)
+        np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
+        yield start, np.exp(D, out=D)
 
 
-def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
-    """The len(Z)-by-len(X) block of kernel values between the rows of
-    ``Z`` and the rows of ``X``."""
+def _points(X, Z) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ShapeError("point dimension must match sample matrix", X.shape, Z.shape)
-    return _kernel_block(spec, X, Z)
+    return X, Z
+
+
+def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
+    """The len(Z)-by-len(X) block of kernel values between the rows of
+    ``Z`` and the rows of ``X``.
+
+    A Gaussian block is filled in place by the blocks of :func:`_blocks`.
+    A linear block is one product ``Z @ X.T``, since a product split by
+    rows may round differently.
+    """
+    X, Z = _points(X, Z)
+    if spec.kind is KernelKind.LINEAR:
+        return Z @ X.T
+    K = np.empty((len(Z), len(X)))
+    for _ in _blocks(spec, X, Z, out=K):
+        pass
+    return K
+
+
+def kernel_product(spec: KernelSpec, X, Z, W) -> np.ndarray:
+    """``K(Z, X) @ W``, the kernel values between the rows of ``Z`` and the
+    rows of ``X`` times one weight (vector ``W``) or one weight row
+    (matrix ``W``) per row of ``X``.
+
+    The product is taken one block of :func:`_blocks` at a time, so the
+    len(Z)-by-len(X) matrix is never held whole: a Gaussian block and its
+    scratch take at most ``BLOCK_BYTES``. Each block's rows are the bits
+    of :func:`kernel_block` over the same rows of ``Z``, times ``W``.
+    """
+    X, Z = _points(X, Z)
+    W = np.asarray(W, dtype=float)
+    if W.ndim not in (1, 2) or W.shape[0] != len(X):
+        raise ShapeError("one weight or weight row per point", W.shape, X.shape)
+    out = np.empty((len(Z), *W.shape[1:]))
+    for start, K in _blocks(spec, X, Z):
+        out[start : start + len(K)] = K @ W
+    return out
 
 
 def check_capacity(n: int) -> None:
@@ -140,34 +178,22 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Build the n-by-n kernel matrix of the rows of ``X``.
 
     The matrix is symmetric bit-exactly, Gaussian diagonals are exactly
-    1, and it is read-only, so one Gram can be shared by many fits. A
-    Gaussian Gram is built as the upper triangle, one block of rows at a
-    time, each block mirrored below the diagonal. Either kind's Gram is
-    the only n-by-n array its build allocates.
+    1, and it is read-only, so one Gram can be shared by many fits. The
+    Gram is :func:`kernel_block` of ``X`` against itself. A Gaussian Gram
+    is the full square: an entry's bits depend only on its two points,
+    which give ``x - z`` and ``z - x`` the same square, and a point's
+    distance to itself is 0, whose kernel value is 1. A linear Gram is
+    the one product ``X @ X.T``, which numpy takes as symmetric. Either
+    kind's Gram is the only n-by-n array its build allocates.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ShapeError("sample matrix must be 2-d and non-empty", X.shape)
-    n = X.shape[0]
-    check_capacity(n)
-    if spec.kind is KernelKind.LINEAR:
-        # numpy computes a C- or F-contiguous matrix times its own
-        # transpose as one symmetric product, so the entries mirror bit
-        # for bit; other strides would take a general product
-        X = np.ascontiguousarray(X)
-        K = X @ X.T
-    else:
-        K = np.empty((n, n), dtype=float)
-        i = 0
-        while i < n:
-            # a block spans the n - i columns from the diagonal on, so it
-            # takes more rows as i grows, within the same byte budget
-            rows = block_rows(n - i)
-            # x - z and z - x square to the same bits, so the block's
-            # square on the diagonal is symmetric as computed
-            block = _kernel_block(spec, X[i:], X[i : i + rows])
-            K[i:, i : i + rows] = block.T
-            K[i : i + rows, i:] = block
-            i += rows
+    check_capacity(X.shape[0])
+    # numpy computes a C- or F-contiguous matrix times its own transpose as
+    # one symmetric product, so a linear Gram's entries mirror bit for bit;
+    # other strides would take a general product
+    X = np.ascontiguousarray(X)
+    K = kernel_block(spec, X, X)
     K.setflags(write=False)
     return K

@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import check_layout, dump_json, from_doc, layout, parse_json, to_doc
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import KernelKind, KernelSpec, block_rows, gram_matrix, kernel_block
+from .kernel import KernelSpec, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -460,25 +460,15 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
 def decision_values(model: TrainedModel, X) -> np.ndarray:
     """sum_j beta_j K(x_j, x) over the support points, for every row x of ``X``.
 
-    Query rows go through the kernel in blocks of
-    :func:`~satsvm.kernel.block_rows` rows, so a block of kernel values and
-    its scratch take at most ``BLOCK_BYTES`` and the query-by-support
-    matrix is never held whole. For the Gaussian kernel the support points
-    are copied feature-major once per call, which every block then uses
-    as it is; the linear kernel's matrix product takes them as stored,
-    since a product's rounding may depend on its operands' layout.
+    This is :func:`~satsvm.kernel.kernel_product`, the kernel values
+    times ``beta`` one block of query rows at a time through the package's
+    one kernel loop, so the query-by-support matrix is never held whole.
     """
     X = np.asarray(X, dtype=float)
     S = model.support_points
     if X.ndim != 2 or X.shape[1] != S.shape[1]:
         raise ShapeError("query dimension must match support points", X.shape, S.shape)
-    if model.kernel.kind is KernelKind.GAUSSIAN:
-        S = np.asfortranarray(S)
-    rows = block_rows(S.shape[0])
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], rows):
-        out[start : start + rows] = kernel_block(model.kernel, S, X[start : start + rows]) @ model.beta
-    return out
+    return kernel_product(model.kernel, S, X, model.beta)
 
 
 def sign_labels(values) -> np.ndarray:

@@ -484,6 +484,26 @@ class TestGrid:
         _one_line_error(err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,searched", [
+        ("grid", {"C": ("c_grid", 500), "sigma": ("sigma_grid", 7), "a": ("a_grid", 3),
+                  "lam": ("lambda_grid", 0.25), "tau": ("tau_grid", 0.9)}),
+        ("sweep", {"a": ("a_grid", 9), "lam": ("lambda_grid", 0.1)}),
+    ])
+    def test_searched_key_other_than_its_default_is_usage_error(self, command, searched, tmp_path, data_csv,
+                                                                capsys):
+        # the command's grid overwrites the key, so a manifest recording the
+        # value would name one that the run never used
+        out = tmp_path / "out.csv"
+        for key, (grid_key, value) in searched.items():
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value, "max_iters": 20}))
+            code, _, err = run([command, "--input", str(data_csv), "--config", str(cfg), "--output", str(out),
+                                "--a-grid", "1", "--lambda-grid", "1"], capsys)
+            assert code == 2, key
+            assert f"{command} takes {key} from --{grid_key.replace('_', '-')}, not {key}={value!r}" in err
+            _one_line_error(err)
+            assert not out.exists()
+
     def test_unknown_model_is_usage_error(self, tmp_path, data_csv, capsys):
         code, _, err = run(["grid", "--input", str(data_csv), "--output", str(tmp_path / "g.csv"),
                             "--models", "expsat,svm"], capsys)
@@ -636,7 +656,7 @@ class TestConfigFiles:
     def test_config_values_of_the_declared_types_run(self, tmp_path, data_csv, capsys):
         # an int passes where a float is expected; null where the default is null
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"C": 30, "sigma": 1, "batch_size": None, "max_iters": 20,
+        cfg.write_text(json.dumps({"alpha0": 1, "sigma": 1, "batch_size": None, "max_iters": 20,
                                    "c_grid": [1, 2.5], "sigma_grid": "0.5,1", "a_grid": [1],
                                    "lambda_grid": "1"}))
         argv = ["grid", "--config", str(cfg), "--input", str(data_csv), "--output", str(tmp_path / "g.csv")]

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import satsvm.kernel as kernel
 from satsvm import (
     CapacityError,
     KernelSpec,
@@ -11,6 +14,7 @@ from satsvm import (
     gram_matrix,
     kernel_block,
 )
+from satsvm.kernel import kernel_product
 
 
 def _k(spec, x, z) -> float:
@@ -184,8 +188,6 @@ class TestGramMatchesReference:
         assert (gram_matrix(spec, X) == kernel_block(spec, X, X)).all()
 
     def test_kernel_block_rows_split_by_the_byte_budget(self, monkeypatch):
-        import satsvm.kernel as kernel
-
         rng = np.random.default_rng(6)
         X, Z = rng.uniform(-1.0, 1.0, (50, 3)), rng.uniform(-1.0, 1.0, (23, 3))
         spec = KernelSpec.gaussian(0.7)
@@ -194,8 +196,6 @@ class TestGramMatchesReference:
         assert kernel_block(spec, X, Z).tobytes() == whole.tobytes()
 
     def test_gram_bytes_do_not_depend_on_the_byte_budget(self, monkeypatch):
-        import satsvm.kernel as kernel
-
         n = 60
         X = np.random.default_rng(7).uniform(-1.0, 1.0, (n, 5))
         spec = KernelSpec.gaussian(0.5)
@@ -215,3 +215,57 @@ class TestGramMatchesReference:
         spec = KernelSpec.gaussian(0.3)
         assert (kernel_block(spec, np.zeros((4, 0)), np.zeros((3, 0))) == np.ones((3, 4))).all()
         assert (gram_matrix(spec, np.zeros((5, 0))) == np.ones((5, 5))).all()
+
+
+class TestKernelProduct:
+    def test_shapes_are_checked(self):
+        spec = KernelSpec.gaussian(1.0)
+        with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 3\)"):
+            kernel_product(spec, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros(1))
+        with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 2\)"):
+            kernel_product(spec, np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(3))
+
+
+_POINTS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def _points(draw):
+    """n support points, q query rows (some repeating support points, so
+    that distances of 0 occur) and m features, a kernel, and weights as a
+    vector or as a matrix of 0 to 3 columns."""
+    n, q, m = draw(st.integers(1, 60)), draw(st.integers(0, 60)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-1.0, 1.0, (n, m))
+    Z = np.where(rng.random((q, 1)) < 0.3, X[rng.integers(0, n, q)], rng.uniform(-1.5, 1.5, (q, m)))
+    spec = draw(st.sampled_from([KernelSpec.linear(), KernelSpec.gaussian(draw(st.floats(1e-2, 1e2)))]))
+    columns = draw(st.sampled_from([None, 0, 1, 3]))
+    W = rng.standard_normal(n if columns is None else (n, columns))
+    return spec, X, Z, W
+
+
+@pytest.mark.parametrize("budget", [16, kernel.BLOCK_BYTES], ids=["one-row-blocks", "default-budget"])
+@_POINTS
+@given(case=_points())
+def test_kernel_product_is_the_product_of_its_blocks(budget, case):
+    spec, X, Z, W = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "BLOCK_BYTES", budget)
+        rows = kernel.block_rows(len(X))
+        assert budget > 16 or rows == 1
+        want = np.concatenate([np.empty((0, *W.shape[1:])),
+                               *(kernel_block(spec, X, Z[i : i + rows]) @ W for i in range(0, len(Z), rows))])
+        assert kernel_product(spec, X, Z, W).tobytes() == want.tobytes()
+
+
+@_POINTS
+@given(case=_points(), sigma=st.floats(1e-2, 1e2))
+def test_gaussian_gram_is_symmetric_with_unit_diagonal_in_one_row_blocks(case, sigma):
+    X = case[1]
+    spec = KernelSpec.gaussian(sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "BLOCK_BYTES", 16)
+        K = gram_matrix(spec, X)
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+    assert (np.diag(K) == 1.0).all()
+    assert K.tobytes() == _feature_order_gram(spec, X).tobytes()

@@ -638,24 +638,24 @@ class TestDecisionValues:
         assert (predict_batch(model, X)[clear] == np.where(naive[clear] >= 0, 1.0, -1.0)).all()
 
     def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
-        import satsvm.trainer as trainer
-        from satsvm.kernel import BLOCK_BYTES
+        import satsvm.kernel as kernel
 
         blocks = []
-        real = trainer.kernel_block
+        real = kernel._blocks
 
-        def spy(spec, S, Z):
-            blocks.append(Z.shape[0])
-            return real(spec, S, Z)
+        def spy(spec, S, Z, out=None):
+            for start, K in real(spec, S, Z, out):
+                blocks.append(len(K))
+                yield start, K
 
-        monkeypatch.setattr(trainer, "kernel_block", spy)
+        monkeypatch.setattr(kernel, "_blocks", spy)
         rng = np.random.default_rng(0)
         n, m = 500, 10
         model = self._model(rng, n, m)
         X = rng.uniform(-1, 1, (1000, m))
         decision_values(model, X)
         # a block of kernel values and its scratch, 8 bytes per entry each
-        rows = BLOCK_BYTES // (16 * n)
+        rows = kernel.BLOCK_BYTES // (16 * n)
         assert sum(blocks) == 1000 and max(blocks) == rows < 1000
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.linear()], ids=["gauss", "linear"])
