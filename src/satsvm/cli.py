@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
-from .kernel import KernelKind, gram_matrix
+from .kernel import gram_matrix
 from .loss import PARAMETERS, LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models

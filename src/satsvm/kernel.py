@@ -2,9 +2,10 @@
 
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
 enters squared in the denominator. One loop over blocks of rows
-evaluates every kernel value the package uses: Gram matrices, the
-cross-validation test blocks and decision values (:func:`gram_matrix`,
-:func:`kernel_block`, :func:`kernel_product`). The squared distance is
+evaluates every kernel value the package uses: Gram matrices, and
+decision values, for ``predict`` and the cross-validation test parts
+alike (:func:`gram_matrix` through :func:`kernel_block`, and
+:func:`kernel_product`). The squared distance is
 the explicit differences, squared and added feature by feature from left
 to right, so an entry's bits depend only on its two points, and its
 relative error stays near ``m u`` (``u = 2**-53``) even for
@@ -23,7 +24,8 @@ Gram is one symmetric matrix product, so either is the only n-by-n array
 its build holds, and construction refuses above a documented size cap to
 keep memory bounded. Decision values never hold the query-by-support
 matrix: :func:`kernel_product` multiplies each block by the coefficients
-as it comes.
+as it comes, so a cross-validation fold holds its Gram and no test
+block.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class KernelSpec:
 
 # Largest size of one block of squared distances together with the scratch
 # block that each feature's squared differences pass through, the budget of
-# every Gaussian block: Gram rows, test blocks and decision values. On a
+# every Gaussian block: Gram rows and decision values. On a
 # 2-vCPU Xeon with m = 10, decision values for 20000 queries against 3000
 # support points (5 rows per block) were fastest at this budget among
 # 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x slower.

@@ -58,12 +58,13 @@ class LossSpec:
     """A loss family plus its parameters.
 
     Only the parameters relevant to ``kind`` (:data:`PARAMETERS`) are
-    validated and used: ``a``/``lam`` for expsat, ``tau`` for the pinball
-    family, ``delta`` for the truncated hinge, ``tau``/``delta1``/``delta2``
-    for the truncated pinball. A parameter may also be a length-B array, one value per
-    column: the loss functions then broadcast it over the last axis of
-    their argument, and each column's values are bit-identical to those
-    of the scalar spec holding that column's parameters.
+    validated and used: ``a``/``lam`` (finite and > 0) for expsat,
+    ``tau`` for the pinball family, ``delta`` for the truncated hinge,
+    ``tau``/``delta1``/``delta2`` for the truncated pinball. A parameter
+    may also be a length-B array, one value per column: the loss
+    functions then broadcast it over the last axis of their argument, and
+    each column's values are bit-identical to those of the scalar spec
+    holding that column's parameters.
     """
 
     kind: LossKind
@@ -82,6 +83,8 @@ class LossSpec:
                 raise ParameterError(f"expsat requires shape parameter a > 0, got a={self.a}")
             if not np.all(np.greater(self.lam, 0)):
                 raise ParameterError(f"expsat requires bound parameter lam > 0, got lam={self.lam}")
+            if not np.all(np.isfinite(self.a) & np.isfinite(self.lam)):
+                raise ParameterError(f"expsat requires finite a and lam, got a={self.a}, lam={self.lam}")
         if k in (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL):
             if not np.all(np.greater_equal(self.tau, 0.0) & np.less_equal(self.tau, 1.0)):
                 raise ParameterError(f"pinball slope tau must lie in [0, 1], got tau={self.tau}")

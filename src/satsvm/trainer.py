@@ -164,27 +164,55 @@ def apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
 
 @dataclass(frozen=True)
 class TrainedModel:
+    """A trained model: ``beta`` over the support points, the configuration
+    it was trained with (batch size resolved), its final objective and,
+    when the features were scaled, the scaler to apply to queries.
+
+    The model checks itself, whether it comes from :func:`fit`, from
+    :func:`load_model` or from ``replace``: the support points are a
+    non-empty n-by-m matrix, there is one coefficient per support point,
+    the scaler is None or one (min, max) pair per feature, and beta, the
+    support points, the scaler and the final objective are finite. Beta
+    and the support points are held as read-only copies and the scaler as
+    a tuple of float pairs. The kernel and the iteration count are the
+    configuration's.
+    """
+
     beta: np.ndarray
     support_points: np.ndarray
-    kernel: KernelSpec
     config_snapshot: TrainerConfig
-    iterations_run: int
     final_objective: float
     scaler: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        pts = np.asarray(self.support_points, dtype=float)
-        if beta.shape != (pts.shape[0],):
+        beta = np.array(self.beta, dtype=float)
+        pts = np.array(self.support_points, dtype=float)
+        if pts.ndim != 2 or len(pts) == 0:
+            raise ShapeError("support points must be a non-empty n-by-m matrix", pts.shape)
+        if beta.shape != (len(pts),):
             raise ShapeError("one coefficient per support point", beta.shape, pts.shape)
-        if not np.isfinite(beta).all():
-            raise ParameterError("model coefficients contain NaN or Inf")
-        beta = beta.copy()
-        pts = pts.copy()
+        scaler = self.scaler
+        if scaler is not None:
+            scaler = tuple(tuple(float(v) for v in pair) for pair in scaler)
+            if len(scaler) != pts.shape[1] or any(len(pair) != 2 for pair in scaler):
+                raise ShapeError(f"the scaler must hold {pts.shape[1]} (min, max) pairs, one per feature")
+        finite = all(np.isfinite(v).all() for v in (beta, pts, *(scaler or ())))
+        if not (finite and math.isfinite(self.final_objective)):
+            raise ParameterError("model coefficients, support points, scaler or final objective contain NaN or Inf")
         beta.setflags(write=False)
         pts.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "support_points", pts)
+        object.__setattr__(self, "scaler", scaler)
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return self.config_snapshot.kernel
+
+    @property
+    def iterations_run(self) -> int:
+        """``max_iters``: an early return gives the bits of the full loop."""
+        return self.config_snapshot.max_iters
 
 
 def _check_labels(y: np.ndarray) -> np.ndarray:
@@ -436,9 +464,7 @@ def fit(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> TrainedM
     return TrainedModel(
         beta=beta[:, 0],
         support_points=X,
-        kernel=config.kernel,
         config_snapshot=replace(config, batch_size=s),
-        iterations_run=config.max_iters,
         final_objective=final,
     )
 
@@ -484,7 +510,8 @@ def save_model(model: TrainedModel) -> str:
     """Canonical JSON text for a trained model.
 
     Floats are emitted at full round-trip precision, so equal models
-    serialize to identical bytes.
+    serialize to identical bytes. The ``kernel`` and ``iterations_run``
+    keys repeat the configuration's kernel and ``max_iters``.
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -508,39 +535,24 @@ _MODEL_DOC = {"format_version": int, "kernel": layout(KernelSpec), "beta": [floa
 def load_model(text: str) -> TrainedModel:
     """Parse a model file written by :func:`save_model`.
 
-    Every field is checked; a malformed file raises ``DataFormatError``.
+    The file must fit the model layout and format version, and the model
+    it holds must pass :class:`TrainedModel`'s own checks, with its
+    ``kernel`` and ``iterations_run`` keys equal to the configuration's;
+    a malformed file raises ``DataFormatError``.
     """
     doc = parse_json(text, "model file")
     check_layout(doc, _MODEL_DOC, "model")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise DataFormatError(f"unsupported model format version {doc['format_version']}")
-    points = doc["support_points"]
-    widths = {len(row) for row in points}
-    if len(widths) != 1:
-        raise DataFormatError("model support points must be a non-empty list of equal-length rows")
-    (m,) = widths
-    if len(doc["beta"]) != len(points):
-        raise DataFormatError(f"model has {len(doc['beta'])} beta values for {len(points)} support points")
-    scaler = doc["scaler"]
-    if scaler is not None and (len(scaler) != m or any(len(pair) != 2 for pair in scaler)):
-        raise DataFormatError(f"model scaler must hold {m} (min, max) pairs, one per feature")
-    support_points = np.array(points, dtype=float)
-    if not (np.isfinite(support_points).all() and np.isfinite(np.array(scaler or [], dtype=float)).all()):
-        raise DataFormatError("model support points or scaler contain NaN or Inf")
-    if not math.isfinite(doc["final_objective"]):
-        raise DataFormatError(f"model final_objective must be finite, got {doc['final_objective']!r}")
     try:
-        model = TrainedModel(
-            beta=np.array(doc["beta"], dtype=float),
-            support_points=support_points,
-            kernel=from_doc(KernelSpec, doc["kernel"]),
-            config_snapshot=from_doc(TrainerConfig, doc["config"]),
-            iterations_run=doc["iterations_run"],
-            final_objective=doc["final_objective"],
-            scaler=None if scaler is None else tuple((float(a), float(b)) for a, b in scaler),
-        )
-    except ValueError as exc:
+        model = TrainedModel(beta=doc["beta"], support_points=doc["support_points"],
+                             config_snapshot=from_doc(TrainerConfig, doc["config"]),
+                             final_objective=doc["final_objective"], scaler=doc["scaler"])
+    except (ValueError, OverflowError) as exc:  # an integer past the float range overflows
         raise DataFormatError(f"invalid model: {exc}") from None
-    if model.kernel != model.config_snapshot.kernel:
+    if doc["kernel"] != to_doc(model.kernel):
         raise DataFormatError(f"model kernel {doc['kernel']} != config.kernel {doc['config']['kernel']}")
+    if doc["iterations_run"] != model.iterations_run:
+        raise DataFormatError(f"model iterations_run {doc['iterations_run']} != config.max_iters "
+                              f"{model.iterations_run}")
     return model

@@ -446,6 +446,19 @@ class TestGrid:
         _one_line_error(err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["a", "lam"])
+    @pytest.mark.parametrize("command,flags", [("train", ["--input", "{data}"]), ("loss-curve", ["--u-step", "0.5"]),
+                                               ("calibration", [])], ids=["train", "loss-curve", "calibration"])
+    def test_non_finite_expsat_parameter_is_usage_error(self, command, flags, key, tmp_path, data_csv, capsys):
+        # the rule the grid and sweep axes follow, for every command that takes a or lam
+        argv = [command, *(flag.format(data=data_csv) for flag in flags), f"--{key}", "inf",
+                "--output", str(tmp_path / "out")]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert f"{key}=inf" in err
+        _one_line_error(err)
+        assert list(tmp_path.iterdir()) == [data_csv]  # no output and no manifest
+
     def test_unsearched_axis_is_checked(self, tmp_path, data_csv, capsys):
         out = tmp_path / "grid.csv"
         code, _, err = run(["grid", "--input", str(data_csv), "--output", str(out),
@@ -605,6 +618,9 @@ MANGLED_MODELS = {
     "bad-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=-1.0)),
     "unsupported-version": _edit(lambda d: d.update(format_version=2)),
     "nan-final-objective": _edit(lambda d: d.update(final_objective=float("nan"))),
+    "iterations-disagree-with-config": _edit(lambda d: d.update(iterations_run=d["config"]["max_iters"] + 1)),
+    "infinite-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=float("inf"))),
+    "integer-past-the-float-range": _edit(lambda d: d.update(final_objective=10**400)),
 }
 
 

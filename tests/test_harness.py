@@ -22,6 +22,7 @@ from satsvm import (
     accuracy,
     apply_scaler,
     cross_validate,
+    decision_values,
     fit,
     grid_search,
     grid_search_models,
@@ -467,6 +468,24 @@ class TestBatchedEvaluation:
         assert [c.columns for c in chunks] == [5, 5, 5, 3] * 2 * 5
         assert all(a.tobytes() == b.tobytes() for a, b in zip(split, whole))
 
+    @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(0.7), KernelSpec.linear()], ids=["gaussian", "linear"])
+    def test_one_column_scores_are_the_bits_of_decision_values(self, kernel, monkeypatch):
+        from satsvm.kernel import block_rows
+
+        ds = two_cluster_dataset(n=400, m=10, seed=3)
+        folds = harness._plan_folds(ds, make_folds(ds.n, 5, seed=3))
+        # each test part spans two kernel blocks
+        assert all(block_rows(len(train.X)) < len(test.X) for train, test in folds)
+        real = harness.kernel_product
+        scored = []
+        monkeypatch.setattr(harness, "kernel_product", lambda *a: scored.append(real(*a)) or scored[-1])
+        config = TrainerConfig(C=10.0, kernel=kernel, seed=3)
+        harness._evaluate(folds, [config])
+        assert len(scored) == len(folds)
+        for f, (train, test) in enumerate(folds):
+            model = fit(harness._fold_config(config, f), train.X, train.y)
+            assert scored[f][:, 0].tobytes() == decision_values(model, test.X).tobytes()
+
     def test_linear_kernel_trains_each_sigma_once(self, monkeypatch):
         ds = _overlapping(3)
         plan = make_folds(ds.n, 5, seed=3)
@@ -535,7 +554,7 @@ class TestBatchedEvaluation:
 
     def test_empty_sweep_axis_raises_before_any_gram(self, monkeypatch):
         monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
-        monkeypatch.setattr(harness, "kernel_block", lambda *a: pytest.fail("a kernel block was built"))
+        monkeypatch.setattr(harness, "kernel_product", lambda *a: pytest.fail("a fold was scored"))
         ds = _overlapping(0)
         plan = make_folds(ds.n, 5, seed=0)
         with pytest.raises(ParameterError, match="a grid is empty"):
@@ -609,6 +628,6 @@ class TestFoldMemory:
             harness._evaluate(folds, configs)
         finally:
             tracemalloc.stop()
-        # the fold's Gram and its 80-by-320 test block, not a second n-by-n matrix
+        # the fold's Gram alone: no test block and no second n-by-n matrix
         assert len(traced) == 5 * 2
-        assert max(traced) < 1.5 * gram_bytes
+        assert max(traced) < 1.1 * gram_bytes

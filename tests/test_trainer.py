@@ -569,9 +569,7 @@ class TestPredict:
         return TrainedModel(
             beta=np.zeros(len(X)),
             support_points=X,
-            kernel=KernelSpec.gaussian(1.0),
-            config_snapshot=TrainerConfig(),
-            iterations_run=0,
+            config_snapshot=TrainerConfig(kernel=KernelSpec.gaussian(1.0)),
             final_objective=0.0,
         )
 
@@ -584,9 +582,7 @@ class TestPredict:
         model = TrainedModel(
             beta=np.array([2.5]),
             support_points=np.array([[1.0, 1.0]]),
-            kernel=KernelSpec.gaussian(1.0),
-            config_snapshot=TrainerConfig(),
-            iterations_run=0,
+            config_snapshot=TrainerConfig(kernel=KernelSpec.gaussian(1.0)),
             final_objective=0.0,
         )
         assert _value(model, np.array([1.0, 1.0])) == 2.5
@@ -597,8 +593,8 @@ class TestPredict:
         pts = rng.standard_normal((3, 2))
         beta = rng.standard_normal(3)
         spec = KernelSpec.gaussian(0.8)
-        model = TrainedModel(beta=beta, support_points=pts, kernel=spec,
-                             config_snapshot=TrainerConfig(), iterations_run=0, final_objective=0.0)
+        model = TrainedModel(beta=beta, support_points=pts, config_snapshot=TrainerConfig(kernel=spec),
+                             final_objective=0.0)
         x = rng.standard_normal(2)
         naive = sum(
             beta[j] * math.exp(-float((pts[j] - x) @ (pts[j] - x)) / spec.sigma**2)
@@ -628,8 +624,7 @@ class TestDecisionValues:
     def test_matches_double_sum(self, spec, n, m):
         rng = np.random.default_rng(n * m)
         model = TrainedModel(beta=rng.standard_normal(n), support_points=rng.uniform(-1, 1, (n, m)),
-                             kernel=spec, config_snapshot=TrainerConfig(), iterations_run=0,
-                             final_objective=0.0)
+                             config_snapshot=TrainerConfig(kernel=spec), final_objective=0.0)
         X = rng.uniform(-1.2, 1.2, (157, m))
         got = decision_values(model, X)
         naive, scale = _naive_decisions(model, X)
@@ -664,7 +659,7 @@ class TestDecisionValues:
         from satsvm.kernel import block_rows, kernel_block
 
         rng = np.random.default_rng(queries)
-        model = replace(self._model(rng, 500, 10), kernel=spec)
+        model = replace(self._model(rng, 500, 10), config_snapshot=TrainerConfig(kernel=spec))
         X = rng.uniform(-1, 1, (queries, 10))
         rows = block_rows(500)
         want = np.concatenate([kernel_block(spec, model.support_points, X[i : i + rows]) @ model.beta
@@ -678,8 +673,7 @@ class TestDecisionValues:
     @staticmethod
     def _model(rng, n, m):
         return TrainedModel(beta=rng.standard_normal(n), support_points=rng.uniform(-1, 1, (n, m)),
-                            kernel=KernelSpec.gaussian(0.3), config_snapshot=TrainerConfig(),
-                            iterations_run=0, final_objective=0.0)
+                            config_snapshot=TrainerConfig(kernel=KernelSpec.gaussian(0.3)), final_objective=0.0)
 
 
 class TestSerialization:
@@ -699,3 +693,47 @@ class TestSerialization:
         ds = two_cluster_dataset(n=40, seed=6)
         model = fit(TrainerConfig(seed=1), ds.X, ds.y)
         assert save_model(model) == save_model(load_model(save_model(model)))
+
+
+class TestTrainedModelChecksItself:
+    @staticmethod
+    def _valid():
+        rng = np.random.default_rng(0)
+        return dict(beta=rng.standard_normal(4), support_points=rng.uniform(-1, 1, (4, 3)),
+                    config_snapshot=TrainerConfig(), final_objective=0.5,
+                    scaler=((0.0, 1.0), (-1.0, 2.0), (3.0, 4.0)))
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("support_points", np.array([[0.1, np.nan, 0.2]] + [[0.0] * 3] * 3), ParameterError),
+        ("scaler", ((0.0, 1.0), (-1.0, 2.0)), ShapeError),
+        ("final_objective", math.inf, ParameterError),
+        ("final_objective", math.nan, ParameterError),
+        ("support_points", np.zeros((0, 3)), ShapeError),
+    ], ids=["nan-support-point", "scaler-one-pair-short", "infinite-objective", "nan-objective",
+            "no-support-points"])
+    def test_invalid_model_raises_when_built_and_when_replaced(self, field, value, error):
+        fields = self._valid()
+        model = TrainedModel(**fields)
+        if field == "support_points" and len(value) == 0:
+            fields["beta"] = np.zeros(0)
+        with pytest.raises(error):
+            TrainedModel(**{**fields, field: value})
+        with pytest.raises(error):
+            replace(model, **{field: value})
+
+    def test_beta_and_support_points_are_read_only_copies(self):
+        fields = self._valid()
+        model = TrainedModel(**fields)
+        assert model.beta is not fields["beta"] and not model.beta.flags.writeable
+        assert model.support_points is not fields["support_points"] and not model.support_points.flags.writeable
+        assert model.scaler == fields["scaler"]
+
+    def test_kernel_and_iterations_follow_the_config(self):
+        config = TrainerConfig(kernel=KernelSpec.linear(), max_iters=17)
+        model = replace(TrainedModel(**self._valid()), config_snapshot=config)
+        assert model.kernel is config.kernel and model.iterations_run == 17
+        ds = two_cluster_dataset(n=40, seed=6)
+        fitted = fit(TrainerConfig(kernel=KernelSpec.gaussian(0.7), max_iters=30, seed=1), ds.X, ds.y)
+        assert fitted.kernel == KernelSpec.gaussian(0.7) and fitted.iterations_run == 30
+        with pytest.raises(TypeError, match="kernel"):  # not a field: it cannot disagree with the config
+            replace(fitted, kernel=KernelSpec.linear())
