@@ -41,8 +41,6 @@ from .harness import (
     RobustnessRow,
     RunResult,
     accuracy,
-    cross_validate,
-    grid_search,
     grid_search_models,
     model_label,
     robustness_suite,
@@ -66,7 +64,6 @@ from .theory import (
     ConditionalRiskQuery,
     calibration_check,
     conditional_risk,
-    conditional_risk_branches,
     generalization_bound,
 )
 from .trainer import (
@@ -76,12 +73,10 @@ from .trainer import (
     decision_values,
     fit,
     fit_columns,
-    full_gradient,
     learning_rate_at,
     learning_rate_sequence,
     load_model,
     objective,
-    predict_batch,
     save_model,
     sign_labels,
 )

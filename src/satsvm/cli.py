@@ -39,6 +39,7 @@ from .data import (
     parse_json,
     to_doc,
     write_csv,
+    write_rows,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
@@ -159,24 +160,6 @@ DEFAULTS = {
 }
 
 
-def _fmt(v) -> str:
-    """Full round-trip text for one CSV cell."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -263,8 +246,8 @@ def cmd_predict(p: dict) -> int:
     if model.scaler is not None:
         ds = apply_scaler(ds, model.scaler)
     values = decision_values(model, ds.X)
-    _write_rows(p["output"], ["prediction", "decision_value"],
-                [(float(a), float(b)) for a, b in zip(sign_labels(values), values)])
+    write_rows(p["output"], np.column_stack([sign_labels(values), values]).tolist(),
+               ["prediction", "decision_value"])
     return 0
 
 
@@ -285,8 +268,8 @@ def cmd_grid(p: dict) -> int:
          result.train_time_seconds, *(result.best_params.get(key) for key, _ in GRID_AXES))
         for result in grid_search_models(ds, configs, grid, plan)
     ]
-    _write_rows(p["output"], ["dataset", "model", "mean_acc", "std_acc", "time_s",
-                              *(key for key, _ in GRID_AXES)], rows)
+    write_rows(p["output"], rows, ["dataset", "model", "mean_acc", "std_acc", "time_s",
+                                   *(key for key, _ in GRID_AXES)])
     return 0
 
 
@@ -380,8 +363,8 @@ def cmd_stats(p: dict) -> int:
             report.chi2, report.F_F, report.dof[0], report.dof[1],
             report.critical_F, report.reject, report.CD,
         ))
-    _write_rows(p["output"], ["model", "mean_rank", "rank_diff", "significant",
-                              "chi2", "F_F", "dof1", "dof2", "critical_F", "reject", "CD"], rows)
+    write_rows(p["output"], rows, ["model", "mean_rank", "rank_diff", "significant",
+                                   "chi2", "F_F", "dof1", "dof2", "critical_F", "reject", "CD"])
     print(f"chi2={report.chi2!r} F_F={report.F_F!r} CD={report.CD!r} reject={report.reject}")
     return 0
 
@@ -391,8 +374,7 @@ def cmd_loss_curve(p: dict) -> int:
     u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)
-    _write_rows(p["output"], ["u", "value", "derivative"],
-                [(float(a), float(b), float(c)) for a, b, c in zip(u, values, derivs)])
+    write_rows(p["output"], np.column_stack([u, values, derivs]).tolist(), ["u", "value", "derivative"])
     return 0
 
 
@@ -404,7 +386,7 @@ def cmd_calibration(p: dict) -> int:
     result: CalibrationResult = calibration_check(q)
     f = q.grid()
     risk = conditional_risk(q, f)
-    _write_rows(p["output"], ["f", "risk"], [(float(a), float(b)) for a, b in zip(f, risk)])
+    write_rows(p["output"], np.column_stack([f, risk]).tolist(), ["f", "risk"])
     if result.degenerate:
         print(f"f_star={result.f_star!r} degenerate=true")
     else:
@@ -418,7 +400,7 @@ def cmd_sweep(p: dict) -> int:
     config = _config(p, "train/expsat")
     _check_searched("sweep", p, [("a", "a_grid"), ("lam", "lambda_grid")])
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
-    _write_rows(p["output"], ["a", "lam", "mean_accuracy"], rows)
+    write_rows(p["output"], rows, ["a", "lam", "mean_accuracy"])
     return 0
 
 

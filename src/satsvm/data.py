@@ -120,8 +120,42 @@ def check_layout(value, schema, where: str, error=DataFormatError) -> None:
 def dump_json(doc) -> str:
     """The canonical JSON text of ``doc``: sorted keys, an indent of two
     and a final newline, so equal documents give identical bytes. Model
-    files, corruption records and manifests are written in it."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    files, corruption records and manifests are written in it.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    byte for byte. ``json`` lays out an indented document in its
+    pure-Python encoder, one call per element, so a model's coefficients
+    and support points are laid out here instead: a list of finite floats,
+    or of non-empty such lists, is its ``float.__repr__`` texts joined by
+    the separators ``json`` puts between them.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` lays it
+    out when every line after its first starts with ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        items = (json.dumps(key) + ": " + _json(value[key], inner) for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value:
+        try:
+            if all(type(row) is list and row for row in value):
+                row_inner = inner + "  "
+                text = ("," + inner).join("[" + row_inner + ("," + row_inner).join(map(float.__repr__, row))
+                                          + inner + "]" for row in value)
+            else:
+                text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an element that is no float
+            pass
+        else:
+            # a finite float's text has no "n"; json spells nan and inf otherwise
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+    # json's text nested one level deeper is its text with every line break
+    # followed by the deeper indent; strings hold no raw line break
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def parse_json(text: str, what: str, error=DataFormatError):
@@ -298,15 +332,33 @@ def load_dataset(path, fmt: DataFormat = DataFormat.CSV) -> Dataset:
     return _parse_sparse(text, stem)
 
 
+def _cell(value) -> str:
+    """The CSV text of one cell: empty for None, ``true`` or ``false`` for
+    a bool, and ``str`` otherwise, which for a float is its full
+    round-trip ``repr``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def write_rows(path, rows, header=None) -> None:
+    """Write ``rows`` of cells as comma-separated lines, after the
+    ``header`` line when one is given; all lines are formatted first and
+    written at once."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset as feature columns plus a trailing label column.
 
     Floats are emitted with ``repr`` so a reload round-trips bit-exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(ds.n):
-            cells = [repr(float(v)) for v in ds.X[i]] + [repr(float(ds.y[i]))]
-            fh.write(",".join(cells) + "\n")
+    write_rows(path, np.column_stack([ds.X, ds.y]).tolist())
 
 
 def normalize(ds: Dataset) -> Dataset:

@@ -1,9 +1,9 @@
 """Experiment orchestration: grid search with 5-fold CV, sensitivity
 sweeps, and corruption-robustness tables.
 
-Cross-validation, grid search, sweeps and robustness tables share one
-evaluation loop, :func:`_evaluate`. It goes fold by fold and builds each
-distinct kernel's Gram matrix over the training part once for every
+Grid search, sweeps and robustness tables share one evaluation loop,
+:func:`_evaluate`. It goes fold by fold and builds each distinct
+kernel's Gram matrix over the training part once for every
 configuration that uses it: one Gram per (fold, sigma), not per
 candidate. A fold holds one Gram at a time and no other kernel matrix:
 the test part is scored through :func:`kernel.kernel_product`, the
@@ -32,7 +32,9 @@ block of test rows at a time adds at most 3.6e-15 * sum_j |K(x_j, x)|
 |beta_j| against one product over the whole test part (measured over
 144 shapes, training parts of 48 to 2000 and B from 1 to 1638).
 
-Protocol notes. Accuracy is percent correct over a fold. Fold accuracies
+Protocol notes. The dataset is used as given: the protocol normalizes
+the whole dataset before it is split into folds, and no scaler is fitted
+per fold. Accuracy is percent correct over a fold. Fold accuracies
 are summarized by their mean and population standard deviation (divide
 by k; the convention is documented here because reports elsewhere rarely
 state theirs). Grid search is exhaustive over :data:`GRID_AXES`; ties on
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import trainer
-from .data import CorruptionMode, Dataset, FoldPlan, apply_scaler, corrupt, normalize
+from .data import CorruptionMode, Dataset, FoldPlan, corrupt
 from .errors import ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
@@ -193,47 +195,11 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     return per_fold
 
 
-def _check_plain(configs: list[TrainerConfig]) -> None:
-    """Reject configurations with per-column parameters where one model
-    per configuration is meant."""
-    if any(config.columns is not None for config in configs):
-        raise ParameterError("expected configurations with one C and one value per loss parameter")
-
-
-def _plan_folds(ds: Dataset, plan: FoldPlan, train_only_scaling: bool = False) -> list:
-    """The (train, test) datasets of every fold of ``plan``; with
-    ``train_only_scaling`` each training part is normalized and its
-    scaler applied to the test part."""
+def _plan_folds(ds: Dataset, plan: FoldPlan) -> list:
+    """The (train, test) datasets of every fold of ``plan``."""
     if plan.assignments.shape != (ds.n,):
         raise ShapeError("fold plan does not match the dataset", plan.assignments.shape, ds.n)
-    if train_only_scaling and ds.normalized:
-        raise ParameterError("train_only_scaling expects an unnormalized dataset")
-    folds = []
-    for f in range(plan.k):
-        train = ds.subset(plan.train_indices(f))
-        test = ds.subset(plan.fold_indices(f))
-        if train_only_scaling:
-            train = normalize(train)
-            test = apply_scaler(test, train.scaler)
-        folds.append((train, test))
-    return folds
-
-
-def cross_validate(
-    ds: Dataset,
-    config: TrainerConfig,
-    plan: FoldPlan,
-    train_only_scaling: bool = False,
-) -> CvResult:
-    """k-fold accuracy of one configuration.
-
-    By default the dataset is used as given (normalize the full dataset
-    beforehand to follow the reference protocol). With
-    ``train_only_scaling`` the scaler is fitted on each fold's training
-    part only and applied to its test part, a leakage-safe variant.
-    """
-    _check_plain([config])
-    return _summarize(_evaluate(_plan_folds(ds, plan, train_only_scaling), [config])[0][0])
+    return [(ds.subset(plan.train_indices(f)), ds.subset(plan.fold_indices(f))) for f in range(plan.k)]
 
 
 def _check_axes(config: TrainerConfig, axes) -> None:
@@ -278,16 +244,17 @@ def grid_search_models(
     configs: list[TrainerConfig],
     grid: GridSpec,
     plan: FoldPlan,
-    train_only_scaling: bool = False,
 ) -> list[RunResult]:
-    """:func:`grid_search` of every configuration, all candidates in one
-    evaluation, so the folds' Grams are built once for all of them; one
-    result per configuration, each with its own timed refit."""
+    """Exhaustive grid search of every configuration, all candidates in
+    one evaluation, so the folds' Grams are built once for all of them.
+    Best mean CV accuracy wins, with the deterministic tie-break; one
+    result per configuration, each with a timed refit of its winner on
+    the full dataset."""
     grid = grid.validated()
     searches = [_grid_columns(config, grid) for config in configs]
     check_capacity(ds.n)  # the refit's Gram, the largest of the run
     batches = [batch for _, per_sigma in searches for batch in per_sigma]
-    accs = iter(_evaluate(_plan_folds(ds, plan, train_only_scaling), batches))
+    accs = iter(_evaluate(_plan_folds(ds, plan), batches))
     results = []
     for config, (axes, per_sigma) in zip(configs, searches):
         # per-sigma blocks of (C, other axes) columns, reordered to the
@@ -316,18 +283,6 @@ def grid_search_models(
             per_fold_accuracies=cv.per_fold,
         ))
     return results
-
-
-def grid_search(
-    ds: Dataset,
-    config: TrainerConfig,
-    grid: GridSpec,
-    plan: FoldPlan,
-    train_only_scaling: bool = False,
-) -> RunResult:
-    """Exhaustive grid search; best mean CV accuracy wins, deterministic
-    tie-break, then a timed refit of the winner on the full dataset."""
-    return grid_search_models(ds, [config], grid, plan, train_only_scaling)[0]
 
 
 def sensitivity_sweep(
@@ -363,7 +318,8 @@ def robustness_suite(
     test folds untouched. The same corrupted folds are shared by every
     model so the comparison is paired; ``plan`` gives the folds. Returns
     the rows plus per-model average accuracy over the rates."""
-    _check_plain([config for _, config in models])
+    if any(config.columns is not None for _, config in models):
+        raise ParameterError("expected configurations with one C and one value per loss parameter")
     mode = CorruptionMode(mode)
     clean = _plan_folds(ds, plan)
     rows: list[RobustnessRow] = []

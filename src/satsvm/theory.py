@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .loss import LossKind, LossSpec, loss_value
+from .loss import LossSpec, loss_value
 
 
 # Most points a step grid may hold; 10**7 float64 values take 80 MB per array.
@@ -79,25 +79,6 @@ def conditional_risk(q: ConditionalRiskQuery, f):
     scalar = np.ndim(f) == 0
     f = np.atleast_1d(np.asarray(f, dtype=float))
     out = loss_value(q.loss, 1.0 - f) * q.P + loss_value(q.loss, 1.0 + f) * (1.0 - q.P)
-    return float(out[0]) if scalar else out
-
-
-def conditional_risk_branches(q: ConditionalRiskQuery, f):
-    """Same risk via its three-branch regional form (saturating loss only).
-
-    With g1 = L(1-f) and g2 = L(1+f) the risk is g1*P for f <= -1,
-    (g1 - g2)*P + g2 on (-1, 1), and g2*(1-P) for f >= 1, because one of
-    the two losses vanishes outside the unit interval. Kept alongside
-    the generic form so tests can cross-check the two.
-    """
-    if q.loss.kind is not LossKind.EXPSAT:
-        raise ParameterError("the branch decomposition is specific to the saturating loss")
-    scalar = np.ndim(f) == 0
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    g1 = loss_value(q.loss, 1.0 - f)
-    g2 = loss_value(q.loss, 1.0 + f)
-    mid = (g1 - g2) * q.P + g2
-    out = np.where(f <= -1.0, g1 * q.P, np.where(f >= 1.0, g2 * (1.0 - q.P), mid))
     return float(out[0]) if scalar else out
 
 

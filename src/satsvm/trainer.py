@@ -1,4 +1,4 @@
-"""Kernel SVM trainer: objective, gradient, mini-batch NAG loop, predictor.
+"""Kernel SVM trainer: objective, mini-batch NAG loop, predictor.
 
 The model is the representer-form expansion ``f(x) = sum_j beta_j
 K(x_j, x)`` over all training points, with no intercept. Training
@@ -61,6 +61,7 @@ class TrainerConfig:
     Defaults are the reference constants: ``beta0 = v0 = 0.01``,
     ``alpha0 = eta = 0.1``, momentum ``r = 0.6``, 1000 iterations, and a
     batch size resolved at fit time to 4 when n < 100 and 32 otherwise.
+    ``C``, ``alpha0``, ``eta``, ``beta0`` and ``v0`` must be finite.
 
     ``C`` and the loss parameters may also be length-B arrays, one value
     per column: :func:`fit_columns` then trains the B models that share
@@ -92,6 +93,9 @@ class TrainerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("C", "alpha0", "eta", "beta0", "v0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} must be finite, got {name}={getattr(self, name)}")
         shapes = [np.shape(v) for _, v in self.column_parameters()]
         if any(len(shape) > 1 for shape in shapes) or len({shape for shape in shapes if shape}) > 1:
             raise ShapeError("C and the loss parameters must be numbers or equal-length vectors", *shapes)
@@ -241,23 +245,6 @@ def objective(config: TrainerConfig, K: np.ndarray, y, beta) -> float | np.ndarr
     xi = 1.0 - y[:, None] * kb
     quad = np.einsum("ij,ij->j", beta, kb)
     return 0.5 * quad + (config.C / n) * np.sum(loss_value(config.loss, xi), axis=0)
-
-
-def full_gradient(config: TrainerConfig, K: np.ndarray, y, beta) -> np.ndarray:
-    """Exact gradient of :func:`objective` at ``beta``.
-
-    ``K beta - (C/n) * sum_k L'(xi_k) y_k K_k``; samples on or past the
-    margin (xi_k <= 0) contribute nothing for losses that vanish there.
-    """
-    y = _check_labels(y)
-    beta = np.asarray(beta, dtype=float)
-    n = len(K)
-    if beta.shape != (n,) or y.shape != (n,):
-        raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, n)
-    kb = K @ beta
-    xi = 1.0 - y * kb
-    w = loss_derivative(config.loss, xi) * y
-    return kb - (config.C / n) * (K @ w)
 
 
 def learning_rate_sequence(alpha0: float, eta: float, n_iters: int):
@@ -502,10 +489,6 @@ def sign_labels(values) -> np.ndarray:
     return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
 
 
-def predict_batch(model: TrainedModel, X) -> np.ndarray:
-    return sign_labels(decision_values(model, X))
-
-
 def save_model(model: TrainedModel) -> str:
     """Canonical JSON text for a trained model.
 
@@ -516,8 +499,8 @@ def save_model(model: TrainedModel) -> str:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kernel": to_doc(model.kernel),
-        "beta": [float(b) for b in model.beta],
-        "support_points": [[float(v) for v in row] for row in model.support_points],
+        "beta": model.beta.tolist(),
+        "support_points": model.support_points.tolist(),
         "config": to_doc(model.config_snapshot),
         "iterations_run": model.iterations_run,
         "final_objective": model.final_objective,

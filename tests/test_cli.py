@@ -92,7 +92,14 @@ class TestTrain:
         (["--a", "-1", "--sigma", "-1", "--C", "-1"], "expsat requires shape parameter a > 0, got a=-1.0"),
         (["--sigma", "-1", "--C", "-1", "--momentum", "2"], "gaussian kernel width sigma must be > 0, got sigma=-1.0"),
         (["--C", "-1", "--momentum", "2"], "trade-off C must be > 0, got -1.0"),
-    ], ids=["loss-first", "kernel-next", "config-last"])
+        (["--C", "inf"], "C must be finite, got C=inf"),
+        (["--alpha0", "inf"], "alpha0 must be finite, got alpha0=inf"),
+        (["--eta", "inf"], "eta must be finite, got eta=inf"),
+        (["--beta0", "inf"], "beta0 must be finite, got beta0=inf"),
+        (["--v0", "nan"], "v0 must be finite, got v0=nan"),
+        (["--beta0", "inf", "--momentum", "2"], "momentum r must lie in [0, 1), got 2.0"),
+    ], ids=["loss-first", "kernel-next", "config-last", "infinite-C", "infinite-alpha0", "infinite-eta",
+            "infinite-beta0", "nan-v0", "ranges-before-finiteness"])
     def test_invalid_values_checked_loss_then_kernel_then_config(self, flags, message, tmp_path, data_csv,
                                                                  capsys):
         out = tmp_path / "m.json"

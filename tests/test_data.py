@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satsvm import (
     CorruptionMode,
@@ -275,7 +280,25 @@ class TestDatasetInvariants:
             ds.normalized = True
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# JSON documents with every kind of leaf, the float lists (and lists of
+# them) that dump_json lays out itself, and non-finite floats among them
+_DOCS = st.recursive(
+    st.one_of(st.text(max_size=5), st.integers(), st.booleans(), st.none(), st.floats(),
+              st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.lists(_FINITE, max_size=5),
+              st.lists(st.lists(_FINITE, min_size=1, max_size=3), max_size=3),
+              st.lists(st.lists(st.floats(), min_size=1, max_size=3), max_size=3)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=10,
+)
+
+
 class TestJsonCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCS)
+    def test_text_is_that_of_json(self, doc):
+        assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
     def test_canonical_text(self):
         doc = {"b": [1, 2.5], "a": None}
         assert dump_json(doc) == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'

@@ -20,20 +20,17 @@ from satsvm import (
     ShapeError,
     TrainerConfig,
     accuracy,
-    apply_scaler,
-    cross_validate,
     decision_values,
     fit,
-    grid_search,
     grid_search_models,
     inject_label_noise,
     inject_outliers,
     make_folds,
     model_label,
     normalize,
-    predict_batch,
     robustness_suite,
     sensitivity_sweep,
+    sign_labels,
     two_cluster_dataset,
 )
 from satsvm.loss import LossKind
@@ -64,36 +61,35 @@ class TestAccuracy:
             accuracy(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
+def _cross_validate(ds, config, plan):
+    """The k-fold accuracies of one configuration: its row of a robustness
+    table at corruption rate 0."""
+    (row,), _ = robustness_suite(ds, [("m", config)], rates=(0.0,), plan=plan)
+    return row
+
+
 class TestCrossValidate:
     def test_separable_reaches_high_accuracy(self, separable):
         ds, plan = separable
-        cv = cross_validate(ds, expsat_config(), plan)
-        assert cv.mean >= 95.0
+        cv = _cross_validate(ds, expsat_config(), plan)
+        assert cv.mean_accuracy >= 95.0
 
     def test_identical_folds_zero_std(self, separable):
         ds, plan = separable
-        cv = cross_validate(ds, expsat_config(), plan)
-        assert cv.per_fold == (100.0,) * 5
-        assert cv.mean == 100.0 and cv.std == 0.0
+        cv = _cross_validate(ds, expsat_config(), plan)
+        assert cv.per_fold_accuracies == (100.0,) * 5
+        assert cv.mean_accuracy == 100.0 and cv.std_accuracy == 0.0
 
     def test_mean_matches_per_fold_recomputation(self, separable):
         ds, plan = separable
-        cv = cross_validate(ds, expsat_config(C=0.5), plan)
-        assert cv.mean == pytest.approx(np.mean(cv.per_fold), abs=1e-9)
-        assert cv.std == pytest.approx(np.std(cv.per_fold), abs=1e-9)
+        cv = _cross_validate(ds, expsat_config(C=0.5), plan)
+        assert cv.mean_accuracy == pytest.approx(np.mean(cv.per_fold_accuracies), abs=1e-9)
+        assert cv.std_accuracy == pytest.approx(np.std(cv.per_fold_accuracies), abs=1e-9)
 
     def test_plan_must_match_dataset(self, separable):
         ds, _ = separable
         with pytest.raises(ShapeError):
-            cross_validate(ds, expsat_config(), make_folds(50, 5, seed=1))
-
-    def test_train_only_scaling_variant(self):
-        raw = two_cluster_dataset(n=200, m=2, separation=5.0, spread=0.5, seed=5)
-        plan = make_folds(200, 5, seed=5)
-        cv = cross_validate(raw, expsat_config(), plan, train_only_scaling=True)
-        assert cv.mean >= 95.0
-        with pytest.raises(ParameterError):
-            cross_validate(separable_dataset(), expsat_config(), plan, train_only_scaling=True)
+            _cross_validate(ds, expsat_config(), make_folds(50, 5, seed=1))
 
 
 class TestGridSpec:
@@ -122,22 +118,22 @@ class TestGridSearch:
         monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
         ds, plan = separable
         with pytest.raises(ParameterError, match="the C grid is empty"):
-            grid_search(ds, expsat_config(), self._small_grid(c_grid=()), plan)
+            grid_search_models(ds, [expsat_config()], self._small_grid(c_grid=()), plan)
         # a = 0 is dropped, which leaves the a grid empty
         with pytest.raises(ParameterError, match="the a grid is empty"):
-            grid_search(ds, expsat_config(), self._small_grid(a_grid=(0.0,)), plan)
+            grid_search_models(ds, [expsat_config()], self._small_grid(a_grid=(0.0,)), plan)
         # axes a loss does not search are checked as well
         with pytest.raises(ParameterError, match="the a grid is empty"):
-            grid_search(ds, hinge_config(), self._small_grid(a_grid=(0.0,)), plan)
+            grid_search_models(ds, [hinge_config()], self._small_grid(a_grid=(0.0,)), plan)
         with pytest.raises(ParameterError, match="the tau grid contains the non-finite value inf"):
-            grid_search(ds, expsat_config(), self._small_grid(tau_grid=(np.inf,)), plan)
+            grid_search_models(ds, [expsat_config()], self._small_grid(tau_grid=(np.inf,)), plan)
         # dropping a <= 0 keeps non-finite values for the check to reject
         with pytest.raises(ParameterError, match="the a grid contains the non-finite value -inf"):
-            grid_search(ds, expsat_config(), self._small_grid(a_grid=(1.0, -np.inf)), plan)
+            grid_search_models(ds, [expsat_config()], self._small_grid(a_grid=(1.0, -np.inf)), plan)
 
     def test_single_point_grid(self, separable):
         ds, plan = separable
-        res = grid_search(ds, expsat_config(), self._small_grid(), plan)
+        res = grid_search_models(ds, [expsat_config()], self._small_grid(), plan)[0]
         assert res.best_params == {"C": 30.0, "sigma": 0.3, "a": 0.5, "lam": 1.0}
         assert res.mean_accuracy == 100.0
         assert res.model == "expsat"
@@ -145,7 +141,7 @@ class TestGridSearch:
 
     def test_tie_breaks_toward_smaller_params(self, separable):
         ds, plan = separable
-        res = grid_search(ds, expsat_config(), self._small_grid(c_grid=(50.0, 30.0)), plan)
+        res = grid_search_models(ds, [expsat_config()], self._small_grid(c_grid=(50.0, 30.0)), plan)[0]
         # both C values reach 100.0; the smaller C wins the tie
         assert res.best_params["C"] == 30.0
 
@@ -153,27 +149,27 @@ class TestGridSearch:
         ds, plan = separable
         g1 = self._small_grid(c_grid=(30.0, 50.0), sigma_grid=(0.3, 0.2))
         g2 = self._small_grid(c_grid=(50.0, 30.0), sigma_grid=(0.2, 0.3))
-        r1 = grid_search(ds, expsat_config(), g1, plan)
-        r2 = grid_search(ds, expsat_config(), g2, plan)
+        r1 = grid_search_models(ds, [expsat_config()], g1, plan)[0]
+        r2 = grid_search_models(ds, [expsat_config()], g2, plan)[0]
         assert r1.best_params == r2.best_params
         assert r1.per_fold_accuracies == r2.per_fold_accuracies
 
     def test_coarse_grid_finds_separable_regime(self, separable):
         ds, plan = separable
         grid = self._small_grid(c_grid=(0.01, 30.0, 1000.0), sigma_grid=(0.003, 0.3, 300.0))
-        res = grid_search(ds, expsat_config(), grid, plan)
+        res = grid_search_models(ds, [expsat_config()], grid, plan)[0]
         assert res.mean_accuracy >= 95.0
         assert res.best_params["sigma"] == 0.3
 
     def test_baseline_label_and_grid_axes(self, separable):
         ds, plan = separable
-        res = grid_search(ds, hinge_config(), self._small_grid(c_grid=(30.0,)), plan)
+        res = grid_search_models(ds, [hinge_config()], self._small_grid(c_grid=(30.0,)), plan)[0]
         assert res.model == "hinge (NAG)"
         assert set(res.best_params) == {"C", "sigma"}
 
     def test_mean_equals_stored_folds(self, separable):
         ds, plan = separable
-        res = grid_search(ds, expsat_config(), self._small_grid(), plan)
+        res = grid_search_models(ds, [expsat_config()], self._small_grid(), plan)[0]
         assert res.mean_accuracy == pytest.approx(np.mean(res.per_fold_accuracies), abs=1e-9)
 
 
@@ -187,7 +183,7 @@ class TestSensitivitySweep:
     def test_cell_matches_grid_search_best(self, separable):
         ds, plan = separable
         grid = GridSpec(c_grid=(30.0,), sigma_grid=(0.3,), a_grid=(0.5,), lambda_grid=(1.0,))
-        res = grid_search(ds, expsat_config(), grid, plan)
+        res = grid_search_models(ds, [expsat_config()], grid, plan)[0]
         rows = sensitivity_sweep(ds, expsat_config(), [0.5], [1.0], plan)
         assert rows[0][2] == res.mean_accuracy
 
@@ -209,8 +205,7 @@ class TestRobustnessSuite:
         cfg = expsat_config()
         rows, _ = robustness_suite(ds, [("expsat", cfg)], rates=(0.0,),
                                    mode=CorruptionMode.OUTLIERS, plan=plan, seed=5)
-        cv = cross_validate(ds, cfg, plan)
-        assert rows[0].per_fold_accuracies == cv.per_fold
+        assert rows[0].per_fold_accuracies == _ref_cross_validate(ds, cfg, plan)[2]
 
     def test_table_shape_and_averages(self, separable):
         ds, plan = separable
@@ -242,11 +237,10 @@ class TestRobustnessSuite:
 
     def test_outlier_run_stays_close_to_clean(self, separable):
         ds, plan = separable
-        cfg = expsat_config()
-        clean = cross_validate(ds, cfg, plan)
-        rows, _ = robustness_suite(ds, [("expsat", cfg)], rates=(0.1,),
+        rows, _ = robustness_suite(ds, [("expsat", expsat_config())], rates=(0.0, 0.1),
                                    mode=CorruptionMode.OUTLIERS, plan=plan, seed=5)
-        assert rows[0].mean_accuracy >= clean.mean - 2.0
+        clean, outliers = rows
+        assert outliers.mean_accuracy >= clean.mean_accuracy - 2.0
 
     def test_median_robustness_over_ten_seeds(self):
         # saturating loss under 10% training outliers: no worse than the
@@ -257,11 +251,11 @@ class TestRobustnessSuite:
             ds = separable_dataset(seed=seed)
             plan = make_folds(ds.n, 5, seed=seed)
             cfg_e, cfg_h = expsat_config(seed=seed), hinge_config(seed=seed)
-            clean.append(cross_validate(ds, cfg_e, plan).mean)
-            rows, _ = robustness_suite(ds, [("e", cfg_e), ("h", cfg_h)], rates=(0.1,),
+            rows, _ = robustness_suite(ds, [("e", cfg_e), ("h", cfg_h)], rates=(0.0, 0.1),
                                        mode=CorruptionMode.OUTLIERS, plan=plan, seed=seed)
-            sat.append([r.mean_accuracy for r in rows if r.model == "e"][0])
-            hinge.append([r.mean_accuracy for r in rows if r.model == "h"][0])
+            clean.append([r.mean_accuracy for r in rows if r.model == "e" and r.rate == 0.0][0])
+            sat.append([r.mean_accuracy for r in rows if r.model == "e" and r.rate == 0.1][0])
+            hinge.append([r.mean_accuracy for r in rows if r.model == "h" and r.rate == 0.1][0])
         assert np.median(sat) >= np.median(hinge) - 2.0
         assert abs(np.median(sat) - np.median(clean)) <= 1.0
 
@@ -279,7 +273,7 @@ class TestModelLabel:
 
 def _ref_fit_and_score(train, test, config):
     model = fit(config, train.X, train.y)
-    return accuracy(predict_batch(model, test.X), test.y)
+    return accuracy(sign_labels(decision_values(model, test.X)), test.y)
 
 
 def _ref_fold_config(config, fold):
@@ -291,14 +285,11 @@ def _ref_summary(per_fold):
     return float(accs.mean()), float(accs.std()), tuple(float(a) for a in accs)
 
 
-def _ref_cross_validate(ds, config, plan, train_only_scaling=False):
+def _ref_cross_validate(ds, config, plan):
     per_fold = []
     for f in range(plan.k):
         train = ds.subset(plan.train_indices(f))
         test = ds.subset(plan.fold_indices(f))
-        if train_only_scaling:
-            train = normalize(train)
-            test = apply_scaler(test, train.scaler)
         per_fold.append(_ref_fit_and_score(train, test, _ref_fold_config(config, f)))
     return _ref_summary(per_fold)
 
@@ -323,10 +314,10 @@ def _ref_apply(config, params):
     return replace(config, C=params.get("C", config.C), loss=loss, kernel=kernel)
 
 
-def _ref_grid_search(ds, config, grid, plan, train_only_scaling=False):
+def _ref_grid_search(ds, config, grid, plan):
     best = None
     for params in _ref_candidates(config.loss.kind, grid.validated()):
-        cv = _ref_cross_validate(ds, _ref_apply(config, params), plan, train_only_scaling)
+        cv = _ref_cross_validate(ds, _ref_apply(config, params), plan)
         key = (-cv[0], tuple(params.get(k, 0.0) for k in ("C", "sigma", "a", "lam", "tau")))
         if best is None or key < best[0]:
             best = (key, params, cv)
@@ -370,21 +361,22 @@ class TestMatchesPerCandidateReference:
         ds = _overlapping(seed)
         plan = make_folds(ds.n, 5, seed=seed)
         config = TrainerConfig(loss=loss, seed=seed)
-        res = grid_search(ds, config, REF_GRID, plan)
+        res = grid_search_models(ds, [config], REF_GRID, plan)[0]
         assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == \
             _ref_grid_search(ds, config, REF_GRID, plan)
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_linear_kernel_and_train_only_scaling(self, seed):
+    def test_linear_kernel_on_unscaled_features(self, seed):
         raw = _overlapping(seed, normalized=False)
         plan = make_folds(raw.n, 5, seed=seed)
         for loss in REF_LOSSES[:2]:
             config = TrainerConfig(loss=loss, kernel=KernelSpec.linear(), max_iters=200, seed=seed)
-            res = grid_search(raw, config, REF_GRID, plan, train_only_scaling=True)
+            res = grid_search_models(raw, [config], REF_GRID, plan)[0]
             assert (res.best_params, (res.mean_accuracy, res.std_accuracy, res.per_fold_accuracies)) == \
-                _ref_grid_search(raw, config, REF_GRID, plan, train_only_scaling=True)
-            cv = cross_validate(raw, config, plan, train_only_scaling=True)
-            assert (cv.mean, cv.std, cv.per_fold) == _ref_cross_validate(raw, config, plan, True)
+                _ref_grid_search(raw, config, REF_GRID, plan)
+            cv = _cross_validate(raw, config, plan)
+            assert (cv.mean_accuracy, cv.std_accuracy, cv.per_fold_accuracies) == \
+                _ref_cross_validate(raw, config, plan)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_sensitivity_sweep(self, seed):
@@ -434,7 +426,7 @@ class TestGramReuse:
         ds = _overlapping(0)
         plan = make_folds(ds.n, 5, seed=0)
         # 2 C x 2 sigma x 2 a x 1 lam candidates: one Gram per (fold, sigma), one for the refit
-        grid_search(ds, TrainerConfig(), REF_GRID, plan)
+        grid_search_models(ds, [TrainerConfig()], REF_GRID, plan)
         assert len(built) == 5 * 2 + 1
         built.clear()
         sensitivity_sweep(ds, TrainerConfig(), [0.5, 1.0], [0.5, 1.0], plan)
@@ -495,7 +487,7 @@ class TestBatchedEvaluation:
         built, chunks = [], []
         _spy(monkeypatch, harness, "gram_matrix", built)
         _spy(monkeypatch, harness, "fit_columns", chunks)
-        res = grid_search(ds, config, grid, plan)
+        res = grid_search_models(ds, [config], grid, plan)[0]
         # one Gram per fold and one for the refit; one column per distinct (C, a, lam) per fold
         assert len(built) == 5 + 1
         assert [c.columns for c in chunks] == [2 * 2] * 5
@@ -521,13 +513,13 @@ class TestBatchedEvaluation:
         plan = make_folds(ds.n, 5, seed=5)
         config = TrainerConfig(seed=5)
         distinct = GridSpec(c_grid=(1.0, 30.0), sigma_grid=(0.5,), a_grid=(2.0, 0.5), lambda_grid=(1.0,))
-        want = grid_search(ds, config, distinct, plan)
+        want = grid_search_models(ds, [config], distinct, plan)[0]
         built, chunks = [], []
         _spy(monkeypatch, harness, "gram_matrix", built)
         _spy(monkeypatch, harness, "fit_columns", chunks)
         repeated = GridSpec(c_grid=(1.0, 1.0, 30.0), sigma_grid=(0.5, 0.5), a_grid=(2.0, 0.5, 2.0),
                             lambda_grid=(1.0, 1.0))
-        res = grid_search(ds, config, repeated, plan)
+        res = grid_search_models(ds, [config], repeated, plan)[0]
         # one Gram per fold and one for the refit; one column per distinct (C, a, lam) per fold
         assert len(built) == 5 + 1
         assert [c.columns for c in chunks] == [2 * 2] * 5
@@ -540,7 +532,7 @@ class TestBatchedEvaluation:
         plan = make_folds(ds.n, 5, seed=0)
         small = dict(c_grid=(1.0,), sigma_grid=(1.0,), a_grid=(1.0,), lambda_grid=(1.0,))
         with pytest.raises(ParameterError, match="lam > 0"):
-            grid_search(ds, TrainerConfig(), GridSpec(**{**small, "lambda_grid": (1.0, -0.5)}), plan)
+            grid_search_models(ds, [TrainerConfig()], GridSpec(**{**small, "lambda_grid": (1.0, -0.5)}), plan)
         # an invalid value of a later model stops the earlier models as well
         with pytest.raises(ParameterError, match="tau"):
             grid_search_models(ds, [TrainerConfig(), TrainerConfig(loss=LossSpec.pinball(0.5))],
@@ -566,8 +558,6 @@ class TestBatchedEvaluation:
         ds, plan = separable
         batched = replace(expsat_config(), C=np.array([1.0, 30.0]))
         with pytest.raises(ParameterError, match="one C"):
-            cross_validate(ds, batched, plan)
-        with pytest.raises(ParameterError, match="one C"):
             robustness_suite(ds, [("e", batched)], rates=(0.1,), plan=plan)
 
     def test_models_share_each_fold_gram(self, monkeypatch):
@@ -575,7 +565,7 @@ class TestBatchedEvaluation:
         plan = make_folds(ds.n, 5, seed=2)
         configs = [TrainerConfig(seed=2), TrainerConfig(loss=LossSpec.hinge(), seed=3),
                    TrainerConfig(loss=LossSpec.pinball(0.5), kernel=KernelSpec.gaussian(0.7), seed=4)]
-        alone = [grid_search(ds, config, REF_GRID, plan) for config in configs]
+        alone = [grid_search_models(ds, [config], REF_GRID, plan)[0] for config in configs]
         built = []
         _spy(monkeypatch, harness, "gram_matrix", built)
         together = grid_search_models(ds, configs, REF_GRID, plan)
@@ -601,13 +591,13 @@ class TestFoldMemory:
         ds = two_cluster_dataset(n=120, m=2, seed=0)
         monkeypatch.setattr(kernel, "GRAM_CAPACITY", 100)
         with pytest.raises(CapacityError, match="n=120"):
-            grid_search(ds, TrainerConfig(), small, make_folds(ds.n, 5, seed=0))
+            grid_search_models(ds, [TrainerConfig()], small, make_folds(ds.n, 5, seed=0))
         assert calls == []
         # training parts of 97, 97, 98, 98 and 98 rows: fold 2 is the first past the cap
         ds = two_cluster_dataset(n=122, m=2, seed=0)
         monkeypatch.setattr(kernel, "GRAM_CAPACITY", 97)
         with pytest.raises(CapacityError, match="n=98"):
-            cross_validate(ds, TrainerConfig(), make_folds(ds.n, 5, seed=0))
+            _cross_validate(ds, TrainerConfig(), make_folds(ds.n, 5, seed=0))
         assert calls == []
 
     def test_one_gram_alive_per_fold(self, monkeypatch):

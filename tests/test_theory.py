@@ -6,16 +6,36 @@ import pytest
 from satsvm import (
     CapacityError,
     ConditionalRiskQuery,
+    LossKind,
     LossSpec,
     ParameterError,
     calibration_check,
     conditional_risk,
-    conditional_risk_branches,
     generalization_bound,
+    loss_value,
 )
 from satsvm.theory import step_grid
 
 ONE_MINUS_2_OVER_E = 0.26424111765711533
+
+
+def conditional_risk_branches(q: ConditionalRiskQuery, f):
+    """The conditional risk in its three-branch regional form (saturating
+    loss only), the oracle of :func:`conditional_risk`.
+
+    With g1 = L(1-f) and g2 = L(1+f) the risk is g1*P for f <= -1,
+    (g1 - g2)*P + g2 on (-1, 1), and g2*(1-P) for f >= 1, because one of
+    the two losses vanishes outside the unit interval.
+    """
+    if q.loss.kind is not LossKind.EXPSAT:
+        raise ParameterError("the branch decomposition is specific to the saturating loss")
+    scalar = np.ndim(f) == 0
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    g1 = loss_value(q.loss, 1.0 - f)
+    g2 = loss_value(q.loss, 1.0 + f)
+    mid = (g1 - g2) * q.P + g2
+    out = np.where(f <= -1.0, g1 * q.P, np.where(f >= 1.0, g2 * (1.0 - q.P), mid))
+    return float(out[0]) if scalar else out
 
 
 def _query(a=1.0, lam=1.0, P=0.7, **kw):

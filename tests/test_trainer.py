@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_gradient
+
 import satsvm.trainer as trainer
 from satsvm import (
     CapacityError,
@@ -22,7 +24,6 @@ from satsvm import (
     decision_values,
     fit,
     fit_columns,
-    full_gradient,
     gram_matrix,
     learning_rate_at,
     learning_rate_sequence,
@@ -30,8 +31,8 @@ from satsvm import (
     loss_derivative,
     normalize,
     objective,
-    predict_batch,
     save_model,
+    sign_labels,
     two_cluster_dataset,
 )
 
@@ -147,7 +148,7 @@ class TestFit:
         cfg = TrainerConfig(C=1.0, loss=LossSpec.expsat(1.0, 1.0),
                             kernel=KernelSpec.gaussian(1.0), seed=2)
         model = fit(cfg, ds.X, ds.y)
-        assert accuracy(predict_batch(model, ds.X), ds.y) == 100.0
+        assert accuracy(sign_labels(decision_values(model, ds.X)), ds.y) == 100.0
 
     def test_deterministic_same_seed(self):
         ds = two_cluster_dataset(n=60, seed=4)
@@ -541,7 +542,7 @@ def _value(model, x) -> float:
 
 
 def _label(model, x) -> float:
-    return predict_batch(model, np.atleast_2d(x))[0]
+    return sign_labels(decision_values(model, np.atleast_2d(x)))[0]
 
 
 def _naive_decisions(model, X):
@@ -630,7 +631,7 @@ class TestDecisionValues:
         naive, scale = _naive_decisions(model, X)
         assert (np.abs(got - naive) <= DECISION_RTOL * scale).all()
         clear = np.abs(naive) > DECISION_RTOL * scale
-        assert (predict_batch(model, X)[clear] == np.where(naive[clear] >= 0, 1.0, -1.0)).all()
+        assert (sign_labels(decision_values(model, X))[clear] == np.where(naive[clear] >= 0, 1.0, -1.0)).all()
 
     def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
         import satsvm.kernel as kernel
