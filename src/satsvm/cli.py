@@ -246,8 +246,7 @@ def cmd_predict(p: dict) -> int:
     if model.scaler is not None:
         ds = apply_scaler(ds, model.scaler)
     values = decision_values(model, ds.X)
-    write_rows(p["output"], np.column_stack([sign_labels(values), values]).tolist(),
-               ["prediction", "decision_value"])
+    write_rows(p["output"], zip(sign_labels(values).tolist(), values.tolist()), ["prediction", "decision_value"])
     return 0
 
 
@@ -374,7 +373,7 @@ def cmd_loss_curve(p: dict) -> int:
     u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)
-    write_rows(p["output"], np.column_stack([u, values, derivs]).tolist(), ["u", "value", "derivative"])
+    write_rows(p["output"], zip(u.tolist(), values.tolist(), derivs.tolist()), ["u", "value", "derivative"])
     return 0
 
 
@@ -386,7 +385,7 @@ def cmd_calibration(p: dict) -> int:
     result: CalibrationResult = calibration_check(q)
     f = q.grid()
     risk = conditional_risk(q, f)
-    write_rows(p["output"], np.column_stack([f, risk]).tolist(), ["f", "risk"])
+    write_rows(p["output"], zip(f.tolist(), risk.tolist()), ["f", "risk"])
     if result.degenerate:
         print(f"f_star={result.f_star!r} degenerate=true")
     else:

@@ -345,12 +345,12 @@ def _cell(value) -> str:
 
 def write_rows(path, rows, header=None) -> None:
     """Write ``rows`` of cells as comma-separated lines, after the
-    ``header`` line when one is given; all lines are formatted first and
-    written at once."""
-    lines = [] if header is None else [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
+    ``header`` line when one is given. Each line is formatted as it is
+    written, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in lines))
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -358,7 +358,7 @@ def write_csv(ds: Dataset, path) -> None:
 
     Floats are emitted with ``repr`` so a reload round-trips bit-exactly.
     """
-    write_rows(path, np.column_stack([ds.X, ds.y]).tolist())
+    write_rows(path, (x.tolist() + [label] for x, label in zip(ds.X, ds.y.tolist())))
 
 
 def normalize(ds: Dataset) -> Dataset:

@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -160,15 +161,18 @@ def _run(argv: list) -> dict:
 
 def run_group(name: str) -> list:
     """The record of every command of group ``name``, each successful one
-    followed by its re-run from the manifest, run in the working
-    directory after the inputs are written there."""
+    followed by its re-run from the manifest, whose output must equal the
+    command's; run in the working directory after the inputs are written
+    there."""
     _write_inputs()
     record = []
     for argv in GROUPS[name]:
         record.append(_run(argv))
         if record[-1]["exit"] == 0:
             output = argv[argv.index("--output") + 1]
-            record.append(_run([argv[0], "--config", output + ".manifest.json", "--output", "rerun-" + output]))
+            rerun = _run([argv[0], "--config", output + ".manifest.json", "--output", "rerun-" + output])
+            assert rerun["files"]["rerun-" + output] == record[-1]["files"][output], rerun["argv"]
+            record.append(rerun)
     return record
 
 
@@ -195,17 +199,10 @@ def test_inputs(golden, tmp_path, monkeypatch):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_group(group, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    record = run_group(group)
-    for step, rerun in zip(record, record[1:]):
-        if rerun["argv"].startswith(step["argv"].split()[0] + " --config"):
-            output = rerun["argv"].rsplit(" ", 1)[1]
-            assert rerun["files"][output] == step["files"][output.removeprefix("rerun-")], rerun["argv"]
-    assert record == golden["groups"][group]
+    assert run_group(group) == golden["groups"][group]
 
 
 def _record() -> dict:
-    import tempfile
-
     doc = {"inputs": None, "groups": {}}
     cwd = os.getcwd()
     try:
