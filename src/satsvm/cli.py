@@ -43,7 +43,7 @@ from .data import (
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
 from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
-from .kernel import gram_matrix
+from .kernel import gram_matrix, row_product
 from .loss import PARAMETERS, LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
 from .stats import RankTable, friedman_nemenyi, rank_models
@@ -224,7 +224,7 @@ def cmd_train(p: dict) -> int:
     # the fit's Gram gives the training decision values as K @ beta
     K = gram_matrix(config.kernel, ds.X)
     model = fit(config, ds.X, ds.y, gram=K)
-    train_acc = accuracy(sign_labels(K @ model.beta), ds.y)
+    train_acc = accuracy(sign_labels(row_product(K, model.beta)), ds.y)
     del K
     if ds.scaler is not None:
         model = replace(model, scaler=ds.scaler)

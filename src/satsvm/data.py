@@ -250,11 +250,16 @@ def _parse_csv(text: str, name: str) -> Dataset:
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
         try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from None
+            # float ignores the padding str.strip removes, except \x1f in an
+            # ASCII cell; the stripped cells parse that, and name a bad cell
+            # without its padding
+            rows.append(list(map(float, line.split(","))))
+        except ValueError:
+            try:
+                rows.append([float(c.strip()) for c in line.split(",")])
+            except ValueError as exc:
+                raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from None
         linenos.append(lineno)
         if len(rows[-1]) != len(rows[0]):
             raise DataFormatError(

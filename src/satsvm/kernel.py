@@ -26,12 +26,29 @@ keep memory bounded. Decision values never hold the query-by-support
 matrix: :func:`kernel_product` multiplies each block by the coefficients
 as it comes, so a cross-validation fold holds its Gram and no test
 block.
+
+From ``PARALLEL_ENTRIES`` kernel entries on, a call splits the rows of
+``Z`` into one contiguous range per worker thread, each range starting at
+a multiple of a tile of ``TILE_BLOCKS`` blocks; the fit's product
+``K @ beta`` (:func:`row_product`) splits its rows at multiples of
+``ROW_ALIGN`` the same way. The workers are daemon threads, one per CPU
+the process may run on, each pinned to its CPU, started on the first such
+call (a forked child starts its own); smaller calls, and every call on
+one CPU, run in the calling thread. Neither split changes a bit: a
+Gaussian entry depends only on its two points, every product ``K @ W``
+is taken over the same block of rows on either path, and a
+matrix-vector product split at multiples of ``ROW_ALIGN`` rows keeps its
+bits at one BLAS thread.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import queue
+import threading
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -70,8 +87,22 @@ class KernelSpec:
 # every Gaussian block: Gram rows and decision values. On a
 # 2-vCPU Xeon with m = 10, decision values for 20000 queries against 3000
 # support points (5 rows per block) were fastest at this budget among
-# 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x slower.
+# 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x slower. On the parallel
+# path a worker evaluates TILE_BLOCKS blocks per pass, so its tile and
+# scratch take TILE_BLOCKS * BLOCK_BYTES: there, on two pinned workers, that
+# ``predict`` took 0.84-1.00 s with four-block tiles and 1.42-1.58 s with
+# one-block tiles, whose hand-offs of the interpreter lock cost 0.3 s of
+# system time, against 1.13-1.30 s on one thread.
 BLOCK_BYTES = 1 << 18
+TILE_BLOCKS = 4
+
+# Calls over fewer kernel entries than this (len(Z) * len(X), or the size of
+# the matrix of row_product) run inline in the calling thread: the grids'
+# folds at n = 320 and short commands start no thread.
+PARALLEL_ENTRIES = 1 << 20
+# row_product splits its rows at multiples of this: a matrix-vector product
+# of OpenBLAS's Haswell kernels split there keeps the whole product's bits.
+ROW_ALIGN = 8
 
 
 def block_rows(n: int) -> int:
@@ -80,35 +111,141 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_BYTES // (16 * max(n, 1)))
 
 
-def _blocks(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None):
-    """Yield ``(start, K)`` for each block of :func:`block_rows` rows of
-    ``Z``, ``K`` being the kernel values between those rows (block rows)
-    and the rows of ``X`` (columns): the package's one loop over row
-    blocks and its one kernel evaluation. Shapes are not checked here.
+# One job queue per worker thread, started on first use; [] with one CPU.
+_workers: list | None = None
+_workers_lock = threading.Lock()
 
-    A linear block is a matrix product. A Gaussian block is
-    ``exp(D * (-1/sigma**2))`` over the squared distances ``D``, the
-    explicit differences squared and added feature by feature from the
-    left. ``X`` is taken feature-major once per call, and each feature is
-    one pass of three ufuncs over a contiguous block of rows, through one
-    reused scratch block. A block is computed in the rows of ``out`` when
-    it is given, else in one reused array, valid until the next block is
-    yielded. An entry's bits therefore depend on neither the block shape
+
+def _serve(cpu: int | None, jobs) -> None:
+    """A worker: pinned to ``cpu`` where the platform can pin, it runs
+    ``fn(*args)`` for each ``(fn, args, done)`` job and puts None or the
+    raised exception on ``done``, until it takes None. It drops the job's
+    references before it signals, so no array outlives its call here."""
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+    while (job := jobs.get()) is not None:
+        fn, args, done = job
+        del job
+        try:
+            fn(*args)
+            result = None
+        except BaseException as exc:  # re-raised in the caller
+            result = exc
+        del fn, args
+        done.put(result)
+        del done, result
+
+
+def _start(cpus: list) -> list:
+    """Start one daemon worker per entry of ``cpus`` (a CPU to pin it to,
+    or None); their job queues, in that order."""
+    queues = [queue.SimpleQueue() for _ in cpus]
+    for cpu, jobs in zip(cpus, queues):
+        threading.Thread(target=_serve, args=(cpu, jobs), name=f"satsvm-kernel-{cpu}", daemon=True).start()
+    return queues
+
+
+def _pool() -> list:
+    """The job queues of the workers, one per allowed CPU, each pinned to
+    its CPU where the platform can pin, started on the first call; an
+    empty list when one CPU is allowed."""
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
+                cpus = sorted(os.sched_getaffinity(0))
+            else:
+                cpus = [None] * (os.cpu_count() or 1)
+            _workers = _start(cpus) if len(cpus) > 1 else []
+        return _workers
+
+
+def _forget_pool() -> None:
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+# a forked child has none of its parent's threads: it starts its own pool
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(total: int, align: int, entries: int) -> list | None:
+    """Contiguous ``(lo, hi)`` row ranges of ``0:total``, at most one per
+    worker, each starting at a multiple of ``align`` and none of one row
+    unless ``total`` is 1; None when the call is to run inline: fewer than
+    ``PARALLEL_ENTRIES`` entries, or one CPU."""
+    workers = len(_pool()) if entries >= PARALLEL_ENTRIES else 0
+    if workers < 2:
+        return None
+    units = -(-total // align)
+    bounds = [min(total, align * (units * i // workers)) for i in range(workers + 1)]
+    ranges = [(lo, hi) for lo, hi in pairwise(bounds) if lo < hi]
+    if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] == 1:
+        # numpy takes a one-row product as a dot product, which rounds
+        # otherwise than the same row of a matrix-vector product
+        ranges[-2:] = [(ranges[-2][0], total)]
+    return ranges
+
+
+def _run(fn, ranges: list) -> None:
+    """``fn(lo, hi)`` for each range, range i on worker i; returns when
+    all are done, re-raising the first exception a worker raised."""
+    done = queue.SimpleQueue()
+    for jobs, bounds in zip(_pool(), ranges):
+        jobs.put((fn, bounds, done))
+    errors = [e for e in [done.get() for _ in ranges] if e is not None]
+    if errors:
+        try:
+            raise errors[0]
+        finally:
+            del errors  # the traceback holds this frame: no cycle keeps the arrays
+
+
+def row_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``K @ b`` for a vector or one-column ``b``, with the rows split over
+    the workers at multiples of ``ROW_ALIGN`` when ``K`` has
+    ``PARALLEL_ENTRIES`` entries or more, bit for bit at one BLAS thread.
+    Other products are the one ``K @ b``: the bits of a row split of a
+    wider product are unproven."""
+    ranges = _split(len(K), ROW_ALIGN, np.size(K)) if np.ndim(b) == 1 or np.shape(b)[1] == 1 else None
+    if ranges is None:
+        return K @ b
+    out = np.empty((len(K), *np.shape(b)[1:]))
+    _run(lambda lo, hi: np.matmul(K[lo:hi], b, out=out[lo:hi]), ranges)
+    return out
+
+
+def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: int, hi: int, tile: int,
+          tiles: tuple, out: np.ndarray | None, W: np.ndarray | None, product: np.ndarray | None) -> None:
+    """Kernel values between rows ``lo:hi`` of ``Z`` and the rows of ``X``:
+    written to the same rows of ``out`` when it is given, and, when ``W``
+    is given, each :func:`block_rows` block of them times ``W`` written to
+    the block's rows of ``product``. ``lo`` is a multiple of the block
+    rows. The package's one kernel evaluation; shapes are not checked here.
+
+    A linear block is a matrix product. A Gaussian tile of ``tile`` rows
+    (a multiple of the block rows) is ``exp(D * (-1/sigma**2))`` over the
+    squared distances ``D``, the explicit differences squared and added
+    feature by feature from the left: with ``XT`` the feature-major
+    ``X``, each feature is one pass of three ufuncs over a contiguous tile
+    of rows through the scratch tile ``tiles[0]``, into the rows of
+    ``out``, else into the tile ``tiles[1]``, reused for each tile of rows.
+    An entry's bits therefore depend on neither the tile
     nor the order of its rows and columns: ``K(X, Z)`` is ``K(Z, X).T``
-    bit for bit.
+    bit for bit. Each product is taken over the same block of rows
+    whatever the tile, since a product's bits depend on its rows.
     """
     n, m = X.shape
     rows = block_rows(n)
     if spec.kind is KernelKind.LINEAR:
-        for start in range(0, len(Z), rows):
-            yield start, Z[start : start + rows] @ X.T
+        for start in range(lo, hi, rows):
+            product[start : start + rows] = Z[start : start + rows] @ X.T @ W
         return
-    XT = np.ascontiguousarray(X.T)
-    scratch = np.empty((min(rows, len(Z)), n))
-    own = np.empty_like(scratch) if out is None else None
-    for start in range(0, len(Z), rows):
-        z = Z[start : start + rows]
-        D = own[: len(z)] if out is None else out[start : start + rows]
+    scratch, own = tiles
+    for start in range(lo, hi, tile):
+        z = Z[start : min(start + tile, hi)]
+        D = own[: len(z)] if out is None else out[start : start + len(z)]
         t = scratch[: len(z)]
         if m == 0:
             D.fill(0.0)
@@ -119,7 +256,34 @@ def _blocks(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out: np.ndarray | No
             if j:
                 np.add(D, t, out=D)
         np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
-        yield start, np.exp(D, out=D)
+        np.exp(D, out=D)
+        if W is not None:
+            for b in range(0, len(z), rows):
+                product[start + b : start + b + rows] = D[b : b + rows] @ W
+
+
+def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None) -> None:
+    """:func:`_rows` over all of ``Z``: inline one block per tile, or, from
+    ``PARALLEL_ENTRIES`` entries on, in one contiguous range of tiles of
+    ``TILE_BLOCKS`` blocks per worker."""
+    rows = block_rows(len(X))
+    XT = np.ascontiguousarray(X.T) if spec.kind is KernelKind.GAUSSIAN else None
+    ranges = _split(len(Z), TILE_BLOCKS * rows, len(Z) * len(X))
+    tile = rows if ranges is None else TILE_BLOCKS * rows
+
+    def tiles(lo: int, hi: int) -> tuple:
+        # taken in the calling thread: freed tiles a worker took itself would
+        # stay resident in its own malloc arena (1 MB more peak RSS in train)
+        if spec.kind is KernelKind.LINEAR:
+            return None, None
+        shape = (min(tile, hi - lo), len(X))
+        return np.empty(shape), np.empty(shape) if out is None else None
+
+    if ranges is None:
+        _rows(spec, X, XT, Z, 0, len(Z), tile, tiles(0, len(Z)), out, W, product)
+    else:
+        taken = {lo: tiles(lo, hi) for lo, hi in ranges}
+        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, tile, taken[lo], out, W, product), ranges)
 
 
 def _points(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +298,16 @@ def kernel_block(spec: KernelSpec, X, Z) -> np.ndarray:
     """The len(Z)-by-len(X) block of kernel values between the rows of
     ``Z`` and the rows of ``X``.
 
-    A Gaussian block is filled in place by the blocks of :func:`_blocks`.
-    A linear block is one product ``Z @ X.T``, since a product split by
-    rows may round differently.
+    A Gaussian block is filled in place by :func:`_rows`, split over the
+    workers from ``PARALLEL_ENTRIES`` entries on. A linear block is one
+    product ``Z @ X.T``, since a product split by rows may round
+    differently.
     """
     X, Z = _points(X, Z)
     if spec.kind is KernelKind.LINEAR:
         return Z @ X.T
     K = np.empty((len(Z), len(X)))
-    for _ in _blocks(spec, X, Z, out=K):
-        pass
+    _evaluate(spec, X, Z, out=K)
     return K
 
 
@@ -152,18 +316,19 @@ def kernel_product(spec: KernelSpec, X, Z, W) -> np.ndarray:
     rows of ``X`` times one weight (vector ``W``) or one weight row
     (matrix ``W``) per row of ``X``.
 
-    The product is taken one block of :func:`_blocks` at a time, so the
-    len(Z)-by-len(X) matrix is never held whole: a Gaussian block and its
-    scratch take at most ``BLOCK_BYTES``. Each block's rows are the bits
-    of :func:`kernel_block` over the same rows of ``Z``, times ``W``.
+    The product is taken one :func:`block_rows` block at a time, so the
+    len(Z)-by-len(X) matrix is never held whole: a Gaussian tile and its
+    scratch take at most ``BLOCK_BYTES``, or ``TILE_BLOCKS`` times that
+    per worker on the parallel path. Each block's rows are the bits of
+    :func:`kernel_block` over the same rows of ``Z``, times ``W``, on
+    either path.
     """
     X, Z = _points(X, Z)
     W = np.asarray(W, dtype=float)
     if W.ndim not in (1, 2) or W.shape[0] != len(X):
         raise ShapeError("one weight or weight row per point", W.shape, X.shape)
     out = np.empty((len(Z), *W.shape[1:]))
-    for start, K in _blocks(spec, X, Z):
-        out[start : start + len(K)] = K @ W
+    _evaluate(spec, X, Z, W=W, product=out)
     return out
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import check_layout, dump_json, from_doc, layout, parse_json, to_doc
 from .errors import CapacityError, DataFormatError, NumericError, ParameterError, ShapeError
-from .kernel import KernelSpec, gram_matrix, kernel_product
+from .kernel import KernelSpec, gram_matrix, kernel_product, row_product
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -238,7 +238,7 @@ def objective(config: TrainerConfig, K: np.ndarray, y, beta) -> float | np.ndarr
     n = len(K)
     if beta.shape[:1] != (n,) or beta.ndim > 2 or y.shape != (n,):
         raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, n)
-    kb = K @ beta
+    kb = row_product(K, beta)
     if beta.ndim == 1:
         xi = 1.0 - y * kb
         return float(0.5 * (beta @ kb) + (config.C / n) * np.sum(loss_value(config.loss, xi)))
@@ -385,7 +385,7 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
             if _step_absorbed(alpha, beta_look, config.r * np.abs(v).min(), bounds):
                 v = config.r * v
             else:
-                kb = K @ beta_look
+                kb = row_product(K, beta_look)
                 yb = yc[batch]
                 xi = 1.0 - yb * kb[batch]
                 w = loss_derivative(config.loss, xi) * yb

@@ -1,5 +1,9 @@
+import contextlib
+import os
+
 import pytest
 
+import satsvm.kernel as kernel
 from satsvm import KernelSpec, LossSpec, TrainerConfig, loss_derivative, make_folds, normalize, two_cluster_dataset
 
 # reference synthetic task: two well-separated clusters, normalized to
@@ -40,3 +44,20 @@ def full_gradient(config, K, y, beta):
 def separable():
     ds = separable_dataset()
     return ds, make_folds(ds.n, 5, seed=5)
+
+
+@contextlib.contextmanager
+def forced_workers(workers: int):
+    """Send every kernel call and row product down the parallel path, on
+    ``workers`` fresh workers pinned round-robin to the allowed CPUs (one
+    worker runs inline); the workers stop on exit."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
+    queues = kernel._start([cpus[i % len(cpus)] for i in range(workers)]) if workers > 1 else []
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_workers", queues)
+            mp.setattr(kernel, "PARALLEL_ENTRIES", 0)
+            yield
+    finally:
+        for jobs in queues:
+            jobs.put(None)

@@ -23,7 +23,7 @@ from satsvm import (
     two_cluster_dataset,
     write_csv,
 )
-from satsvm.data import dump_json, from_doc, parse_json, to_doc
+from satsvm.data import _is_number, _normalize_labels, _parse_csv, dump_json, from_doc, parse_json, to_doc
 
 
 class TestLoadCsv:
@@ -85,6 +85,80 @@ class TestLoadCsv:
         p.write_text("1,2,1\n3,4,nan\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_dataset(p)
+
+
+def _ref_parse_csv(text: str, name: str) -> Dataset:
+    """The CSV parser before its unstripped fast path, frozen as an oracle:
+    every cell stripped, then converted."""
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    lines = text.splitlines()
+    start = 0
+    if lines and not any(_is_number(c) for c in lines[0].split(",")):
+        start = 1  # header row
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataFormatError(f"non-numeric cell: {exc}", line=lineno) from None
+        linenos.append(lineno)
+        if len(rows[-1]) != len(rows[0]):
+            raise DataFormatError(
+                f"expected {len(rows[0])} columns, found {len(rows[-1])}", line=lineno
+            )
+        if len(rows[-1]) < 2:
+            raise DataFormatError("rows need at least one feature and a label", line=lineno)
+    if not rows:
+        raise DataFormatError("file contains no data rows")
+    arr = np.array(rows, dtype=float)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise DataFormatError("NaN or Inf cell", line=linenos[int(np.argmin(finite))])
+    return Dataset(X=arr[:, :-1], y=_normalize_labels(list(arr[:, -1])), name=name)
+
+
+# cells as written, padded cells, the whitespace str.strip removes (unicode
+# and \x1f included), non-finite and non-numeric text, underscores, empty cells
+_PADDING = st.sampled_from(["", " ", "\t", "  ", "\u2003", "\xa0", "\x1f", "\x0b", "\x0c", "\u3000"])
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "-2.25e3", "1e-300", ".5", "+3", "1_0", "1__0", "_1", "nan", "-inf",
+                     "Infinity", "", "abc", "1.0.0", "٣", "1e", "0x1"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_CELL = st.tuples(_PADDING, _CELL_TEXT, _PADDING).map("".join)
+_LABEL = st.tuples(_PADDING, st.sampled_from(["0", "1", "-1", " 1", "1.0", "2", "x"]), _PADDING).map("".join)
+_ROW = st.tuples(st.lists(_CELL, max_size=3), _LABEL).map(lambda r: ",".join([*r[0], r[1]]))
+_LINE = st.one_of(_ROW, _ROW, _ROW, st.sampled_from(["", "  ", "\t", "f1,f2,label", "x, y ,label"]))
+_CSV_TEXT = st.tuples(st.lists(_LINE, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans()).map(
+    lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
+
+
+class TestCsvParserMatchesStrippedOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_CSV_TEXT)
+    def test_same_arrays_or_same_message(self, text):
+        try:
+            want = _ref_parse_csv(text, "d")
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as got:
+                _parse_csv(text, "d")
+            assert str(got.value) == str(exc)
+            return
+        got = _parse_csv(text, "d")
+        assert got.X.shape == want.X.shape and got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+
+    @pytest.mark.parametrize("line", ["1,\x1f2 ,1", " 1 ,\u20032\u2003, 0", "1_0, 2,1"])
+    def test_padding_float_keeps_is_parsed(self, line):
+        assert _parse_csv(line, "d").X.tolist() == [[10.0 if "_" in line else 1.0, 2.0]]
+
+    def test_bad_cell_is_named_without_padding(self):
+        with pytest.raises(DataFormatError, match=r"^line 2: non-numeric cell: could not convert string to "
+                                                   r"float: 'oops'$"):
+            _parse_csv("1,2,1\n3,  oops\t,0\n", "d")
 
 
 class TestLoadSparse:

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import forced_workers
 from satsvm import two_cluster_dataset, write_csv
 from satsvm.cli import main
 
@@ -200,6 +201,17 @@ def test_inputs(golden, tmp_path, monkeypatch):
 def test_group(group, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_group(group) == golden["groups"][group]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_group_on_forced_workers(workers, golden, tmp_path, monkeypatch):
+    """The corpus keeps its bytes when every kernel call and row product
+    takes the parallel path, on 2 and 3 workers."""
+    with forced_workers(workers):
+        for i, group in enumerate(sorted(GROUPS)):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            assert run_group(group) == golden["groups"][group], group
 
 
 def _record() -> dict:

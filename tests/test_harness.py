@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import expsat_config, hinge_config, separable_dataset
+from conftest import expsat_config, forced_workers, hinge_config, separable_dataset
 
 import satsvm.harness as harness
 import satsvm.trainer as trainer
@@ -436,6 +436,11 @@ class TestGramReuse:
                   ("c", TrainerConfig(kernel=KernelSpec.gaussian(0.5)))]
         robustness_suite(ds, models, rates=(0.1, 0.2), plan=plan)
         assert len(built) == 2 * 5 * 2
+
+    def test_one_gram_per_fold_and_kernel_on_workers(self, monkeypatch):
+        # the workers hold no fold's Gram once a call returns
+        with forced_workers(2):
+            self.test_one_gram_per_fold_and_kernel(monkeypatch)
 
 
 def _spy(monkeypatch, module, name, calls):

@@ -1,5 +1,11 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satsvm.kernel as kernel
+from conftest import forced_workers
 from satsvm import (
     CapacityError,
     KernelSpec,
@@ -14,7 +21,7 @@ from satsvm import (
     gram_matrix,
     kernel_block,
 )
-from satsvm.kernel import kernel_product
+from satsvm.kernel import kernel_product, row_product
 
 
 def _k(spec, x, z) -> float:
@@ -269,3 +276,185 @@ def test_gaussian_gram_is_symmetric_with_unit_diagonal_in_one_row_blocks(case, s
     assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
     assert (np.diag(K) == 1.0).all()
     assert K.tobytes() == _feature_order_gram(spec, X).tobytes()
+
+
+
+def _serial(fn, *args):
+    """``fn(*args)`` on the inline path, whatever the size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "PARALLEL_ENTRIES", 1 << 62)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+class TestBitsForEveryWorkerCount:
+    """The parallel path, forced at every size, gives the inline path's
+    bits, for row counts that are no multiple of a worker's tile."""
+
+    SPECS = [KernelSpec.gaussian(0.4), KernelSpec.linear()]
+
+    @pytest.mark.parametrize("budget", [16 * 50 * 3, kernel.BLOCK_BYTES], ids=["3-row-blocks", "default-budget"])
+    @pytest.mark.parametrize("queries", [0, 1, 11, 13, 101, 1001])
+    def test_kernel_product_and_block(self, monkeypatch, workers, budget, queries):
+        monkeypatch.setattr(kernel, "BLOCK_BYTES", budget)
+        rng = np.random.default_rng(queries)
+        X, Z = rng.uniform(-1.0, 1.0, (50, 6)), rng.uniform(-1.2, 1.2, (queries, 6))
+        weights = [rng.standard_normal(50), rng.standard_normal((50, 1)), rng.standard_normal((50, 5))]
+        products = {(spec, i): _serial(kernel_product, spec, X, Z, W) for spec in self.SPECS
+                    for i, W in enumerate(weights)}
+        blocks = {spec: _serial(kernel_block, spec, X, Z) for spec in self.SPECS}
+        with forced_workers(workers):
+            for (spec, i), product in products.items():
+                assert kernel_product(spec, X, Z, weights[i]).tobytes() == product.tobytes()
+            for spec, block in blocks.items():
+                assert kernel_block(spec, X, Z).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 97, 700])
+    def test_gram_matrix(self, workers, n):
+        X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 10))
+        grams = [_serial(gram_matrix, spec, X) for spec in self.SPECS]
+        with forced_workers(workers):
+            for spec, gram in zip(self.SPECS, grams):
+                assert gram_matrix(spec, X).tobytes() == gram.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 1100), column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def _row_split_keeps_the_bits(n, column, seed):
+    """The premise of row_product on this BLAS: ``K @ b``, for a vector and
+    a one-column ``b``, split into two row ranges at any multiple of
+    ``ROW_ALIGN`` that leaves at least two rows on each side, has the whole
+    product's bits; and so has row_product on 2 and 3 workers. Where this
+    fails, the BLAS rounds a matrix-vector product by where its rows
+    start, and the fit's bits would depend on the number of CPUs."""
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 1) if column else n)
+    whole = (K @ b).tobytes()
+    for split in range(kernel.ROW_ALIGN, n - 1, kernel.ROW_ALIGN):
+        assert np.concatenate([K[:split] @ b, K[split:] @ b]).tobytes() == whole, split
+    for workers in (2, 3):
+        with forced_workers(workers):
+            assert row_product(K, b).tobytes() == whole, workers
+
+
+def _one_blas_thread_env() -> dict:
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def test_row_split_keeps_the_bits_at_one_blas_thread():
+    """Run in a child process at one BLAS thread: with more, OpenBLAS
+    splits a matrix-vector product over its own threads at rows that need
+    not be multiples of 4, which changes the bits of the whole product
+    (ROADMAP item 9), split by row_product or not."""
+    subprocess.run([sys.executable, "-c", "import test_kernel; test_kernel._row_split_keeps_the_bits()"],
+                   env=_one_blas_thread_env(), check=True)
+
+
+def test_row_product_keeps_wider_products_whole():
+    K, b = np.random.default_rng(9).standard_normal((40, 40)), np.ones((40, 3))
+    with forced_workers(2), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_run", lambda *a: pytest.fail("a product of 3 columns was split"))
+        assert row_product(K, b).tobytes() == (K @ b).tobytes()
+
+
+def test_split_starts_ranges_at_multiples_and_leaves_no_one_row_range(monkeypatch):
+    monkeypatch.setattr(kernel, "_workers", [None] * 3)
+    assert kernel._split(100, 8, 1 << 19) is None  # below PARALLEL_ENTRIES: inline
+    assert kernel._split(100, 8, 1 << 20) == [(0, 32), (32, 64), (64, 100)]
+    assert kernel._split(17, 8, 1 << 20) == [(0, 8), (8, 17)]
+    assert kernel._split(9, 8, 1 << 20) == [(0, 9)]
+    assert kernel._split(1, 8, 1 << 20) == [(0, 1)]
+    assert kernel._split(0, 8, 1 << 20) == []
+    monkeypatch.setattr(kernel, "_workers", [None])
+    assert kernel._split(100, 8, 1 << 20) is None  # one CPU: inline
+
+
+class TestWorkers:
+    def test_worker_exception_reraises_and_the_pool_still_works(self):
+        finished = []
+
+        def job(lo, hi):
+            if lo == 0:
+                raise ValueError(f"rows {lo}:{hi}")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, (40, 3))
+        spec = KernelSpec.gaussian(0.5)
+        want = _serial(kernel_product, spec, X, X, np.ones(40)).tobytes()
+        with forced_workers(2):
+            with pytest.raises(ValueError, match="rows 0:8"):
+                kernel._run(job, [(0, 8), (8, 16)])
+            assert finished == [8]  # the caller waited for every range
+            assert kernel_product(spec, X, X, np.ones(40)).tobytes() == want
+
+    def test_workers_hold_no_array_after_a_call(self):
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (64, 3))
+        with forced_workers(2):
+            K = gram_matrix(KernelSpec.gaussian(0.5), X)
+            ref = weakref.ref(K)
+            row_product(K, np.ones(64))
+            kernel_product(KernelSpec.gaussian(0.5), X, X, np.ones(64))
+            gc.disable()  # freed by reference counts alone, not by a collection
+            try:
+                del K
+                assert ref() is None
+            finally:
+                gc.enable()
+
+    def test_train_and_predict_on_200_rows_start_no_thread(self, monkeypatch, tmp_path, capsys):
+        from satsvm import two_cluster_dataset, write_csv
+        from satsvm.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(kernel, "_workers", None)
+        write_csv(two_cluster_dataset(n=200, m=10, seed=1), "train.csv")
+        write_csv(two_cluster_dataset(n=200, m=10, seed=2), "query.csv")
+        assert main(["train", "--input", "train.csv", "--output", "model.json", "--max-iters", "50"]) == 0
+        assert main(["predict", "--model", "model.json", "--input", "query.csv", "--output", "pred.csv"]) == 0
+        assert kernel._workers is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_its_own_pool(self):
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (90, 4))
+        spec = KernelSpec.gaussian(0.5)
+        want = _serial(kernel_product, spec, X, X, np.ones(90)).tobytes()
+        with forced_workers(2):
+            pid = os.fork()
+            if pid == 0:  # the child: the parent's workers are gone, and it starts its own
+                ok = kernel._workers is None and kernel_product(spec, X, X, np.ones(90)).tobytes() == want
+                os._exit(0 if ok and kernel._workers is not None else 1)
+            deadline = time.monotonic() + 60
+            while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if status == (0, 0):
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+            assert status[0] == pid and status[1] == 0
+
+    def test_three_workers_on_short_switch_intervals(self):
+        # three workers, pinned round-robin, handing the interpreter lock
+        # over as often as they can: every row lands once, unchanged
+        rng = np.random.default_rng(4)
+        X, Z, W = rng.uniform(-1.0, 1.0, (300, 5)), rng.uniform(-1.0, 1.0, (2000, 5)), rng.standard_normal((300, 2))
+        spec = KernelSpec.gaussian(0.6)
+        want = _serial(kernel_product, spec, X, Z, W).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with forced_workers(3):
+                for _ in range(5):
+                    assert kernel_product(spec, X, Z, W).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+def test_cli_import_starts_no_thread_and_no_executor():
+    code = ("import sys, threading, satsvm.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_one_blas_thread_env(), capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == ["1", "False", "False"]

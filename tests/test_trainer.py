@@ -636,23 +636,23 @@ class TestDecisionValues:
     def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
         import satsvm.kernel as kernel
 
-        blocks = []
-        real = kernel._blocks
+        calls = []
+        real = kernel._rows
 
-        def spy(spec, S, Z, out=None):
-            for start, K in real(spec, S, Z, out):
-                blocks.append(len(K))
-                yield start, K
+        def spy(spec, S, ST, Z, lo, hi, tile, tiles, *rest):
+            calls.append((lo, hi, tile, *(t.shape for t in tiles)))
+            real(spec, S, ST, Z, lo, hi, tile, tiles, *rest)
 
-        monkeypatch.setattr(kernel, "_blocks", spy)
+        monkeypatch.setattr(kernel, "_rows", spy)
         rng = np.random.default_rng(0)
         n, m = 500, 10
         model = self._model(rng, n, m)
         X = rng.uniform(-1, 1, (1000, m))
         decision_values(model, X)
-        # a block of kernel values and its scratch, 8 bytes per entry each
+        # a block of kernel values and its scratch, 8 bytes per entry each;
+        # 1000 x 500 entries run inline, one block per tile
         rows = kernel.BLOCK_BYTES // (16 * n)
-        assert sum(blocks) == 1000 and max(blocks) == rows < 1000
+        assert calls == [(0, 1000, rows, (rows, n), (rows, n))] and rows < 1000
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.linear()], ids=["gauss", "linear"])
     @pytest.mark.parametrize("queries", [1, 7, 1001])
