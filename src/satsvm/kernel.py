@@ -122,7 +122,10 @@ def _serve(cpu: int | None, jobs) -> None:
     raised exception on ``done``, until it takes None. It drops the job's
     references before it signals, so no array outlives its call here."""
     if cpu is not None:
-        os.sched_setaffinity(0, {cpu})
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:  # the CPU was withdrawn since the pool read the mask: run unpinned
+            pass
     while (job := jobs.get()) is not None:
         fn, args, done = job
         del job

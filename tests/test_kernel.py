@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -392,6 +394,21 @@ class TestWorkers:
             assert finished == [8]  # the caller waited for every range
             assert kernel_product(spec, X, X, np.ones(40)).tobytes() == want
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs the affinity calls")
+    def test_a_worker_that_cannot_pin_runs_unpinned(self, monkeypatch):
+        queues = kernel._start([1 << 20, 1 << 20])  # no such CPU
+        monkeypatch.setattr(kernel, "_workers", queues)
+        try:
+            seen = []
+            caller = threading.Thread(target=kernel._run, args=(lambda lo, hi: seen.append((lo, hi)),
+                                                                 [(0, 8), (8, 16)]), daemon=True)
+            caller.start()
+            caller.join(timeout=30)  # a worker that died on pinning would leave the caller waiting
+            assert not caller.is_alive() and sorted(seen) == [(0, 8), (8, 16)]
+        finally:
+            for jobs in queues:
+                jobs.put(None)
+
     def test_workers_hold_no_array_after_a_call(self):
         X = np.random.default_rng(1).uniform(-1.0, 1.0, (64, 3))
         with forced_workers(2):
@@ -423,7 +440,9 @@ class TestWorkers:
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (90, 4))
         spec = KernelSpec.gaussian(0.5)
         want = _serial(kernel_product, spec, X, X, np.ones(90)).tobytes()
-        with forced_workers(2):
+        with forced_workers(2), warnings.catch_warnings():
+            # Python 3.12 warns on a fork with threads running, which is the case tested
+            warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
             if pid == 0:  # the child: the parent's workers are gone, and it starts its own
                 ok = kernel._workers is None and kernel_product(spec, X, X, np.ones(90)).tobytes() == want
