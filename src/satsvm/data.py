@@ -20,7 +20,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError, ShapeError
+from . import kernel
+from .errors import CapacityError, DataFormatError, ParameterError, ShapeError
 
 
 class DataFormat(str, enum.Enum):
@@ -311,6 +312,9 @@ def _parse_sparse(text: str, name: str) -> Dataset:
         entries.append(row)
     if not entries:
         raise DataFormatError("file contains no data rows")
+    limit = kernel.GRAM_CAPACITY**2
+    if len(entries) * width > limit:
+        raise CapacityError(f"{len(entries)} rows of {width} features exceed the {limit}-entry dense matrix cap")
     X = np.zeros((len(entries), width), dtype=float)
     for i, row in enumerate(entries):
         for j, v in row.items():

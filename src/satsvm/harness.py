@@ -13,7 +13,8 @@ part) is checked against the size cap before any fold trains. Each
 configuration is a batch of its own: its columns (one per candidate; a
 grid makes one configuration per sigma, whose columns run over C and the
 loss parameters) train together in one NAG loop
-(:func:`trainer.fit_columns`). Grid and sweep build those columns with
+(:func:`trainer.fit_columns`), in chunks whose width changes no bit
+(see :func:`_evaluate`). Grid and sweep build those columns with
 one mesh builder, :func:`_columns`, and check their axes with one check,
 :func:`_check_axes`, before any Gram is built; a grid checks every axis,
 searched or not, after :meth:`GridSpec.validated` has silently dropped
@@ -52,13 +53,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
 
 import numpy as np
 
 from . import trainer
 from .data import CorruptionMode, Dataset, FoldPlan, corrupt
 from .errors import ParameterError, ShapeError
-from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
+from .kernel import COLUMN_GROUP, KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
 from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
@@ -156,7 +158,8 @@ def _fold_config(config: TrainerConfig, fold: int) -> TrainerConfig:
     return replace(config, seed=child_seed(config.seed, f"batches/fold={fold}"))
 
 
-def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]) -> list[np.ndarray]:
+def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig],
+              refit: int = 0) -> list[np.ndarray]:
     """Accuracy of every column of every configuration, trained on each
     fold's training part and scored on its test part: one B-by-k array
     per configuration (B = 1 for a plain one).
@@ -164,28 +167,36 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     Per fold, each distinct kernel's Gram is built once (sigma is dropped
     for a linear kernel) and one fold Gram is alive at a time, the fold's
     only kernel matrix. Each configuration that uses the kernel is a
-    batch of its own: its columns train together through ``fit_columns``,
-    at most ``trainer.COLUMN_BYTES`` of coefficients at a time, and each
-    chunk is scored by ``kernel_product``, the call behind
-    ``decision_values``. The largest training part is checked against the
-    Gram size cap before fold 0. Decision values agree with separate
-    ``fit`` runs to the tolerance in the module docstring; a one-column
-    batch gives the bits of ``decision_values`` on its ``fit``.
+    batch of its own: its columns train together through ``fit_columns``
+    and each chunk is scored by ``kernel_product``, the call behind
+    ``decision_values``. A batch of more than ``COLUMN_GROUP`` columns is
+    split into chunks of whole multiples of ``COLUMN_GROUP`` columns, as
+    many as ``trainer.COLUMN_BYTES`` of coefficients holds at the largest
+    training part, and a chunk of its last B mod ``COLUMN_GROUP``
+    columns, so a column's bits do not depend on the chunk width. The
+    largest Gram of the run, the training parts' or a refit's on
+    ``refit`` points, is checked against the size cap before fold 0.
+    Decision values agree with separate ``fit`` runs to the tolerance in
+    the module docstring; a one-column batch gives the bits of
+    ``decision_values`` on its ``fit``.
     """
-    check_capacity(max(len(train.X) for train, _ in folds))
+    n = max(len(train.X) for train, _ in folds)
+    check_capacity(max(n, refit))
+    step = COLUMN_GROUP * max(1, trainer.COLUMN_BYTES // (8 * COLUMN_GROUP * n))
     by_kernel: dict = {}
     for i, config in enumerate(configs):
         kernel = config.kernel if config.kernel.kind is KernelKind.GAUSSIAN else KernelSpec.linear()
         by_kernel.setdefault(kernel, []).append(i)
     per_fold = [np.empty((config.columns or 1, len(folds))) for config in configs]
     for f, (train, test) in enumerate(folds):
-        step = max(1, trainer.COLUMN_BYTES // (8 * len(train.X)))
         for kernel, idx in by_kernel.items():
             gram = gram_matrix(kernel, train.X)
             for i in idx:
                 config = _fold_config(configs[i], f)
-                for start in range(0, len(per_fold[i]), step):
-                    cols = slice(start, start + step)
+                B = len(per_fold[i])
+                body = B if B <= COLUMN_GROUP else B - B % COLUMN_GROUP
+                for lo, hi in pairwise(sorted({*range(0, body, step), body, B})):
+                    cols = slice(lo, hi)
                     chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters()
                                                   if np.ndim(v)})
                     beta = fit_columns(chunk, train.X, train.y, gram=gram)
@@ -252,9 +263,8 @@ def grid_search_models(
     the full dataset."""
     grid = grid.validated()
     searches = [_grid_columns(config, grid) for config in configs]
-    check_capacity(ds.n)  # the refit's Gram, the largest of the run
     batches = [batch for _, per_sigma in searches for batch in per_sigma]
-    accs = iter(_evaluate(_plan_folds(ds, plan), batches))
+    accs = iter(_evaluate(_plan_folds(ds, plan), batches, refit=ds.n))
     results = []
     for config, (axes, per_sigma) in zip(configs, searches):
         # per-sigma blocks of (C, other axes) columns, reordered to the

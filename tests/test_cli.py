@@ -736,6 +736,19 @@ class TestBadDataFiles:
         assert "line 2" in err
         _one_line_error(err)
 
+    def test_sparse_width_past_the_cap(self, tmp_path, model_file, capsys):
+        # a dense 2-by-1e12 matrix would take 14.6 TiB: refused before it is allocated
+        huge = tmp_path / "huge.svm"
+        huge.write_text("1 1:0.5\n-1 1000000000000:0.5\n")
+        want = "2 rows of 1000000000000 features exceed the 400000000-entry dense matrix cap"
+        for argv in (["train", "--input", str(huge), "--format", "sparse", "--output", str(tmp_path / "m2.json")],
+                     ["predict", "--model", str(model_file), "--input", str(huge), "--format", "sparse",
+                      "--output", str(tmp_path / "p.csv")]):
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert want in err
+            _one_line_error(err)
+
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy(self):

@@ -31,8 +31,10 @@ import numpy as np
 import pytest
 
 from conftest import forced_workers
+import satsvm.trainer as trainer
 from satsvm import two_cluster_dataset, write_csv
 from satsvm.cli import main
+from satsvm.kernel import COLUMN_GROUP
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -68,6 +70,7 @@ def _write_inputs() -> None:
     Path("ranks.csv").write_text("hinge,pinball,linex,qtself,wave,expsat\n3.35,2.96,3.96,4.45,4.12,2.16\n")
     Path("bad.csv").write_text("1.0,2.0,1\n3.0,abc,0\n")
     Path("broken_model.json").write_text('{"format_version": 1, "beta": [')
+    Path("huge.txt").write_text("1 1:0.5\n-1 1000000000000:0.5\n")  # a 2-by-1e12 dense matrix
 
 
 def _train_predict(loss: str, kernel: str, normalize: bool) -> list:
@@ -99,6 +102,9 @@ GROUPS = {
                      *_GRID_AXES, "--output", "grid.csv"]],
     "sweep": [["sweep", "--input", "train.csv", "--a-grid", "0.5,2", "--lambda-grid", "0.5,1.5", "--C", "10",
                "--sigma", "0.7", "--seed", "4", "--output", "sweep.csv"]],
+    # 20 columns: chunks of 16 and 4, or of 8, 8 and 4 in test_every_group_in_8_column_chunks
+    "sweep/split-chunks": [["sweep", "--input", "train.csv", "--a-grid", "0.5,1,2,3", "--lambda-grid",
+                            "0.5,1,1.5,2,2.5", "--C", "10", "--sigma", "0.7", "--seed", "4", "--output", "sweep.csv"]],
     "corrupt/outliers": [
         ["corrupt", "--input", "train.csv", "--mode", "outliers", "--rate", "0.2", "--factor", "7",
          "--seed", "5", "--output", "noisy.csv"],
@@ -125,6 +131,7 @@ GROUPS = {
         ["train", "--input", "bad.csv", "--output", "m3.json"],
         ["predict", "--model", "broken_model.json", "--input", "query.csv", "--output", "p3.csv"],
         ["train", "--input", "small.csv", "--output", "m4.json", "--C", "1e306"],
+        ["train", "--input", "huge.txt", "--format", "sparse", "--output", "m5.json"],
     ],
     "non-finite-parameters": [
         ["train", "--input", "train.csv", "--output", f"m_{key}.json", f"--{key}", value]
@@ -212,6 +219,17 @@ def test_every_group_on_forced_workers(workers, golden, tmp_path, monkeypatch):
             (tmp_path / str(i)).mkdir()
             monkeypatch.chdir(tmp_path / str(i))
             assert run_group(group) == golden["groups"][group], group
+
+
+def test_every_group_in_8_column_chunks(golden, tmp_path, monkeypatch):
+    """The corpus keeps its bytes when every batch of more than 8 columns
+    trains 8 columns at a time: ``COLUMN_BYTES`` holds 8 columns of the
+    48-row training parts of ``train.csv``."""
+    monkeypatch.setattr(trainer, "COLUMN_BYTES", 8 * 48 * COLUMN_GROUP)
+    for i, group in enumerate(sorted(GROUPS)):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        assert run_group(group) == golden["groups"][group], group
 
 
 def _record() -> dict:

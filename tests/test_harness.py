@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import expsat_config, forced_workers, hinge_config, separable_dataset
 
@@ -449,21 +451,67 @@ def _spy(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, lambda first, *a, **k: calls.append(first) or real(first, *a, **k))
 
 
+def _chunked(folds, configs, budget: int):
+    """``_evaluate`` at a ``COLUMN_BYTES`` of ``budget``: its accuracies,
+    and the width, betas and test-part decision values of every chunk
+    trained, in order."""
+    betas, scores = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "COLUMN_BYTES", budget)
+        fit_columns, kernel_product = harness.fit_columns, harness.kernel_product
+        mp.setattr(harness, "fit_columns", lambda *a, **k: betas.append(fit_columns(*a, **k)) or betas[-1])
+        mp.setattr(harness, "kernel_product", lambda *a: scores.append(kernel_product(*a)) or scores[-1])
+        accs = harness._evaluate(folds, configs)
+    return accs, [b.shape[1] for b in betas], betas, scores
+
+
+def _same_columns(a: list, b: list) -> bool:
+    """Whether two lists of chunks hold the same columns, bit for bit, once
+    each list's chunks of one (fold, configuration) are put side by side."""
+    return np.hstack(a).tobytes() == np.hstack(b).tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(50, 2048), B=st.integers(1, 72), k=st.integers(1, 4), linear=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2048, B=64, k=1, linear=False, seed=0)
+@example(n=2000, B=41, k=2, linear=True, seed=1)
+def test_chunk_width_keeps_the_bits(n, B, k, linear, seed):
+    """The premise of the harness's chunks on this BLAS: a configuration's
+    betas and test-part decision values are the same bits whether its
+    columns train in chunks of 8k columns or in one chunk (each with the
+    last B mod 8 columns apart). Where this fails, a grid's results depend
+    on ``trainer.COLUMN_BYTES`` and the training-part size."""
+    rng = np.random.default_rng(seed)
+    ds = two_cluster_dataset(n=n + 24, m=4, separation=2.0, spread=1.0, seed=seed)
+    train, test = ds.subset(np.arange(n)), ds.subset(np.arange(n, n + 24))
+    kernel = KernelSpec.linear() if linear else KernelSpec.gaussian(0.7)
+    config = harness._columns(TrainerConfig(kernel=kernel, max_iters=4, seed=seed),
+                              [("C", np.exp(rng.uniform(-5.0, 7.0, B)))])
+    whole = _chunked([(train, test)], [config], 8 * n * 1024)
+    split = _chunked([(train, test)], [config], 8 * n * harness.COLUMN_GROUP * k)
+    assert sum(split[1]) == B and max(split[1]) <= harness.COLUMN_GROUP * k and len(whole[1]) <= 2
+    assert _same_columns(split[2], whole[2]) and _same_columns(split[3], whole[3])
+    assert split[0][0].tobytes() == whole[0][0].tobytes()
+
+
 class TestBatchedEvaluation:
-    def test_split_chunks_match_one_chunk(self, monkeypatch):
+    def test_split_chunks_match_one_chunk(self):
         ds = _overlapping(1)
         folds = harness._plan_folds(ds, make_folds(ds.n, 5, seed=1))
         grid = GridSpec(c_grid=(10.0, 0.5, 3.0), sigma_grid=(2.0, 0.5), a_grid=(2.0, 0.5, 1.0),
                         lambda_grid=(1.0, 0.5))
         _, configs = harness._grid_columns(TrainerConfig(seed=1), grid.validated())
-        whole = harness._evaluate(folds, configs)
-        chunks = []
-        _spy(monkeypatch, harness, "fit_columns", chunks)
-        # 5 of the 18 columns per (fold, sigma) at a time: chunks of 5, 5, 5 and 3
-        monkeypatch.setattr(trainer, "COLUMN_BYTES", 8 * 48 * 5)
-        split = harness._evaluate(folds, configs)
-        assert [c.columns for c in chunks] == [5, 5, 5, 3] * 2 * 5
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(split, whole))
+        # 18 columns per (fold, sigma): 16 and the last 2 apart at the default
+        # budget, and 8, 8 and 2 at a budget of 8 columns of 48 coefficients
+        whole = _chunked(folds, configs, trainer.COLUMN_BYTES)
+        split = _chunked(folds, configs, 8 * 48 * 8)
+        assert whole[1] == [16, 2] * 2 * 5
+        assert split[1] == [8, 8, 2] * 2 * 5
+        for i in range(2 * 5):
+            assert _same_columns(split[2][3 * i : 3 * i + 3], whole[2][2 * i : 2 * i + 2])
+            assert _same_columns(split[3][3 * i : 3 * i + 3], whole[3][2 * i : 2 * i + 2])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(split[0], whole[0]))
 
     @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(0.7), KernelSpec.linear()], ids=["gaussian", "linear"])
     def test_one_column_scores_are_the_bits_of_decision_values(self, kernel, monkeypatch):
