@@ -390,12 +390,20 @@ def apply_scaler(ds: Dataset, scaler) -> Dataset:
 
 
 def _scale(X: np.ndarray, scaler) -> np.ndarray:
+    """``X`` scaled by ``scaler``; ``ParameterError`` naming the first
+    feature (0-based) where a scaled value is not finite, which finite
+    values far apart, or far outside the scaler's range, can give."""
     lo = np.array([a for a, _ in scaler])
     hi = np.array([b for _, b in scaler])
-    span = hi - lo
     out = np.zeros_like(X)
-    nz = span != 0
-    out[:, nz] = 2.0 * (X[:, nz] - lo[nz]) / span[nz] - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        nz = span != 0
+        out[:, nz] = 2.0 * (X[:, nz] - lo[nz]) / span[nz] - 1.0
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        raise ParameterError(f"scaling overflows: feature {int(np.argmin(finite))} (0-based) "
+                             "has values past the float range once scaled")
     return out
 
 

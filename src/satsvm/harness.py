@@ -12,26 +12,20 @@ of a run (a grid's refit on the full dataset, else the largest training
 part) is checked against the size cap before any fold trains. Each
 configuration is a batch of its own: its columns (one per candidate; a
 grid makes one configuration per sigma, whose columns run over C and the
-loss parameters) train together in one NAG loop
-(:func:`trainer.fit_columns`), in chunks whose width changes no bit
-(see :func:`_evaluate`). Grid and sweep build those columns with
-one mesh builder, :func:`_columns`, and check their axes with one check,
-:func:`_check_axes`, before any Gram is built; a grid checks every axis,
-searched or not, after :meth:`GridSpec.validated` has silently dropped
-the a grid's values <= 0 (the default a grid starts at 0). A grid
-searches each distinct axis value once, and for a linear kernel, which sigma does not
-enter, only the smallest sigma. A batch's matrix products sum in another
-order than a separate fit's, so results are not bit-identical to
-separate fits (a one-column batch is: its decision values are those of
-``decision_values`` on the fitted model, bit for bit):
-a decision value differs by at most 1e-12 * sum_j |K(x_j, x)| * m_j, with
-m_j the largest |beta_j| of the training run. On typical data that is
-the final |beta_j|: the largest drift measured on two-cluster data at
-n = 320 was 1.8e-14 * sum_j |beta_j K(x_j, x)|, and grid winners and
-accuracies on the test data were unchanged. Scoring an n-by-B beta a
-block of test rows at a time adds at most 3.6e-15 * sum_j |K(x_j, x)|
-|beta_j| against one product over the whole test part (measured over
-144 shapes, training parts of 48 to 2000 and B from 1 to 1638).
+loss parameters) train together through :func:`trainer.fit_columns`,
+which picks the chunks and states how far a batch's decision values may
+differ from separate fits' (a one-column batch's are bit-identical to
+``decision_values`` on the fitted model). Grid and sweep build those
+columns with one mesh builder, :func:`_columns`, and check their axes
+with one check, :func:`_check_axes`, before any Gram is built; a grid
+checks every axis, searched or not, after :meth:`GridSpec.validated` has
+silently dropped the a grid's values <= 0 (the default a grid starts at
+0). A grid searches each distinct axis value once, and for a linear
+kernel, which sigma does not enter, only the smallest sigma. Scoring an
+n-by-B beta a block of test rows at a time adds at most 3.6e-15 *
+sum_j |K(x_j, x)| |beta_j| against one product over the whole test part
+(measured over 144 shapes, training parts of 48 to 2000 and B from 1 to
+1638).
 
 Protocol notes. The dataset is used as given: the protocol normalizes
 the whole dataset before it is split into folds, and no scaler is fitted
@@ -53,14 +47,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import pairwise
 
 import numpy as np
 
-from . import trainer
 from .data import CorruptionMode, Dataset, FoldPlan, corrupt
 from .errors import ParameterError, ShapeError
-from .kernel import COLUMN_GROUP, KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
+from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
 from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
@@ -167,22 +159,13 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     Per fold, each distinct kernel's Gram is built once (sigma is dropped
     for a linear kernel) and one fold Gram is alive at a time, the fold's
     only kernel matrix. Each configuration that uses the kernel is a
-    batch of its own: its columns train together through ``fit_columns``
+    batch of its own: ``fit_columns`` trains its columns chunk by chunk
     and each chunk is scored by ``kernel_product``, the call behind
-    ``decision_values``. A batch of more than ``COLUMN_GROUP`` columns is
-    split into chunks of whole multiples of ``COLUMN_GROUP`` columns, as
-    many as ``trainer.COLUMN_BYTES`` of coefficients holds at the largest
-    training part, and a chunk of its last B mod ``COLUMN_GROUP``
-    columns, so a column's bits do not depend on the chunk width. The
-    largest Gram of the run, the training parts' or a refit's on
-    ``refit`` points, is checked against the size cap before fold 0.
-    Decision values agree with separate ``fit`` runs to the tolerance in
-    the module docstring; a one-column batch gives the bits of
-    ``decision_values`` on its ``fit``.
+    ``decision_values``. The largest Gram of the run, the training parts'
+    or a refit's on ``refit`` points, is checked against the size cap
+    before fold 0.
     """
-    n = max(len(train.X) for train, _ in folds)
-    check_capacity(max(n, refit))
-    step = COLUMN_GROUP * max(1, trainer.COLUMN_BYTES // (8 * COLUMN_GROUP * n))
+    check_capacity(max(refit, *(len(train.X) for train, _ in folds)))
     by_kernel: dict = {}
     for i, config in enumerate(configs):
         kernel = config.kernel if config.kernel.kind is KernelKind.GAUSSIAN else KernelSpec.linear()
@@ -192,14 +175,7 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
         for kernel, idx in by_kernel.items():
             gram = gram_matrix(kernel, train.X)
             for i in idx:
-                config = _fold_config(configs[i], f)
-                B = len(per_fold[i])
-                body = B if B <= COLUMN_GROUP else B - B % COLUMN_GROUP
-                for lo, hi in pairwise(sorted({*range(0, body, step), body, B})):
-                    cols = slice(lo, hi)
-                    chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters()
-                                                  if np.ndim(v)})
-                    beta = fit_columns(chunk, train.X, train.y, gram=gram)
+                for cols, beta in fit_columns(_fold_config(configs[i], f), train.X, train.y, gram=gram):
                     hits = sign_labels(kernel_product(kernel, train.X, test.X, beta)) == test.y[:, None]
                     per_fold[i][cols, f] = 100.0 * np.mean(hits, axis=0)
             del gram

@@ -44,6 +44,7 @@ bits at one BLAS thread.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import queue
 import threading
@@ -70,8 +71,15 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", KernelKind(self.kind))
-        if self.kind is KernelKind.GAUSSIAN and not self.sigma > 0:
-            raise ParameterError(f"gaussian kernel width sigma must be > 0, got sigma={self.sigma}")
+        if self.kind is KernelKind.GAUSSIAN:
+            if not self.sigma > 0:
+                raise ParameterError(f"gaussian kernel width sigma must be > 0, got sigma={self.sigma}")
+            # the kernel scales squared distances by -1/sigma**2, which must
+            # be finite and nonzero: about 7.5e-155 <= sigma <= 1.3e154
+            square = float(self.sigma) * float(self.sigma)
+            if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
+                raise ParameterError(f"gaussian kernel width sigma={self.sigma} is out of range: "
+                                     "1/sigma**2 must be finite and nonzero")
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "KernelSpec":
@@ -100,16 +108,21 @@ TILE_BLOCKS = 4
 # the matrix of row_product) run inline in the calling thread: the grids'
 # folds at n = 320 and short commands start no thread.
 PARALLEL_ENTRIES = 1 << 20
-# row_product splits its rows at multiples of this: a matrix-vector product
-# of OpenBLAS's Haswell kernels split there keeps the whole product's bits.
+# row_product splits its rows at multiples of this: at one BLAS thread, a
+# matrix-vector product of numpy's OpenBLAS split there keeps the whole
+# product's bits (measured on its SkylakeX core, which it picks on a Xeon
+# with AVX-512). test_row_split_keeps_the_bits_at_one_blas_thread in
+# tests/test_kernel.py holds this premise.
 ROW_ALIGN = 8
 # kernel_product multiplies by a weight matrix this many columns at a time,
-# and the harness trains a configuration's columns in chunks of whole
-# multiples of it. OpenBLAS's Haswell GEMM computes each full group of 8
-# columns with one kernel, but a product's last B mod 8 columns, and products
-# of a few columns, with others: without the groups a column's bits would
-# depend on the width of its product. test_chunk_width_keeps_the_bits in
-# tests/test_harness.py holds this premise.
+# and fit_columns trains a batch's columns in chunks of whole multiples of
+# it. OpenBLAS's GEMM computes each full group of 8 columns with one kernel,
+# but a product's last B mod 8 columns, and products of a few columns, with
+# others: without the groups a column's bits would depend on the width of
+# its product. At one BLAS thread, products in groups of 8 columns kept
+# their bits on the SkylakeX, Haswell, Zen and SandyBridge cores (n from 50
+# to 2000). test_chunk_width_keeps_the_bits in tests/test_harness.py holds
+# this premise.
 COLUMN_GROUP = 8
 
 
@@ -266,23 +279,27 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
             _times(Z[start : start + rows] @ X.T, W, product[start : start + rows])
         return
     scratch, own = tiles
-    for start in range(lo, hi, tile):
-        z = Z[start : min(start + tile, hi)]
-        D = own[: len(z)] if out is None else out[start : start + len(z)]
-        t = scratch[: len(z)]
-        if m == 0:
-            D.fill(0.0)
-        for j in range(m):
-            # the first feature's squares start the sum in D
-            np.subtract(XT[j], z[:, j : j + 1], out=t)
-            np.multiply(t, t, out=t if j else D)
-            if j:
-                np.add(D, t, out=D)
-        np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
-        np.exp(D, out=D)
-        if W is not None:
-            for b in range(0, len(z), rows):
-                _times(D[b : b + rows], W, product[start + b : start + b + rows])
+    # a squared distance, or its scaling, past the float range is inf, whose
+    # kernel value exp(-inf) is the exact limit 0.0, so overflow is no error
+    # here (nor in the products by W, whose kernel values are at most 1)
+    with np.errstate(over="ignore"):
+        for start in range(lo, hi, tile):
+            z = Z[start : min(start + tile, hi)]
+            D = own[: len(z)] if out is None else out[start : start + len(z)]
+            t = scratch[: len(z)]
+            if m == 0:
+                D.fill(0.0)
+            for j in range(m):
+                # the first feature's squares start the sum in D
+                np.subtract(XT[j], z[:, j : j + 1], out=t)
+                np.multiply(t, t, out=t if j else D)
+                if j:
+                    np.add(D, t, out=D)
+            np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
+            np.exp(D, out=D)
+            if W is not None:
+                for b in range(0, len(z), rows):
+                    _times(D[b : b + rows], W, product[start + b : start + b + rows])
 
 
 def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None) -> None:

@@ -46,6 +46,15 @@ def separable():
     return ds, make_folds(ds.n, 5, seed=5)
 
 
+def one_blas_thread_env() -> dict:
+    """The environment of a child process that imports ``satsvm`` and the
+    test modules and runs BLAS at one thread."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 @contextlib.contextmanager
 def forced_workers(workers: int):
     """Send every kernel call and row product down the parallel path, on

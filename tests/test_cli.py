@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -748,6 +749,58 @@ class TestBadDataFiles:
             assert code == 2
             assert want in err
             _one_line_error(err)
+
+
+class TestOutOfRangeValues:
+    """Finite values that the arithmetic would turn into a division by
+    zero, NaN or a silent all-ones kernel are usage errors of one line."""
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160", "1e155", "inf"])
+    @pytest.mark.parametrize("command", ["train", "grid", "sweep"])
+    def test_sigma_whose_square_leaves_the_float_range(self, command, sigma, tmp_path, data_csv, capsys):
+        out = tmp_path / "out"
+        flags = {"train": ["--sigma", sigma],
+                 "grid": ["--models", "expsat", "--c-grid", "1", "--sigma-grid", f"1,{sigma}", "--a-grid", "1",
+                          "--lambda-grid", "1"],
+                 "sweep": ["--sigma", sigma, "--a-grid", "1", "--lambda-grid", "1"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run([command, "--input", str(data_csv), "--output", str(out), *flags], capsys)
+        want = "non-finite value inf" if command == "grid" and sigma == "inf" else "1/sigma**2 must be finite"
+        assert code == 2 and want in err
+        _one_line_error(err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["7.5e-155", "1.3e154"])
+    def test_sigma_at_the_ends_of_the_range(self, sigma, tmp_path, data_csv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["train", "--input", str(data_csv), "--output", str(tmp_path / "m.json"),
+                                "--sigma", sigma, "--max-iters", "5"], capsys)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_scaling_overflow(self, command, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("".join(f"{1e308 if i == 0 else -1e308 if i == 1 else 0.5},{i / 10},{i % 2}\n"
+                                for i in range(10)))
+        flags = ["--models", "expsat", "--c-grid", "1", "--sigma-grid", "1", "--a-grid", "1",
+                 "--lambda-grid", "1"] if command == "grid" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run([command, "--input", str(wide), "--output", str(tmp_path / "out"), *flags], capsys)
+        assert code == 2 and "feature 0 (0-based)" in err
+        _one_line_error(err)
+
+    def test_predict_query_far_outside_the_fitted_range(self, tmp_path, model_file, capsys):
+        query = tmp_path / "q.csv"
+        query.write_text("0.5,1e308,1\n0.5,0.5,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["predict", "--model", str(model_file), "--input", str(query),
+                                "--output", str(tmp_path / "p.csv")], capsys)
+        assert code == 2 and "feature 1 (0-based)" in err
+        _one_line_error(err)
 
 
 class TestImportFootprint:

@@ -217,6 +217,17 @@ class TestNormalize:
         with pytest.raises(ParameterError, match="already normalized"):
             normalize(ds)
 
+    def test_overflow_names_the_first_feature(self):
+        X = np.array([[0.0, 1e308, -1e308], [1.0, -1e308, 1e308], [0.5, 0.0, 0.0]])
+        with pytest.raises(ParameterError, match=r"^scaling overflows: feature 1 \(0-based\)"):
+            normalize(Dataset(X=X, y=np.array([1.0, -1.0, 1.0])))
+
+    def test_scaling_near_the_float_range_keeps_its_bits(self):
+        # twice the span, 1.6e308, is finite: the same arithmetic as for small values
+        X = np.array([[-2e307], [6e307], [1e307]])
+        out = normalize(Dataset(X=X, y=np.array([1.0, -1.0, 1.0])))
+        assert out.X[:, 0].tolist() == (2.0 * (X[:, 0] + 2e307) / 8e307 - 1.0).tolist() == [-1.0, 1.0, -0.25]
+
     def test_every_nonconstant_column_hits_endpoints(self):
         ds = normalize(two_cluster_dataset(n=50, m=3, seed=1))
         assert (ds.X.min(axis=0) == -1.0).all()
@@ -229,6 +240,11 @@ class TestApplyScaler:
         ds = Dataset(X=np.array([[20.0], [5.0], [0.0]]), y=np.array([1.0, -1.0, 1.0]))
         out = apply_scaler(ds, scaler)
         assert (out.X[:, 0] == np.array([3.0, 0.0, -1.0])).all()
+
+    def test_query_far_outside_the_range_names_the_feature(self):
+        ds = Dataset(X=np.array([[0.5, 0.5, 1e300], [0.5, -1e300, 0.5]]), y=np.array([1.0, -1.0]))
+        with pytest.raises(ParameterError, match=r"^scaling overflows: feature 1 \(0-based\)"):
+            apply_scaler(ds, ((0.0, 1.0), (0.0, 1e-10), (0.0, 1e-10)))
 
 
 class TestMakeFolds:

@@ -133,6 +133,16 @@ GROUPS = {
         ["train", "--input", "small.csv", "--output", "m4.json", "--C", "1e306"],
         ["train", "--input", "huge.txt", "--format", "sparse", "--output", "m5.json"],
     ],
+    # a Gaussian sigma must leave 1/sigma**2 finite and nonzero: about 7.5e-155 to 1.3e154
+    "sigma-range": [
+        ["train", "--input", "train.csv", "--output", "m1.json", "--sigma", "1e-200"],
+        ["train", "--input", "train.csv", "--output", "m2.json", "--sigma", "1e155"],
+        ["train", "--input", "train.csv", "--output", "m3.json", "--sigma", "7.5e-155"],
+        ["grid", "--input", "train.csv", "--models", "expsat", "--c-grid", "1", "--sigma-grid", "1,1e-320",
+         "--a-grid", "1", "--lambda-grid", "1", "--output", "grid.csv"],
+        ["sweep", "--input", "train.csv", "--a-grid", "1", "--lambda-grid", "1", "--sigma", "1e-170",
+         "--output", "sweep.csv"],
+    ],
     "non-finite-parameters": [
         ["train", "--input", "train.csv", "--output", f"m_{key}.json", f"--{key}", value]
         for key, value in (("C", "inf"), ("alpha0", "inf"), ("eta", "inf"), ("beta0", "inf"), ("v0", "nan"))

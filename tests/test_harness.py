@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import expsat_config, forced_workers, hinge_config, separable_dataset
+from conftest import expsat_config, forced_workers, hinge_config, one_blas_thread_env, separable_dataset
 
 import satsvm.harness as harness
 import satsvm.trainer as trainer
@@ -35,6 +37,7 @@ from satsvm import (
     sign_labels,
     two_cluster_dataset,
 )
+from satsvm.kernel import COLUMN_GROUP
 from satsvm.loss import LossKind
 from satsvm.seeds import child_seed
 
@@ -453,16 +456,22 @@ def _spy(monkeypatch, module, name, calls):
 
 def _chunked(folds, configs, budget: int):
     """``_evaluate`` at a ``COLUMN_BYTES`` of ``budget``: its accuracies,
-    and the width, betas and test-part decision values of every chunk
-    trained, in order."""
-    betas, scores = [], []
+    and the columns, betas and test-part decision values of every chunk
+    that ``fit_columns`` yields, in order."""
+    chunks, scores = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "COLUMN_BYTES", budget)
         fit_columns, kernel_product = harness.fit_columns, harness.kernel_product
-        mp.setattr(harness, "fit_columns", lambda *a, **k: betas.append(fit_columns(*a, **k)) or betas[-1])
+
+        def recording(*a, **k):
+            for chunk in fit_columns(*a, **k):
+                chunks.append(chunk)
+                yield chunk
+
+        mp.setattr(harness, "fit_columns", recording)
         mp.setattr(harness, "kernel_product", lambda *a: scores.append(kernel_product(*a)) or scores[-1])
         accs = harness._evaluate(folds, configs)
-    return accs, [b.shape[1] for b in betas], betas, scores
+    return accs, [cols for cols, _ in chunks], [beta for _, beta in chunks], scores
 
 
 def _same_columns(a: list, b: list) -> bool:
@@ -476,23 +485,41 @@ def _same_columns(a: list, b: list) -> bool:
        seed=st.integers(0, 2**32 - 1))
 @example(n=2048, B=64, k=1, linear=False, seed=0)
 @example(n=2000, B=41, k=2, linear=True, seed=1)
-def test_chunk_width_keeps_the_bits(n, B, k, linear, seed):
-    """The premise of the harness's chunks on this BLAS: a configuration's
-    betas and test-part decision values are the same bits whether its
-    columns train in chunks of 8k columns or in one chunk (each with the
-    last B mod 8 columns apart). Where this fails, a grid's results depend
-    on ``trainer.COLUMN_BYTES`` and the training-part size."""
+def _chunk_width_keeps_the_bits(n, B, k, linear, seed):
+    """The premise of fit_columns's chunks on this BLAS: a batch's betas,
+    and the test-part decision values ``_evaluate`` scores them by, are
+    the same bits whether its columns train in chunks of 8k columns or in
+    one chunk (each with the last B mod 8 columns apart). Where this
+    fails, a grid's results depend on ``trainer.COLUMN_BYTES`` and the
+    training-part size."""
     rng = np.random.default_rng(seed)
     ds = two_cluster_dataset(n=n + 24, m=4, separation=2.0, spread=1.0, seed=seed)
     train, test = ds.subset(np.arange(n)), ds.subset(np.arange(n, n + 24))
     kernel = KernelSpec.linear() if linear else KernelSpec.gaussian(0.7)
     config = harness._columns(TrainerConfig(kernel=kernel, max_iters=4, seed=seed),
                               [("C", np.exp(rng.uniform(-5.0, 7.0, B)))])
-    whole = _chunked([(train, test)], [config], 8 * n * 1024)
-    split = _chunked([(train, test)], [config], 8 * n * harness.COLUMN_GROUP * k)
-    assert sum(split[1]) == B and max(split[1]) <= harness.COLUMN_GROUP * k and len(whole[1]) <= 2
-    assert _same_columns(split[2], whole[2]) and _same_columns(split[3], whole[3])
-    assert split[0][0].tobytes() == whole[0][0].tobytes()
+    whole_budget, split_budget = 8 * n * 1024, 8 * n * COLUMN_GROUP * k
+    runs = []
+    for budget in (whole_budget, split_budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "COLUMN_BYTES", budget)
+            runs.append(list(trainer.fit_columns(config, train.X, train.y)))
+    whole, split = ([(cols.start, cols.stop) for cols, _ in run] for run in runs)
+    assert [lo for lo, _ in split] == [0, *(hi for _, hi in split[:-1])] and split[-1][1] == B
+    assert max(hi - lo for lo, hi in split) <= COLUMN_GROUP * k and len(whole) <= 2
+    assert _same_columns([beta for _, beta in runs[1]], [beta for _, beta in runs[0]])
+    scored_whole = _chunked([(train, test)], [config], whole_budget)
+    scored_split = _chunked([(train, test)], [config], split_budget)
+    assert _same_columns(scored_split[3], scored_whole[3])
+    assert scored_split[0][0].tobytes() == scored_whole[0][0].tobytes()
+
+
+def test_chunk_width_keeps_the_bits():
+    """Run in a child process at one BLAS thread: with more, OpenBLAS's
+    Haswell and Zen cores broke the property at 2 threads (n = 169,
+    B = 24), though not its SkylakeX core."""
+    subprocess.run([sys.executable, "-c", "import test_harness; test_harness._chunk_width_keeps_the_bits()"],
+                   env=one_blas_thread_env(), check=True)
 
 
 class TestBatchedEvaluation:
@@ -506,8 +533,8 @@ class TestBatchedEvaluation:
         # budget, and 8, 8 and 2 at a budget of 8 columns of 48 coefficients
         whole = _chunked(folds, configs, trainer.COLUMN_BYTES)
         split = _chunked(folds, configs, 8 * 48 * 8)
-        assert whole[1] == [16, 2] * 2 * 5
-        assert split[1] == [8, 8, 2] * 2 * 5
+        assert whole[1] == [slice(0, 16), slice(16, 18)] * 2 * 5
+        assert split[1] == [slice(0, 8), slice(8, 16), slice(16, 18)] * 2 * 5
         for i in range(2 * 5):
             assert _same_columns(split[2][3 * i : 3 * i + 3], whole[2][2 * i : 2 * i + 2])
             assert _same_columns(split[3][3 * i : 3 * i + 3], whole[3][2 * i : 2 * i + 2])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satsvm.kernel as kernel
-from conftest import forced_workers
+from conftest import forced_workers, one_blas_thread_env
 from satsvm import (
     CapacityError,
     KernelSpec,
@@ -23,7 +23,7 @@ from satsvm import (
     gram_matrix,
     kernel_block,
 )
-from satsvm.kernel import kernel_product, row_product
+from satsvm.kernel import KernelKind, kernel_product, row_product
 
 
 def _k(spec, x, z) -> float:
@@ -52,6 +52,22 @@ class TestKernelEval:
 
         with pytest.raises(ParameterError, match="sigma"):
             KernelSpec.gaussian(0.0)
+
+    @pytest.mark.parametrize("sigma", [7.4e-155, 1e-160, 1e-200, 1e-320, 1.35e154, 1e155, math.inf])
+    def test_sigma_whose_inverse_square_is_zero_or_inf_is_rejected(self, sigma):
+        from satsvm import ParameterError
+
+        with pytest.raises(ParameterError, match="1/sigma\\*\\*2 must be finite and nonzero"):
+            KernelSpec.gaussian(sigma)
+        KernelSpec(KernelKind.LINEAR, sigma=sigma)  # sigma does not enter a linear kernel
+
+    def test_sigma_at_the_ends_of_the_range(self):
+        # the narrowest width overflows the scaled distances to -inf, whose
+        # kernel value is 0.0, with no warning; the widest gives kernel values
+        # that round to 1.0 below a distance of about 1e154
+        X = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+        assert (gram_matrix(KernelSpec.gaussian(7.5e-155), X) == np.eye(3)).all()
+        assert (gram_matrix(KernelSpec.gaussian(1.3e154), X) == 1.0).all()
 
 
 class TestGramMatrix:
@@ -340,20 +356,13 @@ def _row_split_keeps_the_bits(n, column, seed):
             assert row_product(K, b).tobytes() == whole, workers
 
 
-def _one_blas_thread_env() -> dict:
-    tests = os.path.dirname(os.path.abspath(__file__))
-    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-
 def test_row_split_keeps_the_bits_at_one_blas_thread():
     """Run in a child process at one BLAS thread: with more, OpenBLAS
     splits a matrix-vector product over its own threads at rows that need
     not be multiples of 4, which changes the bits of the whole product
     (ROADMAP item 9), split by row_product or not."""
     subprocess.run([sys.executable, "-c", "import test_kernel; test_kernel._row_split_keeps_the_bits()"],
-                   env=_one_blas_thread_env(), check=True)
+                   env=one_blas_thread_env(), check=True)
 
 
 def test_row_product_keeps_wider_products_whole():
@@ -474,6 +483,6 @@ class TestWorkers:
 def test_cli_import_starts_no_thread_and_no_executor():
     code = ("import sys, threading, satsvm.cli; "
             "print(threading.active_count(), 'concurrent.futures' in sys.modules, 'logging' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=_one_blas_thread_env(), capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], env=one_blas_thread_env(), capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["1", "False", "False"]

@@ -11,7 +11,6 @@ from conftest import full_gradient
 
 import satsvm.trainer as trainer
 from satsvm import (
-    CapacityError,
     KernelSpec,
     LossKind,
     LossSpec,
@@ -426,6 +425,11 @@ def _column_config(config, **columns):
     return replace(config, C=C, loss=replace(config.loss, **columns))
 
 
+def _betas(config, X, y, gram=None):
+    """The n-by-B betas of every chunk ``fit_columns`` yields, side by side."""
+    return np.hstack([beta for _, beta in fit_columns(config, X, y, gram)])
+
+
 class TestFitColumns:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -452,9 +456,10 @@ class TestFitColumns:
                 raise NumericError(f"non-finite final objective {final!r}")
         except NumericError as exc:
             with pytest.raises(NumericError, match=f"^{exc} for C="):
-                fit_columns(one, X, y)
+                _betas(one, X, y)
             return
-        assert fit_columns(one, X, y)[:, 0].tobytes() == beta.tobytes()
+        ((cols, got),) = fit_columns(one, X, y)
+        assert cols == slice(0, 1) and got[:, 0].tobytes() == beta.tobytes()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -495,9 +500,9 @@ class TestFitColumns:
                 failed = True
         if failed:
             with pytest.raises(NumericError):
-                fit_columns(batched, X, y)
+                _betas(batched, X, y)
             return
-        beta = fit_columns(batched, X, y)
+        beta = _betas(batched, X, y)
         for j, want in enumerate(separate):
             top = _largest_iterates(_column_config(base, **{k: v[j] for k, v in columns.items()}), X, y)
             assert (np.abs(K @ beta[:, j] - K @ want) <= COLUMN_RTOL * (np.abs(K) @ top)).all()
@@ -507,7 +512,7 @@ class TestFitColumns:
         cfg = _column_config(TrainerConfig(), C=[1.0, 1e306], a=[0.5, 2.0])
         want = r"^non-finite final objective nan for C=1e\+306, a=2.0, lam=1.0$"
         with pytest.raises(NumericError, match=want):
-            fit_columns(cfg, ds.X, ds.y)
+            _betas(cfg, ds.X, ds.y)
         # the overflowing setting of test_gradient_check_kept_after_freeze, as column 1
         n = 200
         X = np.zeros((n, 1))
@@ -516,15 +521,36 @@ class TestFitColumns:
         y[1] = -1.0
         hinge = TrainerConfig(loss=LossSpec.hinge(), batch_size=1, seed=80)
         with pytest.raises(NumericError, match=r"^non-finite gradient at iteration 327 for C=1.5e\+308$"):
-            fit_columns(_column_config(hinge, C=[1.0, 1.5e308]), X, y)
+            _betas(_column_config(hinge, C=[1.0, 1.5e308]), X, y)
 
     def test_column_budget(self, monkeypatch):
+        # past the budget a batch trains in chunks of whole groups of 8
+        # columns, its last B mod 8 columns apart, instead of raising
         ds = two_cluster_dataset(n=30, seed=1)
-        cfg = _column_config(TrainerConfig(max_iters=5), C=[1.0, 2.0, 3.0])
-        monkeypatch.setattr(trainer, "COLUMN_BYTES", 8 * 30 * 2)
-        with pytest.raises(CapacityError, match="3 columns"):
-            fit_columns(cfg, ds.X, ds.y)
-        assert fit_columns(_column_config(cfg, C=[1.0, 2.0]), ds.X, ds.y).shape == (30, 2)
+        cfg = _column_config(TrainerConfig(max_iters=5), C=np.linspace(1.0, 3.0, 21))
+        whole = list(fit_columns(cfg, ds.X, ds.y))
+        assert [cols for cols, _ in whole] == [slice(0, 16), slice(16, 21)]
+        for budget in (8 * 30 * 8, 8 * 30 * 15, 1):
+            monkeypatch.setattr(trainer, "COLUMN_BYTES", budget)
+            split = list(fit_columns(cfg, ds.X, ds.y))
+            assert [cols for cols, _ in split] == [slice(0, 8), slice(8, 16), slice(16, 21)]
+            assert all(beta.shape == (30, cols.stop - cols.start) for cols, beta in split)
+            assert np.hstack([b for _, b in split]).tobytes() == np.hstack([b for _, b in whole]).tobytes()
+        # up to 8 columns are one chunk, and a plain config one column
+        assert [cols for cols, _ in fit_columns(_column_config(cfg, C=np.ones(8)), ds.X, ds.y)] == [slice(0, 8)]
+        ((cols, beta),) = fit_columns(TrainerConfig(max_iters=5), ds.X, ds.y)
+        assert cols == slice(0, 1) and beta.shape == (30, 1)
+
+    def test_checks_the_data_before_the_first_chunk(self, monkeypatch):
+        ds = two_cluster_dataset(n=30, seed=1)
+        cfg = _column_config(TrainerConfig(max_iters=5), C=[1.0, 2.0])
+        monkeypatch.setattr(trainer, "_nag", lambda *a: pytest.fail("a chunk was trained"))
+        with pytest.raises(ShapeError, match="one label per row"):
+            fit_columns(cfg, ds.X, ds.y[:-1])
+        with pytest.raises(ShapeError, match="gram matrix"):
+            fit_columns(cfg, ds.X, ds.y, gram=np.eye(29))
+        with pytest.raises(ParameterError, match="batch size 40"):
+            fit_columns(replace(cfg, batch_size=40), ds.X, ds.y)
 
     def test_column_parameters_must_agree(self):
         with pytest.raises(ShapeError, match="equal-length"):
