@@ -123,42 +123,6 @@ _OPTIONS = {o.key: o for o in (
     *(Option(key, list(getattr(_GRID_DEFAULT, key))) for key in _GRID_KEYS),
 )}
 
-_DATA_KEYS = ("input", "format", "output", "seed", "normalize")
-_SWEEP_FLAGS = (*_DATA_KEYS, "folds", "a_grid", "lambda_grid", "C", "sigma", "batch_size", "max_iters")
-
-# subcommand -> (help, keys that have a flag, keys settable only through
-# --config, defaults that differ from the option table's)
-_SUBCOMMANDS = {
-    "train": ("fit a model and serialize it", (*_DATA_KEYS, *_TRAINER_KEYS), (),
-              {"output": "model.json"}),
-    "predict": ("classify rows of a data file with a saved model",
-                ("model", "input", "format", "output"), (), {"output": "predictions.csv"}),
-    "grid": ("grid search with k-fold cross-validation",
-             (*_DATA_KEYS, "models", "folds", *_GRID_KEYS, *_TRAINER_KEYS), (),
-             {"output": "grid_results.csv"}),
-    "corrupt": ("inject outliers or label noise, or invert a record",
-                ("input", "format", "output", "mode", "rate", "factor", "seed", "record", "invert"),
-                (), {"output": "corrupted.csv"}),
-    "stats": ("Friedman / Nemenyi report from accuracies or mean ranks",
-              ("input", "input_kind", "num_datasets", "alpha", "critical_f", "output"), (),
-              {"output": "stats_report.csv"}),
-    "loss-curve": ("emit (u, value, derivative) samples of a loss",
-                   (*_LOSS_KEYS, "u_min", "u_max", "u_step", "output"), (),
-                   {"output": "loss_curve.csv"}),
-    "calibration": ("emit the conditional-risk curve for one P",
-                    (*PARAMETERS[LossKind.EXPSAT], "p", "f_lo", "f_hi", "f_step", "output"), (),
-                    {"output": "calibration_curve.csv"}),
-    "sweep": ("loss-parameter sensitivity surface",
-              _SWEEP_FLAGS, tuple(k for k in _TRAINER_KEYS if k not in _SWEEP_FLAGS),
-              {"output": "sweep.csv", "a_grid": [0.5, 1.0, 2.0, 5.0],
-               "lambda_grid": [0.5, 1.0, 1.5, 2.0]}),
-}
-
-DEFAULTS = {
-    name: {key: overrides.get(key, _OPTIONS[key].default) for key in (*flags, *config_only)}
-    for name, (_, flags, config_only, overrides) in _SUBCOMMANDS.items()
-}
-
 
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,15 +161,6 @@ def _config(p: dict, stream: str, **params) -> TrainerConfig:
     from the child stream ``stream`` of ``p["seed"]``."""
     seed = child_seed(p["seed"], stream)
     return apply_params(TrainerConfig(seed=seed), {**{k: p[k] for k in _TRAINER_KEYS}, **params})
-
-
-def _check_searched(command: str, p: dict, axes) -> None:
-    """Raise ``ParameterError`` where ``p`` sets a key that the grid named
-    beside it in ``axes`` (``(key, grid key)`` pairs) overwrites, so that
-    no manifest records a value its run ignored."""
-    for key, grid in axes:
-        if p[key] != _OPTIONS[key].default:
-            raise ParameterError(f"{command} takes {key} from --{grid.replace('_', '-')}, not {key}={p[key]!r}")
 
 
 def _load(p: dict) -> Dataset:
@@ -254,14 +209,13 @@ def cmd_grid(p: dict) -> int:
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
-    if p["loss"] != _OPTIONS["loss"].default:
-        raise ParameterError(f"grid trains the losses that --models names, not loss {p['loss']!r}")
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
         raise ParameterError(f"unknown model(s) {unknown}; choose from {list(_values(LossKind))}")
+    if len(set(kinds)) < len(kinds):
+        raise ParameterError(f"--models names {max(kinds, key=kinds.count)!r} more than once")
     configs = [_config(p, f"train/{kind}", loss=kind) for kind in kinds]
-    _check_searched("grid", p, GRID_AXES)
     rows = [
         (result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
          result.train_time_seconds, *(result.best_params.get(key) for key, _ in GRID_AXES))
@@ -397,21 +351,49 @@ def cmd_sweep(p: dict) -> int:
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     config = _config(p, "train/expsat")
-    _check_searched("sweep", p, [("a", "a_grid"), ("lam", "lambda_grid")])
     rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
     write_rows(p["output"], rows, ["a", "lam", "mean_accuracy"])
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "grid": cmd_grid,
-    "corrupt": cmd_corrupt,
-    "stats": cmd_stats,
-    "loss-curve": cmd_loss_curve,
-    "calibration": cmd_calibration,
-    "sweep": cmd_sweep,
+_DATA_KEYS = ("input", "format", "output", "seed", "normalize")
+_SWEEP_FLAGS = (*_DATA_KEYS, "folds", "a_grid", "lambda_grid", "C", "sigma", "batch_size", "max_iters")
+
+# subcommand -> (command, help, keys that have a flag, keys settable only
+# through --config, defaults that differ from the option table's, and the
+# (key, grid key) pairs whose grid sets the key: the subcommand refuses any
+# other value of that key, so that no manifest records a value its run ignored)
+_SUBCOMMANDS = {
+    "train": (cmd_train, "fit a model and serialize it", (*_DATA_KEYS, *_TRAINER_KEYS), (),
+              {"output": "model.json"}, ()),
+    "predict": (cmd_predict, "classify rows of a data file with a saved model",
+                ("model", "input", "format", "output"), (), {"output": "predictions.csv"}, ()),
+    "grid": (cmd_grid, "grid search with k-fold cross-validation",
+             (*_DATA_KEYS, "models", "folds", *_GRID_KEYS, *_TRAINER_KEYS), (),
+             {"output": "grid_results.csv"}, (("loss", "models"), *GRID_AXES)),
+    "corrupt": (cmd_corrupt, "inject outliers or label noise, or invert a record",
+                ("input", "format", "output", "mode", "rate", "factor", "seed", "record", "invert"),
+                (), {"output": "corrupted.csv"}, ()),
+    "stats": (cmd_stats, "Friedman / Nemenyi report from accuracies or mean ranks",
+              ("input", "input_kind", "num_datasets", "alpha", "critical_f", "output"), (),
+              {"output": "stats_report.csv"}, ()),
+    "loss-curve": (cmd_loss_curve, "emit (u, value, derivative) samples of a loss",
+                   (*_LOSS_KEYS, "u_min", "u_max", "u_step", "output"), (),
+                   {"output": "loss_curve.csv"}, ()),
+    "calibration": (cmd_calibration, "emit the conditional-risk curve for one P",
+                    (*PARAMETERS[LossKind.EXPSAT], "p", "f_lo", "f_hi", "f_step", "output"), (),
+                    {"output": "calibration_curve.csv"}, ()),
+    "sweep": (cmd_sweep, "loss-parameter sensitivity surface",
+              _SWEEP_FLAGS, tuple(k for k in _TRAINER_KEYS if k not in _SWEEP_FLAGS),
+              {"output": "sweep.csv", "a_grid": [0.5, 1.0, 2.0, 5.0],
+               "lambda_grid": [0.5, 1.0, 1.5, 2.0]}, (("a", "a_grid"), ("lam", "lambda_grid"))),
+}
+
+_COMMANDS = {name: command for name, (command, *_) in _SUBCOMMANDS.items()}
+
+DEFAULTS = {
+    name: {key: overrides.get(key, _OPTIONS[key].default) for key in (*flags, *config_only)}
+    for name, (_, _, flags, config_only, overrides, _) in _SUBCOMMANDS.items()
 }
 
 
@@ -419,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="satsvm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"satsvm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, _, _) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags, *_) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config or a previously emitted manifest")
         for key in flags:
@@ -428,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_params(command: str, supplied: dict) -> dict:
-    """Layer defaults, then --config contents, then explicit flags."""
+    """Layer defaults, then --config contents, then explicit flags, and
+    refuse a value of a key that the command's grids set."""
     params = dict(DEFAULTS[command])
     config_path = supplied.pop("config", None)
     if config_path:
@@ -451,6 +434,10 @@ def resolve_params(command: str, supplied: dict) -> dict:
     missing = [k for k in ("input", "model") if k in params and params[k] is None]
     if missing:
         raise ParameterError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+    *_, grid_set = _SUBCOMMANDS[command]
+    for key, grid in grid_set:
+        if params[key] != DEFAULTS[command][key]:
+            raise ParameterError(f"{command} takes {key} from --{grid.replace('_', '-')}, not {key}={params[key]!r}")
     return params
 
 

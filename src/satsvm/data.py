@@ -426,15 +426,24 @@ def _corruption_count(rate: float, n: int) -> int:
 
 def inject_outliers(ds: Dataset, rate: float, factor: float = 10.0, seed: int = 0):
     """Multiply one randomly chosen feature of round(rate*n) samples by
-    ``factor``. Returns the corrupted dataset and an audit record."""
+    ``factor``. Returns the corrupted dataset and an audit record.
+
+    A non-finite factor, or a product past the float range, raises
+    ``ParameterError``."""
+    if not math.isfinite(factor):
+        raise ParameterError(f"factor must be finite, got factor={factor!r}")
     count = _corruption_count(rate, ds.n)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=count, replace=False))
     feats = rng.integers(0, ds.m, size=count)
     X = ds.X.copy()
     originals = tuple(float(X[i, j]) for i, j in zip(idx, feats))
-    for i, j in zip(idx, feats):
-        X[i, j] = X[i, j] * factor
+    with np.errstate(over="ignore"):
+        for i, j in zip(idx, feats):
+            X[i, j] = X[i, j] * factor
+            if not math.isfinite(X[i, j]):
+                raise ParameterError(f"factor={factor!r} takes feature {j} of sample {i} (0-based) "
+                                     "past the float range")
     record = CorruptionRecord(
         mode=CorruptionMode.OUTLIERS,
         rate=rate,

@@ -144,8 +144,11 @@ def loss_value(spec: LossSpec, u):
         neg = np.where(np.greater(spec.tau, 0), np.minimum(-spec.tau * u, spec.delta2), 0.0)
         out = np.where(u >= 0, np.minimum(u, spec.delta1), neg)
     elif k is LossKind.EXPSAT:
-        t = spec.a * u
-        out = np.where(u > 0, spec.lam * (1.0 - _saturating_from_zero(t)), 0.0)
+        # a*u past the float range is +inf where u > 0, which saturates the
+        # loss; every other overflow falls in the branch np.where discards
+        with np.errstate(over="ignore"):
+            t = spec.a * u
+            out = np.where(u > 0, spec.lam * (1.0 - _saturating_from_zero(t)), 0.0)
     else:  # pragma: no cover
         raise ParameterError(f"unknown loss kind {k}")
     return float(out) if out.ndim == 0 else out
@@ -171,13 +174,18 @@ def loss_derivative(spec: LossSpec, u):
     elif k is LossKind.TRUNCATED_PINBALL:
         out = np.where((u > 0) & (u < spec.delta1), 1.0, 0.0)
         tau = np.asarray(spec.tau)
-        with np.errstate(divide="ignore"):
-            edge = -spec.delta2 / tau  # -inf where tau = 0, which the mask leaves out
+        # -inf where tau = 0, which the mask leaves out, or where the edge
+        # lies past the float range, so that every finite u <= 0 is inside it
+        with np.errstate(divide="ignore", over="ignore"):
+            edge = -spec.delta2 / tau
         out = np.where((tau > 0) & (u <= 0) & (u > edge), -spec.tau, out)
     elif k is LossKind.EXPSAT:
-        t = spec.a * u
-        tc = np.clip(t, -_EXP_CUTOFF, _EXP_CUTOFF)
-        d = spec.lam * spec.a * tc * np.exp(-tc)
+        # as in loss_value; lam*a past the float range gives the limit inf
+        # where the mask keeps d, and inf*0 = nan only where u = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = spec.a * u
+            tc = np.clip(t, -_EXP_CUTOFF, _EXP_CUTOFF)
+            d = spec.lam * spec.a * tc * np.exp(-tc)
         out = np.where((u > 0) & (t <= _EXP_CUTOFF), d, 0.0)
     else:  # pragma: no cover
         raise ParameterError(f"unknown loss kind {k}")

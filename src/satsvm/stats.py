@@ -175,6 +175,8 @@ def friedman_nemenyi(table: RankTable, critical_F: float | None = None, alpha: f
     ff = friedman_F(chi2, table.D, table.p)
     if critical_F is None:
         critical_F = f_critical(table.p, table.D, alpha)
+    elif not (math.isfinite(critical_F) and critical_F > 0):
+        raise ParameterError(f"critical_F must be finite and > 0, got {critical_F!r}")
     cd = nemenyi_cd(table.p, table.D, alpha)
     diffs, significant = nemenyi_report(table, cd)
     return TestReport(

@@ -246,6 +246,21 @@ class TestCorrupt:
         assert code == 2
         assert "rate" in err
 
+    @pytest.mark.parametrize("factor,message", [
+        ("inf", "factor must be finite, got factor=inf"),
+        ("nan", "factor must be finite, got factor=nan"),
+        ("1e308", "factor=1e+308 takes feature"),
+    ])
+    def test_factor_past_the_float_range_is_usage_error(self, factor, message, tmp_path, data_csv, capsys):
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["corrupt", "--input", str(data_csv), "--output", str(out), "--rate", "0.2",
+                                "--factor", factor], capsys)
+        assert code == 2 and message in err
+        _one_line_error(err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mangle", [
         lambda doc: "{broken",
         lambda doc: "[]",
@@ -287,6 +302,18 @@ class TestStats:
         assert code == 3
         assert where in err
         _one_line_error(err)
+
+    @pytest.mark.parametrize("critical_f", ["nan", "inf", "0", "-1"])
+    def test_critical_f_that_cannot_be_one_is_usage_error(self, critical_f, tmp_path, capsys):
+        src = tmp_path / "acc.csv"
+        src.write_text("dataset,m1,m2,m3\nd1,91.5,88,87.5\nd2,80,81,78.5\nd3,77.25,70,72.5\nd4,95,95,93\n")
+        out = tmp_path / "r.csv"
+        code, _, err = run(["stats", "--input", str(src), f"--critical-f={critical_f}", "--output", str(out)],
+                           capsys)
+        assert code == 2
+        assert f"critical_F must be finite and > 0, got {float(critical_f)!r}" in err
+        _one_line_error(err)
+        assert not out.exists()
 
     def test_d1_mean_rank_fixture(self, tmp_path, capsys):
         src = tmp_path / "ranks.csv"
@@ -379,6 +406,17 @@ class TestCurveEmitters:
         imin = int(np.argmin(risk))
         assert 0 < imin < len(rows) - 1
         assert f[imin] > 0
+
+    @pytest.mark.parametrize("flags", [
+        ["loss-curve", "--loss", "expsat", "--a", "1e308", "--lam", "1e308"],
+        ["calibration", "--a", "1e300", "--lam", "1e300"],
+        ["loss-curve", "--loss", "truncated_pinball", "--tau", "1e-300", "--delta2", "1e300"],
+    ], ids=["expsat-curve", "calibration", "truncated-pinball-curve"])
+    def test_extreme_loss_parameters_run_without_warnings(self, flags, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run([*flags, "--output", str(tmp_path / "curve.csv")], capsys)
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("flags", [
         ["loss-curve", "--u-step", "0"],
@@ -506,8 +544,8 @@ class TestGrid:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,searched", [
-        ("grid", {"C": ("c_grid", 500), "sigma": ("sigma_grid", 7), "a": ("a_grid", 3),
-                  "lam": ("lambda_grid", 0.25), "tau": ("tau_grid", 0.9)}),
+        ("grid", {"loss": ("models", "hinge"), "C": ("c_grid", 500), "sigma": ("sigma_grid", 7),
+                  "a": ("a_grid", 3), "lam": ("lambda_grid", 0.25), "tau": ("tau_grid", 0.9)}),
         ("sweep", {"a": ("a_grid", 9), "lam": ("lambda_grid", 0.1)}),
     ])
     def test_searched_key_other_than_its_default_is_usage_error(self, command, searched, tmp_path, data_csv,
@@ -531,6 +569,33 @@ class TestGrid:
         assert code == 2
         assert "'svm'" in err
         _one_line_error(err)
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("grid", ["--C", "5"], "grid takes C from --c-grid, not C=5.0"),
+        ("grid", ["--loss", "hinge"], "grid takes loss from --models, not loss='hinge'"),
+        ("sweep", ["--config", "{cfg}"], "sweep takes lam from --lambda-grid, not lam=2"),
+    ])
+    def test_grid_set_key_is_refused_before_any_file_is_read(self, command, flags, message, tmp_path, capsys):
+        # a usage error, not the data error of the missing input
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 2}))
+        out = tmp_path / "out.csv"
+        code, _, err = run([command, "--input", str(tmp_path / "missing.csv"), "--output", str(out),
+                            *(flag.format(cfg=cfg) for flag in flags)], capsys)
+        assert code == 2
+        assert message in err
+        _one_line_error(err)
+        assert not out.exists()
+
+    def test_repeated_model_is_usage_error(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "g.csv"
+        code, _, err = run(["grid", "--input", str(data_csv), "--output", str(out),
+                            "--models", "expsat,hinge, expsat", "--c-grid", "30", "--sigma-grid", "0.3",
+                            "--a-grid", "1", "--lambda-grid", "1"], capsys)
+        assert code == 2
+        assert "--models names 'expsat' more than once" in err
+        _one_line_error(err)
+        assert not out.exists()
 
     def test_two_models_share_fold_plan(self, tmp_path, data_csv, capsys):
         out = tmp_path / "grid.csv"

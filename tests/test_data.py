@@ -324,6 +324,25 @@ class TestCorruption:
             with pytest.raises(ParameterError, match="rate"):
                 inject_outliers(ds, bad)
 
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_non_finite_factor(self, factor):
+        with pytest.raises(ParameterError, match="factor must be finite"):
+            inject_outliers(two_cluster_dataset(n=20, seed=0), 0.2, factor=factor)
+
+    def test_product_past_the_float_range_names_the_entry(self):
+        ds = Dataset(X=np.full((10, 1), 2.0), y=np.array([1.0, -1.0] * 5))
+        _, rec = inject_outliers(ds, 0.2, factor=1.0, seed=3)
+        with pytest.raises(ParameterError) as exc:
+            inject_outliers(ds, 0.2, factor=1e308, seed=3)
+        assert str(exc.value) == (f"factor=1e+308 takes feature 0 of sample {rec.touched_indices[0]} (0-based) "
+                                  "past the float range")
+
+    def test_product_at_the_end_of_the_float_range(self):
+        ds = Dataset(X=np.full((10, 1), 1.0), y=np.array([1.0, -1.0] * 5))
+        out, rec = inject_outliers(ds, 0.2, factor=1.7e308, seed=3)
+        assert out.X[list(rec.touched_indices), 0].tolist() == [1.7e308, 1.7e308]
+        assert (invert_corruption(out, rec).X == ds.X).all()
+
     @pytest.mark.parametrize("mode", ["outliers", "labels"])
     def test_corrupt_calls_the_mode_injector(self, mode):
         ds = two_cluster_dataset(n=50, seed=2)

@@ -143,6 +143,21 @@ GROUPS = {
         ["sweep", "--input", "train.csv", "--a-grid", "1", "--lambda-grid", "1", "--sigma", "1e-170",
          "--output", "sweep.csv"],
     ],
+    # values the arithmetic cannot take are usage errors of one line, the
+    # grid-set C before the missing input is read; extreme loss parameters
+    # that succeed print nothing
+    "cli-contract": [
+        *(["stats", "--input", "accuracies.csv", f"--critical-f={value}", "--output", "report.csv"]
+          for value in ("nan", "inf", "0", "-1")),
+        *(["corrupt", "--input", "train.csv", "--factor", value, "--rate", "0.5", "--output", "noisy.csv"]
+          for value in ("inf", "nan", "1e308")),
+        ["loss-curve", "--loss", "expsat", "--a", "1e308", "--lam", "1e308", "--output", "curve.csv"],
+        ["calibration", "--a", "1e300", "--lam", "1e300", "--output", "risk.csv"],
+        ["loss-curve", "--loss", "truncated_pinball", "--tau", "1e-300", "--delta2", "1e300",
+         "--output", "curve_tp.csv"],
+        ["grid", "--input", "train.csv", "--models", "expsat,expsat", "--output", "grid.csv"],
+        ["grid", "--input", "missing.csv", "--C", "5", "--output", "grid.csv"],
+    ],
     "non-finite-parameters": [
         ["train", "--input", "train.csv", "--output", f"m_{key}.json", f"--{key}", value]
         for key, value in (("C", "inf"), ("alpha0", "inf"), ("eta", "inf"), ("beta0", "inf"), ("v0", "nan"))

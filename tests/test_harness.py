@@ -223,6 +223,11 @@ class TestRobustnessSuite:
             assert len(mine) == 4
             assert averages[name] == pytest.approx(np.mean(mine))
 
+    def test_non_finite_factor(self, separable):
+        ds, plan = separable
+        with pytest.raises(ParameterError, match="factor must be finite"):
+            robustness_suite(ds, [("expsat", expsat_config())], rates=(0.2,), plan=plan, factor=float("inf"))
+
     def test_dataset_untouched(self, separable):
         ds, plan = separable
         X_before = ds.X.copy()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,29 @@ class TestDerivatives:
         spec = LossSpec.expsat(1.0, 1.0)
         assert loss_value(spec, 1e-8) < 1e-12
         assert loss_derivative(spec, 1e-8) < 1e-6
+
+
+class TestExtremeParameters:
+    """Parameters near the float range evaluate to their limits, with no
+    floating-point warning from the branches that ``np.where`` discards."""
+
+    def test_expsat(self):
+        spec = LossSpec.expsat(1e308, 1e308)
+        u = np.array([-2.0, 0.0, 1e-306, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, deriv = loss_value(spec, u), loss_derivative(spec, u)
+        assert value.tolist() == [0.0, 0.0, 1e308, 1e308, 1e308]
+        assert deriv.tolist() == [0.0, 0.0, math.inf, 0.0, 0.0]  # lam * a is past the float range
+
+    def test_truncated_pinball_edge_past_the_float_range(self):
+        spec = LossSpec.truncated_pinball(tau=1e-300, delta1=1.0, delta2=1e300)
+        u = np.array([-1e300, -1.0, 0.0, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, deriv = loss_value(spec, u), loss_derivative(spec, u)
+        assert value.tolist() == [1.0, 1e-300, 0.0, 0.5, 1.0]
+        assert deriv.tolist() == [-1e-300, -1e-300, -1e-300, 1.0, 0.0]
 
 
 class TestSupremum:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,9 @@ class TestFullPipeline:
         ff = friedman_F(chi2, 30, 3)
         report = friedman_nemenyi(table, critical_F=ff)  # F_F == critical, strict > fails
         assert report.reject is False
+
+    @pytest.mark.parametrize("critical_F", [math.nan, math.inf, 0.0, -1.0])
+    def test_critical_f_must_be_finite_and_positive(self, critical_F):
+        table = RankTable.from_mean_ranks([1.9, 2.0, 2.1], D=30)
+        with pytest.raises(ParameterError, match="critical_F must be finite and > 0"):
+            friedman_nemenyi(table, critical_F=critical_F)
