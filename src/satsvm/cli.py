@@ -7,6 +7,11 @@ from its manifest via ``--config`` reproduces the outputs byte for byte.
 The one exception is the measured wall-clock ``time_s`` field of grid
 results, which is honest timing and therefore not reproducible.
 
+Flags are spelled in full, never abbreviated. ``train``, ``grid`` and
+``sweep`` build their trainer settings, models and grid axes from the
+parameters before they read the input, so a bad value is a usage error
+even when the input is missing.
+
 Exit codes: 0 success, 2 usage or validation error, 3 data error,
 4 numeric failure during optimization.
 """
@@ -174,8 +179,8 @@ def _training_data(p: dict) -> Dataset:
 
 
 def cmd_train(p: dict) -> int:
-    ds = _training_data(p)
     config = _config(p, "batches")
+    ds = _training_data(p)
     # the fit's Gram gives the training decision values as K @ beta
     K = gram_matrix(config.kernel, ds.X)
     model = fit(config, ds.X, ds.y, gram=K)
@@ -206,8 +211,6 @@ def cmd_predict(p: dict) -> int:
 
 
 def cmd_grid(p: dict) -> int:
-    ds = _training_data(p)
-    plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
@@ -216,6 +219,8 @@ def cmd_grid(p: dict) -> int:
     if len(set(kinds)) < len(kinds):
         raise ParameterError(f"--models names {max(kinds, key=kinds.count)!r} more than once")
     configs = [_config(p, f"train/{kind}", loss=kind) for kind in kinds]
+    ds = _training_data(p)
+    plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
     rows = [
         (result.dataset, result.model, result.mean_accuracy, result.std_accuracy,
          result.train_time_seconds, *(result.best_params.get(key) for key, _ in GRID_AXES))
@@ -348,10 +353,11 @@ def cmd_calibration(p: dict) -> int:
 
 
 def cmd_sweep(p: dict) -> int:
+    config = _config(p, "train/expsat")
+    a_grid, lambda_grid = _floats(p, "a_grid"), _floats(p, "lambda_grid")
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))
-    config = _config(p, "train/expsat")
-    rows = sensitivity_sweep(ds, config, _floats(p, "a_grid"), _floats(p, "lambda_grid"), plan)
+    rows = sensitivity_sweep(ds, config, a_grid, lambda_grid, plan)
     write_rows(p["output"], rows, ["a", "lam", "mean_accuracy"])
     return 0
 
@@ -398,11 +404,11 @@ DEFAULTS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="satsvm", description=__doc__)
+    parser = argparse.ArgumentParser(prog="satsvm", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"satsvm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags, *_) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config or a previously emitted manifest")
         for key in flags:
             _OPTIONS[key].add_to(sp)

@@ -424,14 +424,18 @@ def _corruption_count(rate: float, n: int) -> int:
     return int(math.floor(rate * n + 0.5))
 
 
+def _check_factor(factor: float) -> None:
+    if not math.isfinite(factor):
+        raise ParameterError(f"factor must be finite, got factor={factor!r}")
+
+
 def inject_outliers(ds: Dataset, rate: float, factor: float = 10.0, seed: int = 0):
     """Multiply one randomly chosen feature of round(rate*n) samples by
     ``factor``. Returns the corrupted dataset and an audit record.
 
     A non-finite factor, or a product past the float range, raises
     ``ParameterError``."""
-    if not math.isfinite(factor):
-        raise ParameterError(f"factor must be finite, got factor={factor!r}")
+    _check_factor(factor)
     count = _corruption_count(rate, ds.n)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=count, replace=False))
@@ -477,7 +481,9 @@ def inject_label_noise(ds: Dataset, rate: float, seed: int = 0):
 def corrupt(ds: Dataset, mode: CorruptionMode, rate: float, factor: float, seed: int):
     """Corrupt ``ds`` by ``mode``: :func:`inject_outliers` with ``factor``,
     or :func:`inject_label_noise`, which ignores ``factor``. Returns the
-    corrupted dataset and its audit record."""
+    corrupted dataset and its audit record. A non-finite factor raises
+    ``ParameterError`` in either mode."""
+    _check_factor(factor)
     if CorruptionMode(mode) is CorruptionMode.OUTLIERS:
         return inject_outliers(ds, rate, factor=factor, seed=seed)
     return inject_label_noise(ds, rate, seed=seed)

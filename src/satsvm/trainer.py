@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import pairwise
 
 import numpy as np
@@ -62,7 +62,9 @@ class TrainerConfig:
     Defaults are the reference constants: ``beta0 = v0 = 0.01``,
     ``alpha0 = eta = 0.1``, momentum ``r = 0.6``, 1000 iterations, and a
     batch size resolved at fit time to 4 when n < 100 and 32 otherwise.
-    ``C``, ``alpha0``, ``eta``, ``beta0`` and ``v0`` must be finite.
+    ``C``, ``alpha0``, ``eta``, ``beta0``, ``v0`` and every parameter of
+    the loss and the kernel must be finite, used by their kinds or not,
+    so that no model file or manifest records a non-finite number.
 
     ``C`` and the loss parameters may also be length-B arrays, one value
     per column: :func:`fit_columns` then trains the B models that share
@@ -94,9 +96,12 @@ class TrainerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("C", "alpha0", "eta", "beta0", "v0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ParameterError(f"{name} must be finite, got {name}={getattr(self, name)}")
+        numbers = [(name, getattr(self, name)) for name in ("C", "alpha0", "eta", "beta0", "v0")]
+        numbers += [(f.name, getattr(spec, f.name)) for spec in (self.loss, self.kernel) for f in fields(spec)
+                    if f.name != "kind"]
+        for name, value in numbers:
+            if not np.all(np.isfinite(value)):
+                raise ParameterError(f"{name} must be finite, got {name}={value}")
         shapes = [np.shape(v) for _, v in self.column_parameters()]
         if any(len(shape) > 1 for shape in shapes) or len({shape for shape in shapes if shape}) > 1:
             raise ShapeError("C and the loss parameters must be numbers or equal-length vectors", *shapes)

@@ -261,6 +261,15 @@ class TestCorrupt:
         _one_line_error(err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("factor", ["inf", "nan"])
+    def test_label_noise_refuses_a_non_finite_factor(self, factor, tmp_path, data_csv, capsys):
+        # label noise ignores the factor, but the manifest would record it
+        out = tmp_path / "c.csv"
+        code, _, err = run(["corrupt", "--input", str(data_csv), "--output", str(out), "--mode", "labels",
+                            "--rate", "0.2", "--factor", factor], capsys)
+        assert (code, err) == (2, f"satsvm: factor must be finite, got factor={factor}\n")
+        assert list(tmp_path.iterdir()) == [data_csv]
+
     @pytest.mark.parametrize("mangle", [
         lambda doc: "{broken",
         lambda doc: "[]",
@@ -669,6 +678,13 @@ def _edit(change):
     return mangle
 
 
+def _linear_with_infinite_sigma(doc):
+    """Both kernel copies of a model document made linear with an infinite
+    sigma, which a linear kernel ignores."""
+    for kernel in (doc["kernel"], doc["config"]["kernel"]):
+        kernel.update(kind="linear", sigma=float("inf"))
+
+
 MANGLED_MODELS = {
     "malformed-json": lambda text: text[: len(text) // 2],
     "not-an-object": lambda text: "[1, 2, 3]",
@@ -693,6 +709,8 @@ MANGLED_MODELS = {
     "nan-final-objective": _edit(lambda d: d.update(final_objective=float("nan"))),
     "iterations-disagree-with-config": _edit(lambda d: d.update(iterations_run=d["config"]["max_iters"] + 1)),
     "infinite-loss-parameter": _edit(lambda d: d["config"]["loss"].update(a=float("inf"))),
+    "nan-unused-loss-parameter": _edit(lambda d: d["config"]["loss"].update(tau=float("nan"))),
+    "infinite-unused-sigma": _edit(_linear_with_infinite_sigma),
     "integer-past-the-float-range": _edit(lambda d: d.update(final_objective=10**400)),
 }
 
@@ -865,6 +883,50 @@ class TestOutOfRangeValues:
             code, _, err = run(["predict", "--model", str(model_file), "--input", str(query),
                                 "--output", str(tmp_path / "p.csv")], capsys)
         assert code == 2 and "feature 1 (0-based)" in err
+        _one_line_error(err)
+
+
+class TestIgnoredParameters:
+    """A parameter that the chosen loss or kernel ignores is still recorded
+    in the model file and the manifest, so it must be finite too."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--input", "{data}", "--tau", "nan", "--delta", "inf"], "tau must be finite, got tau=nan"),
+        (["train", "--input", "{data}", "--loss", "hinge", "--a", "inf"], "a must be finite, got a=inf"),
+        (["train", "--input", "{data}", "--kernel", "linear", "--sigma", "inf"],
+         "sigma must be finite, got sigma=inf"),
+        (["loss-curve", "--loss", "expsat", "--tau", "nan"], "tau must be finite, got tau=nan"),
+    ], ids=["expsat-tau-delta", "hinge-a", "linear-sigma", "loss-curve-tau"])
+    def test_non_finite_ignored_parameter_is_usage_error(self, argv, message, tmp_path, data_csv, capsys):
+        argv = [arg.format(data=data_csv) for arg in argv]
+        code, _, err = run([*argv, "--output", str(tmp_path / "out")], capsys)
+        assert (code, err) == (2, f"satsvm: {message}\n")
+        assert list(tmp_path.iterdir()) == [data_csv]
+
+
+class TestParametersBeforeInput:
+    """``train``, ``grid`` and ``sweep`` convert their parameters before
+    they read the input, so a bad one is a usage error with the input missing."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["grid", "--models", "svm"], "unknown model(s) ['svm']; choose from "),
+        (["grid", "--models", "expsat,expsat"], "--models names 'expsat' more than once"),
+        (["train", "--C", "-1"], "trade-off C must be > 0, got -1.0"),
+        (["sweep", "--a-grid", "x"], "a_grid must be comma-separated numbers, got 'x'"),
+        (["grid", "--c-grid", "x"], "c_grid must be comma-separated numbers, got 'x'"),
+    ], ids=["grid-unknown-model", "grid-repeated-model", "train-C", "sweep-a-grid", "grid-c-grid"])
+    def test_bad_parameter_is_reported_before_the_missing_input(self, argv, message, tmp_path, capsys):
+        code, _, err = run([*argv, "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "out")],
+                           capsys)
+        assert code == 2
+        assert err.startswith(f"satsvm: {message}")
+        _one_line_error(err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "grid", "sweep"])
+    def test_good_parameters_then_the_missing_input(self, command, tmp_path, capsys):
+        code, _, err = run([command, "--input", str(tmp_path / "missing.csv")], capsys)
+        assert code == 3 and "missing.csv" in err
         _one_line_error(err)
 
 

@@ -343,6 +343,14 @@ class TestCorruption:
         assert out.X[list(rec.touched_indices), 0].tolist() == [1.7e308, 1.7e308]
         assert (invert_corruption(out, rec).X == ds.X).all()
 
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["outliers", "labels"])
+    def test_corrupt_refuses_a_non_finite_factor_in_either_mode(self, mode, factor):
+        # label noise ignores the factor, but its record keeps it
+        with pytest.raises(ParameterError) as exc:
+            corrupt(two_cluster_dataset(n=20, seed=0), mode, 0.2, factor, 1)
+        assert str(exc.value) == f"factor must be finite, got factor={factor!r}"
+
     @pytest.mark.parametrize("mode", ["outliers", "labels"])
     def test_corrupt_calls_the_mode_injector(self, mode):
         ds = two_cluster_dataset(n=50, seed=2)

@@ -5,11 +5,14 @@ Each group writes small seeded inputs into a fresh working directory and
 runs its commands there through ``cli.main``, with relative paths. Every
 command is recorded by its exit code, the SHA-256 of its stdout and
 stderr, and the SHA-256 of every file it created or changed (outputs,
-manifests, records). The grid's ``time_s`` column is wall clock, so it
-is left out of a grid table's hash. Every command that succeeds is run
-again from its manifest, and the re-run's output must equal the
-original's. The record is ``tests/golden.json``; after an intended
-change of outputs, rewrite it with
+manifests, records). A command that argparse refuses is recorded by the
+code it exits with, its usage line wrapped at 80 columns. The grid's
+``time_s`` column is wall clock, so it is left out of a grid table's
+hash. Every JSON file a command writes must be strict JSON, with no
+``NaN`` or ``Infinity``. Every command that succeeds is run again from
+its manifest, and the re-run's output must equal the original's. The
+record is ``tests/golden.json``; after an intended change of outputs,
+rewrite it with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,6 +29,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +162,24 @@ GROUPS = {
         ["grid", "--input", "train.csv", "--models", "expsat,expsat", "--output", "grid.csv"],
         ["grid", "--input", "missing.csv", "--C", "5", "--output", "grid.csv"],
     ],
+    # flags are spelled in full; train, grid and sweep refuse a bad parameter
+    # before they read the input; a parameter that the chosen loss, kernel or
+    # corruption mode ignores must still be finite, as its manifest records it
+    "strict-parameters": [
+        ["sweep", "--input", "train.csv", "--lam", "2", "--a", "3", "--output", "sweep.csv"],
+        ["grid", "--input", "train.csv", "--lambda", "2", "--output", "grid.csv"],
+        ["grid", "--input", "missing.csv", "--models", "svm", "--output", "grid.csv"],
+        ["grid", "--input", "missing.csv", "--models", "expsat,expsat", "--output", "grid.csv"],
+        ["train", "--input", "missing.csv", "--C", "-1", "--output", "model.json"],
+        ["sweep", "--input", "missing.csv", "--a-grid", "x", "--output", "sweep.csv"],
+        ["grid", "--input", "missing.csv", "--c-grid", "x", "--output", "grid.csv"],
+        ["train", "--input", "train.csv", "--tau", "nan", "--delta", "inf", "--output", "model.json"],
+        ["train", "--input", "train.csv", "--loss", "hinge", "--a", "inf", "--output", "model.json"],
+        ["train", "--input", "train.csv", "--kernel", "linear", "--sigma", "inf", "--output", "model.json"],
+        ["loss-curve", "--loss", "expsat", "--tau", "nan", "--output", "curve.csv"],
+        ["corrupt", "--input", "train.csv", "--mode", "labels", "--factor", "inf", "--rate", "0.1",
+         "--output", "noisy.csv"],
+    ],
     "non-finite-parameters": [
         ["train", "--input", "train.csv", "--output", f"m_{key}.json", f"--{key}", value]
         for key, value in (("C", "inf"), ("alpha0", "inf"), ("eta", "inf"), ("beta0", "inf"), ("v0", "nan"))
@@ -177,18 +199,30 @@ def _files() -> dict:
     return {path.name: _digest(path) for path in sorted(Path().iterdir()) if path.is_file()}
 
 
+def _strict_constant(token: str):
+    raise AssertionError(f"a written JSON file holds {token}, which strict JSON parsers reject")
+
+
 def _run(argv: list) -> dict:
     before = _files()
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal: its usage line and one error line
+            code = exc.code
+    files = {name: h for name, h in _files().items() if before.get(name) != h}
+    for name in files:
+        if name.endswith(".json"):
+            json.loads(Path(name).read_text(), parse_constant=_strict_constant)
     return {
         "argv": " ".join(argv),
         "exit": code,
         "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-        "files": {name: h for name, h in _files().items() if before.get(name) != h},
+        "files": files,
     }
 
 

@@ -228,6 +228,12 @@ class TestRobustnessSuite:
         with pytest.raises(ParameterError, match="factor must be finite"):
             robustness_suite(ds, [("expsat", expsat_config())], rates=(0.2,), plan=plan, factor=float("inf"))
 
+    def test_non_finite_factor_under_label_noise(self, separable):
+        ds, plan = separable
+        with pytest.raises(ParameterError, match="factor must be finite"):
+            robustness_suite(ds, [("expsat", expsat_config())], rates=(0.2,), mode=CorruptionMode.LABEL_NOISE,
+                             plan=plan, factor=float("nan"))
+
     def test_dataset_untouched(self, separable):
         ds, plan = separable
         X_before = ds.X.copy()

@@ -11,6 +11,7 @@ from conftest import full_gradient
 
 import satsvm.trainer as trainer
 from satsvm import (
+    KernelKind,
     KernelSpec,
     LossKind,
     LossSpec,
@@ -160,6 +161,27 @@ class TestFit:
     def test_zero_iterations_rejected(self):
         with pytest.raises(ParameterError, match="max_iters"):
             TrainerConfig(max_iters=0)
+
+    @pytest.mark.parametrize("loss,kernel,message", [
+        (LossSpec(LossKind.EXPSAT, tau=math.nan, delta=math.inf), KernelSpec.gaussian(),
+         "tau must be finite, got tau=nan"),
+        (LossSpec(LossKind.HINGE, a=math.inf), KernelSpec.gaussian(), "a must be finite, got a=inf"),
+        (LossSpec.expsat(), KernelSpec(KernelKind.LINEAR, sigma=math.inf), "sigma must be finite, got sigma=inf"),
+        (LossSpec.hinge(), KernelSpec.gaussian(), None),
+    ], ids=["expsat-tau", "hinge-a", "linear-sigma", "finite"])
+    def test_every_loss_and_kernel_parameter_must_be_finite(self, loss, kernel, message):
+        # the specs ignore the domains of the fields their kinds do not use,
+        # but a config would record those fields in its model file
+        if message is None:
+            TrainerConfig(loss=replace(loss, delta1=-5.0), kernel=kernel)
+            return
+        with pytest.raises(ParameterError) as exc:
+            TrainerConfig(loss=loss, kernel=kernel)
+        assert str(exc.value) == message
+
+    def test_per_column_loss_parameters_must_be_finite(self):
+        with pytest.raises(ParameterError, match="lam must be finite"):
+            TrainerConfig(loss=LossSpec(LossKind.HINGE, lam=np.array([1.0, np.nan])))
 
     def test_batch_larger_than_n(self):
         ds = two_cluster_dataset(n=20, seed=0)
