@@ -32,6 +32,7 @@ from .data import (
     DataFormat,
     Dataset,
     apply_scaler,
+    check_corruption,
     check_layout,
     corrupt,
     dump_json,
@@ -47,7 +48,7 @@ from .data import (
     write_rows,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
-from .harness import GRID_AXES, GridSpec, accuracy, grid_search_models, sensitivity_sweep
+from .harness import GRID_AXES, GridSpec, accuracy, check_sweep_loss, grid_search_models, sensitivity_sweep
 from .kernel import gram_matrix, row_product
 from .loss import PARAMETERS, LossKind, LossSpec, loss_derivative, loss_value
 from .seeds import child_seed
@@ -232,6 +233,8 @@ def cmd_grid(p: dict) -> int:
 
 
 def cmd_corrupt(p: dict) -> int:
+    # an inversion ignores the rate and the factor, but its manifest records them
+    check_corruption(p["rate"], p["factor"])
     ds = _load(p)
     if p["invert"]:
         # the corrupting run wrote the record beside its output, this run's input
@@ -354,6 +357,7 @@ def cmd_calibration(p: dict) -> int:
 
 def cmd_sweep(p: dict) -> int:
     config = _config(p, "train/expsat")
+    check_sweep_loss(config)
     a_grid, lambda_grid = _floats(p, "a_grid"), _floats(p, "lambda_grid")
     ds = _training_data(p)
     plan = make_folds(ds.n, p["folds"], seed=child_seed(p["seed"], "folds"))

@@ -417,9 +417,13 @@ def make_folds(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def _corruption_count(rate: float, n: int) -> int:
+def _check_rate(rate: float) -> None:
     if not 0.0 < rate < 1.0:
         raise ParameterError(f"corruption rate must lie in (0, 1), got {rate}")
+
+
+def _corruption_count(rate: float, n: int) -> int:
+    _check_rate(rate)
     # round-half-up keeps the paper-style integer counts deterministic
     return int(math.floor(rate * n + 0.5))
 
@@ -427,6 +431,14 @@ def _corruption_count(rate: float, n: int) -> int:
 def _check_factor(factor: float) -> None:
     if not math.isfinite(factor):
         raise ParameterError(f"factor must be finite, got factor={factor!r}")
+
+
+def check_corruption(rate: float, factor: float) -> None:
+    """Raise ``ParameterError`` unless ``factor`` is finite and ``rate``
+    lies in (0, 1), whether the run uses them or not: label noise ignores
+    the factor, but a manifest records it."""
+    _check_factor(factor)
+    _check_rate(rate)
 
 
 def inject_outliers(ds: Dataset, rate: float, factor: float = 10.0, seed: int = 0):
@@ -482,8 +494,8 @@ def corrupt(ds: Dataset, mode: CorruptionMode, rate: float, factor: float, seed:
     """Corrupt ``ds`` by ``mode``: :func:`inject_outliers` with ``factor``,
     or :func:`inject_label_noise`, which ignores ``factor``. Returns the
     corrupted dataset and its audit record. A non-finite factor raises
-    ``ParameterError`` in either mode."""
-    _check_factor(factor)
+    ``ParameterError`` in either mode (:func:`check_corruption`)."""
+    check_corruption(rate, factor)
     if CorruptionMode(mode) is CorruptionMode.OUTLIERS:
         return inject_outliers(ds, rate, factor=factor, seed=seed)
     return inject_label_noise(ds, rate, seed=seed)

@@ -271,6 +271,13 @@ def grid_search_models(
     return results
 
 
+def check_sweep_loss(config: TrainerConfig) -> None:
+    """Raise ``ParameterError`` unless ``config`` trains the saturating
+    loss, whose a and lam a sensitivity sweep varies."""
+    if config.loss.kind is not LossKind.EXPSAT:
+        raise ParameterError("the sensitivity sweep varies the saturating-loss parameters")
+
+
 def sensitivity_sweep(
     ds: Dataset,
     config: TrainerConfig,
@@ -280,8 +287,7 @@ def sensitivity_sweep(
 ) -> list[tuple[float, float, float]]:
     """(a, lam, mean accuracy) triples over the loss-parameter surface,
     all other hyperparameters held fixed."""
-    if config.loss.kind is not LossKind.EXPSAT:
-        raise ParameterError("the sensitivity sweep varies the saturating-loss parameters")
+    check_sweep_loss(config)
     axes = [("a", a_grid), ("lam", lambda_grid)]
     _check_axes(config, axes)
     batch = _columns(config, axes)

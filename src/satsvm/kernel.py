@@ -19,17 +19,18 @@ rounding included, plus the last-place rounding of ``exp``.
 
 Gram matrices are materialized in full, as plain read-only n-by-n arrays,
 because the trainer repeatedly needs arbitrary rows; a Gaussian Gram is
-the full square, built in place a block of rows at a time, and a linear
-Gram is one symmetric matrix product, so either is the only n-by-n array
-its build holds, and construction refuses above a documented size cap to
-keep memory bounded. Decision values never hold the query-by-support
-matrix: :func:`kernel_product` multiplies each block by the coefficients
-as it comes, so a cross-validation fold holds its Gram and no test
-block.
+built in place a tile of rows at a time, below 2731 points as its lower
+triangle mirrored above the diagonal, and a linear Gram is one symmetric
+matrix product, so either is the only n-by-n array its build holds, and
+construction refuses above a documented size cap to keep memory bounded.
+Decision values never hold the query-by-support matrix:
+:func:`kernel_product` multiplies each block by the coefficients as it
+comes, so a cross-validation fold holds its Gram and no test block.
 
 From ``PARALLEL_ENTRIES`` kernel entries on, a call splits the rows of
 ``Z`` into one contiguous range per worker thread, each range starting at
-a multiple of a tile of ``TILE_BLOCKS`` blocks; the fit's product
+a multiple of a tile of ``TILE_BLOCKS`` blocks (ranges of equal area for
+a Gaussian Gram's triangle); the fit's product
 ``K @ beta`` (:func:`row_product`) splits its rows at multiples of
 ``ROW_ALIGN`` the same way. The workers are daemon threads, one per CPU
 the process may run on, each pinned to its CPU, started on the first such
@@ -197,16 +198,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(total: int, align: int, entries: int) -> list | None:
+def _split(total: int, align: int, entries: int, triangle: bool = False) -> list | None:
     """Contiguous ``(lo, hi)`` row ranges of ``0:total``, at most one per
     worker, each starting at a multiple of ``align`` and none of one row
     unless ``total`` is 1; None when the call is to run inline: fewer than
-    ``PARALLEL_ENTRIES`` entries, or one CPU."""
+    ``PARALLEL_ENTRIES`` entries, or one CPU. The ranges hold about equal
+    numbers of rows, or with ``triangle``, where row i has i + 1 entries,
+    of entries."""
     workers = len(_pool()) if entries >= PARALLEL_ENTRIES else 0
     if workers < 2:
         return None
     units = -(-total // align)
-    bounds = [min(total, align * (units * i // workers)) for i in range(workers + 1)]
+    shares = [math.isqrt(units * units * i // workers) if triangle else units * i // workers
+              for i in range(workers + 1)]
+    bounds = [min(total, align * share) for share in shares]
     ranges = [(lo, hi) for lo, hi in pairwise(bounds) if lo < hi]
     if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] == 1:
         # numpy takes a one-row product as a dot product, which rounds
@@ -252,12 +257,16 @@ def _times(block: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
 
 
 def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: int, hi: int, tile: int,
-          tiles: tuple, out: np.ndarray | None, W: np.ndarray | None, product: np.ndarray | None) -> None:
+          tiles: tuple, out: np.ndarray | None, W: np.ndarray | None, product: np.ndarray | None,
+          lower: bool = False) -> None:
     """Kernel values between rows ``lo:hi`` of ``Z`` and the rows of ``X``:
     written to the same rows of ``out`` when it is given, and, when ``W``
     is given, each :func:`block_rows` block of them times ``W`` written to
     the block's rows of ``product``. ``lo`` is a multiple of the block
-    rows. The package's one kernel evaluation; shapes are not checked here.
+    rows. With ``lower`` (a Gaussian Gram: ``Z`` is ``X``), a tile takes
+    only the columns up to its last row and writes its entries left of the
+    diagonal to their mirror places above it. The package's one kernel
+    evaluation; shapes are not checked here.
 
     A linear block is a matrix product. A Gaussian tile of ``tile`` rows
     (a multiple of the block rows) is ``exp(D * (-1/sigma**2))`` over the
@@ -265,10 +274,10 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
     feature by feature from the left: with ``XT`` the feature-major
     ``X``, each feature is one pass of three ufuncs over a contiguous tile
     of rows through the scratch tile ``tiles[0]``, into the rows of
-    ``out``, else into the tile ``tiles[1]``, reused for each tile of rows.
-    An entry's bits therefore depend on neither the tile
-    nor the order of its rows and columns: ``K(X, Z)`` is ``K(Z, X).T``
-    bit for bit. Each product is taken over the same block of rows
+    ``out``, else (and for a triangle) into the tile ``tiles[1]``, reused
+    for each tile of rows. An entry's bits therefore depend on neither the
+    tile, nor its columns, nor the order of its rows and columns:
+    ``K(X, Z)`` is ``K(Z, X).T`` bit for bit. Each product is taken over the same block of rows
     whatever the tile, since a product's bits depend on its rows, and by
     :func:`_times` over the n-by-B ``W``.
     """
@@ -285,30 +294,38 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
     with np.errstate(over="ignore"):
         for start in range(lo, hi, tile):
             z = Z[start : min(start + tile, hi)]
-            D = own[: len(z)] if out is None else out[start : start + len(z)]
-            t = scratch[: len(z)]
+            shape = (len(z), start + len(z) if lower else n)
+            # a triangle's tile is computed contiguous, then copied: in the
+            # strided rows of out it took 1.5x as long at n = 320
+            D = out[start : start + len(z)] if own is None else own.reshape(-1)[: math.prod(shape)].reshape(shape)
+            t = scratch.reshape(-1)[: D.size].reshape(shape)
             if m == 0:
                 D.fill(0.0)
             for j in range(m):
                 # the first feature's squares start the sum in D
-                np.subtract(XT[j], z[:, j : j + 1], out=t)
+                np.subtract(XT[j, : shape[1]], z[:, j : j + 1], out=t)
                 np.multiply(t, t, out=t if j else D)
                 if j:
                     np.add(D, t, out=D)
             np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
             np.exp(D, out=D)
+            if lower:
+                out[start : start + len(z), : shape[1]] = D
+                out[:start, start : start + len(z)] = D[:, :start].T
             if W is not None:
                 for b in range(0, len(z), rows):
                     _times(D[b : b + rows], W, product[start + b : start + b + rows])
 
 
-def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None) -> None:
+def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None,
+              lower: bool = False) -> None:
     """:func:`_rows` over all of ``Z``: inline one block per tile, or, from
     ``PARALLEL_ENTRIES`` entries on, in one contiguous range of tiles of
-    ``TILE_BLOCKS`` blocks per worker."""
+    ``TILE_BLOCKS`` blocks per worker, ranges of equal area with
+    ``lower``."""
     rows = block_rows(len(X))
     XT = np.ascontiguousarray(X.T) if spec.kind is KernelKind.GAUSSIAN else None
-    ranges = _split(len(Z), TILE_BLOCKS * rows, len(Z) * len(X))
+    ranges = _split(len(Z), TILE_BLOCKS * rows, len(Z) * len(X), lower)
     tile = rows if ranges is None else TILE_BLOCKS * rows
 
     def tiles(lo: int, hi: int) -> tuple:
@@ -317,13 +334,13 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, 
         if spec.kind is KernelKind.LINEAR:
             return None, None
         shape = (min(tile, hi - lo), len(X))
-        return np.empty(shape), np.empty(shape) if out is None else None
+        return np.empty(shape), np.empty(shape) if out is None or lower else None
 
     if ranges is None:
-        _rows(spec, X, XT, Z, 0, len(Z), tile, tiles(0, len(Z)), out, W, product)
+        _rows(spec, X, XT, Z, 0, len(Z), tile, tiles(0, len(Z)), out, W, product, lower)
     else:
         taken = {lo: tiles(lo, hi) for lo, hi in ranges}
-        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, tile, taken[lo], out, W, product), ranges)
+        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, tile, taken[lo], out, W, product, lower), ranges)
 
 
 def _points(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +407,10 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
 
     The matrix is symmetric bit-exactly, Gaussian diagonals are exactly
     1, and it is read-only, so one Gram can be shared by many fits. The
-    Gram is :func:`kernel_block` of ``X`` against itself. A Gaussian Gram
-    is the full square: an entry's bits depend only on its two points,
+    Gram has the bits of :func:`kernel_block` of ``X`` against itself. A
+    Gaussian Gram of fewer than 2731 points computes its lower triangle,
+    tile by tile of rows, and mirrors it in place, a larger one the full
+    square: an entry's bits depend only on its two points,
     which give ``x - z`` and ``z - x`` the same square, and a point's
     distance to itself is 0, whose kernel value is 1. A linear Gram is
     the one product ``X @ X.T``, which numpy takes as symmetric. Either
@@ -405,6 +424,14 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     # one symmetric product, so a linear Gram's entries mirror bit for bit;
     # other strides would take a general product
     X = np.ascontiguousarray(X)
-    K = kernel_block(spec, X, X)
+    if spec.kind is KernelKind.LINEAR:
+        K = X @ X.T
+    else:
+        K = np.empty((len(X), len(X)))
+        # numpy passes a broadcast ufunc over rows shorter than a third of its
+        # buffer (8192 entries) through that buffer, about 4x slower per entry
+        # on a Xeon: from 2731 points on, the full square's rows skip it while
+        # most of the triangle's do not, and the triangle was slower (n = 3000)
+        _evaluate(spec, X, X, out=K, lower=3 * len(X) < np.getbufsize())
     K.setflags(write=False)
     return K

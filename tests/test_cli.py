@@ -923,6 +923,14 @@ class TestParametersBeforeInput:
         _one_line_error(err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_refuses_another_loss_before_the_missing_input(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": "hinge"}))
+        code, _, err = run(["sweep", "--config", str(cfg), "--input", str(tmp_path / "missing.csv"),
+                            "--output", str(tmp_path / "out")], capsys)
+        assert (code, err) == (2, "satsvm: the sensitivity sweep varies the saturating-loss parameters\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("command", ["train", "grid", "sweep"])
     def test_good_parameters_then_the_missing_input(self, command, tmp_path, capsys):
         code, _, err = run([command, "--input", str(tmp_path / "missing.csv")], capsys)

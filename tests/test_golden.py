@@ -162,9 +162,10 @@ GROUPS = {
         ["grid", "--input", "train.csv", "--models", "expsat,expsat", "--output", "grid.csv"],
         ["grid", "--input", "missing.csv", "--C", "5", "--output", "grid.csv"],
     ],
-    # flags are spelled in full; train, grid and sweep refuse a bad parameter
-    # before they read the input; a parameter that the chosen loss, kernel or
-    # corruption mode ignores must still be finite, as its manifest records it
+    # flags are spelled in full; train, grid, sweep and corrupt refuse a bad
+    # parameter before they read the input; a parameter that the chosen loss,
+    # kernel, corruption mode or inversion ignores must still be valid, as its
+    # manifest records it
     "strict-parameters": [
         ["sweep", "--input", "train.csv", "--lam", "2", "--a", "3", "--output", "sweep.csv"],
         ["grid", "--input", "train.csv", "--lambda", "2", "--output", "grid.csv"],
@@ -179,6 +180,10 @@ GROUPS = {
         ["loss-curve", "--loss", "expsat", "--tau", "nan", "--output", "curve.csv"],
         ["corrupt", "--input", "train.csv", "--mode", "labels", "--factor", "inf", "--rate", "0.1",
          "--output", "noisy.csv"],
+        ["corrupt", "--input", "train.csv", "--invert", "--factor", "inf", "--rate", "7",
+         "--output", "restored.csv"],
+        ["corrupt", "--input", "missing.csv", "--invert", "--rate", "7", "--output", "restored.csv"],
+        ["corrupt", "--input", "missing.csv", "--mode", "labels", "--rate", "0", "--output", "noisy.csv"],
     ],
     "non-finite-parameters": [
         ["train", "--input", "train.csv", "--output", f"m_{key}.json", f"--{key}", value]

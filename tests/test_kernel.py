@@ -336,6 +336,42 @@ class TestBitsForEveryWorkerCount:
                 assert gram_matrix(spec, X).tobytes() == gram.tobytes()
 
 
+class TestMirroredGram:
+    """A Gaussian Gram of fewer than 2731 points computes its lower
+    triangle a tile of rows at a time and mirrors it above the diagonal;
+    it keeps the bytes of the full block of kernel values, inline and on
+    the workers' ranges of equal area. The triangle is checked at every
+    size, the larger ones included, where the Gram is the full square."""
+
+    SPEC = KernelSpec.gaussian(0.6)
+
+    def _triangle(self, X):
+        K = np.empty((len(X), len(X)))
+        kernel._evaluate(self.SPEC, X, X, out=K, lower=True)
+        return K.tobytes()
+
+    def _assert_full_block(self, n):
+        X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 10))
+        full = _serial(kernel_block, self.SPEC, X, X).tobytes()
+        assert _serial(gram_matrix, self.SPEC, X).tobytes() == full
+        assert _serial(self._triangle, X) == full
+        for workers in (2, 3):
+            with forced_workers(workers):
+                assert gram_matrix(self.SPEC, X).tobytes() == full, workers
+                assert self._triangle(X) == full, workers
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1023, 1025, 3000])
+    def test_equals_the_full_block(self, n):
+        self._assert_full_block(n)
+
+    @pytest.mark.parametrize("n", [47, 48, 49, 50])
+    def test_equals_the_full_block_at_block_row_boundaries(self, monkeypatch, n):
+        # 3-row blocks: tiles of 3 rows inline and of 12 on the workers;
+        # n = 48 ends on a whole tile, 47, 49 and 50 on one cut short
+        monkeypatch.setattr(kernel, "BLOCK_BYTES", 16 * 50 * 3)
+        self._assert_full_block(n)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 1100), column=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def _row_split_keeps_the_bits(n, column, seed):
@@ -380,6 +416,8 @@ def test_split_starts_ranges_at_multiples_and_leaves_no_one_row_range(monkeypatc
     assert kernel._split(9, 8, 1 << 20) == [(0, 9)]
     assert kernel._split(1, 8, 1 << 20) == [(0, 1)]
     assert kernel._split(0, 8, 1 << 20) == []
+    # a triangle's ranges hold about equal numbers of entries, row i having i + 1
+    assert kernel._split(100, 8, 1 << 20, triangle=True) == [(0, 56), (56, 80), (80, 100)]
     monkeypatch.setattr(kernel, "_workers", [None])
     assert kernel._split(100, 8, 1 << 20) is None  # one CPU: inline
 

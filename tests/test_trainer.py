@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,10 +216,15 @@ class TestFit:
         with pytest.raises(NumericError, match="non-finite final objective nan"):
             fit(TrainerConfig(C=1e306), ds.X, ds.y)
 
-    @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 122), (0.01, 1000, 385),
-                                                        (1e-9, 200, 200), (0.1, 50, 50)])
+    @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 38), (0.01, 1000, 150),
+                                                        (1e-9, 200, 200), (0.1, 50, 38)])
     def test_returns_once_beta_is_frozen(self, monkeypatch, eta, max_iters, expected):
-        # the loop reads one rate ahead, so t iterations consume t + 1 rates
+        # The loop reads one rate ahead, so t iterations consume t + 1 rates.
+        # It returns after the first iteration from which every later step
+        # is proven absorbed: at eta = 0.1 the products run in the first 37
+        # iterations and the proof holds after iteration 38 (beta freezes
+        # after iteration 122), at eta = 0.01 after iteration 150 (385). At
+        # eta = 1e-9 the rate never falls fast enough, and all 200 run.
         rates = []
         real = trainer.learning_rate_sequence
 
@@ -229,9 +235,12 @@ class TestFit:
 
         monkeypatch.setattr(trainer, "learning_rate_sequence", counted)
         ds = two_cluster_dataset(n=60, seed=4)
-        model = fit(TrainerConfig(eta=eta, max_iters=max_iters, seed=2), ds.X, ds.y)
+        cfg = TrainerConfig(eta=eta, max_iters=max_iters, seed=2)
+        model = fit(cfg, ds.X, ds.y)
         assert len(rates) - 1 == expected
         assert model.iterations_run == max_iters
+        monkeypatch.setattr(trainer, "learning_rate_sequence", real)
+        assert model.beta.tobytes() == _reference_fit(cfg, ds.X, ds.y)[0].tobytes()
 
     def test_products_skipped_once_steps_are_absorbed(self, monkeypatch):
         # At the defaults the 122 iterations before the early return run
@@ -250,7 +259,9 @@ class TestFit:
     def test_skipped_and_live_iterations_alternate_bit_exactly(self, monkeypatch):
         # At alpha0 = 1e-25 the first steps are absorbed; once r*v has
         # shrunk below the gradient step the products run again, until the
-        # rate has decayed far enough.
+        # rate has decayed far enough. The first absorbed step after them
+        # proves the rest of the tail, so no later step is tested (the full
+        # loop tested 287 more).
         absorbed = []
         real = trainer._step_absorbed
         monkeypatch.setattr(trainer, "_step_absorbed", lambda *a: absorbed.append(real(*a)) or absorbed[-1])
@@ -258,7 +269,7 @@ class TestFit:
         cfg = TrainerConfig(alpha0=1e-25, eta=0.01, max_iters=400, seed=2)
         model = fit(cfg, ds.X, ds.y)
         runs = [(state, len(list(group))) for state, group in itertools.groupby(absorbed)]
-        assert runs == [(True, 19), (False, 65), (True, 287)]
+        assert runs == [(True, 19), (False, 65), (True, 1)]
         assert model.beta.tobytes() == _reference_fit(cfg, ds.X, ds.y)[0].tobytes()
 
     def test_zero_momentum_step_is_never_absorbed(self):
@@ -292,12 +303,18 @@ class TestFit:
             fit(cfg, X, y)
 
     def test_frozen_rules_out_negative_zero(self):
-        # the bounds of K = I with the default expsat loss: k_max, C*d, n*d
+        # At rate 0.0 a step may flip the sign of a zero in v, which changes
+        # a -0.0 in beta, so the tail is proven only for a beta free of -0.0.
+        # The bounds of K = I with the default expsat loss: k_max, C*d, n*d.
         bounds = (1.0, 700.0, 1400.0)
-        cfg = TrainerConfig(r=0.5)
-        assert trainer._frozen(cfg, np.array([0.0, 1.0]), np.array([-0.0, 1e-20]), bounds)
-        assert not trainer._frozen(cfg, np.array([-0.0, 1.0]), np.zeros(2), bounds)
-        assert not trainer._frozen(cfg, np.array([1.0, 1.0]), np.array([0.0, 1e-15]), bounds)
+        cfg = TrainerConfig(r=0.5, max_iters=10)
+
+        def proven(beta, v):
+            return trainer._absorbed_tail(cfg, 5, 0.0, np.array([beta]).T, np.array([v]).T, bounds)
+
+        assert proven([0.0, 1.0], [-0.0, 1e-20])
+        assert proven([1.0, 1.0], [0.0, 1e-15])
+        assert not proven([-0.0, 1.0], [0.0, 0.0])
 
     def test_snapshot_records_resolved_batch_size(self):
         ds = two_cluster_dataset(n=50, seed=3)
@@ -309,13 +326,17 @@ class TestFit:
 
 
 def _reference_fit(config, X, y):
-    """The NAG loop as it ran before the early return: all max_iters iterations."""
+    """The NAG loop as it ran before the early return: all max_iters
+    iterations, over n-by-B betas when ``config`` gives parameters per
+    column (the loop of one chunk of ``fit_columns``)."""
     n = X.shape[0]
     s = config.resolved_batch_size(n)
     K = gram_matrix(config.kernel, X)
     scale = config.C / s
-    beta = np.full(n, config.beta0, dtype=float)
-    v = np.full(n, config.v0, dtype=float)
+    shape = n if config.columns is None else (n, config.columns)
+    yc = y if config.columns is None else y[:, None]
+    beta = np.full(shape, config.beta0, dtype=float)
+    v = np.full(shape, config.v0, dtype=float)
     rng = np.random.default_rng(config.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for t, alpha in enumerate(
@@ -324,8 +345,8 @@ def _reference_fit(config, X, y):
             batch = rng.choice(n, size=s, replace=False)
             beta_look = beta + config.r * v
             kb = K @ beta_look
-            xi = 1.0 - y[batch] * kb[batch]
-            w = loss_derivative(config.loss, xi) * y[batch]
+            xi = 1.0 - yc[batch] * kb[batch]
+            w = loss_derivative(config.loss, xi) * yc[batch]
             grad = kb - scale * (K[batch].T @ w)
             if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient at iteration {t}")
@@ -386,6 +407,33 @@ class TestEarlyReturnIsBitExact:
         )
         _assert_matches_full_loop(cfg, X, y)
 
+    # The edges of the tail proof: r from 0 (never proven) through 1e-3
+    # (rho = 2**-10) to 0.999; v0 zero, subnormal, tiny or the default; a
+    # rate that falls slowly or fast; up to 24 columns, whose smallest |v|
+    # decides; and runs of every length, many ending before the tail
+    # freezes.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 30), m=st.integers(1, 3), data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1), batch=st.floats(0.0, 1.0), max_iters=st.integers(1, 300),
+        alpha0=_log_uniform(1e-30, 10.0), eta=_log_uniform(1e-3, 1.0),
+        r=st.sampled_from([0.0, 1e-3, 0.5, 0.6, 0.95, 0.999]),
+        v0=st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.01]), beta0=_START,
+        C=st.lists(_log_uniform(1e-6, 1e6), min_size=1, max_size=24), sigma=_log_uniform(1e-3, 1e3),
+        kind=st.sampled_from(list(LossKind)), linear=st.booleans(),
+    )
+    def test_tail_proof_edges_match_full_loop(self, n, m, data_seed, seed, batch, max_iters, alpha0, eta, r,
+                                              v0, beta0, C, sigma, kind, linear):
+        rng = np.random.default_rng(data_seed)
+        X = rng.standard_normal((n, m))
+        y = rng.choice([-1.0, 1.0], size=n)
+        cfg = TrainerConfig(
+            C=np.array(C), loss=LossSpec(kind), kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(sigma),
+            beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
+            max_iters=max_iters, seed=seed,
+        )
+        _assert_columns_match_full_loop(cfg, X, y)
+
     def test_signed_zeros_at_a_rate_that_underflows(self):
         # alpha0 = 5e-324 rounds to 0.0 from iteration 5 on, while beta and
         # v hold only signed zeros, whose signs a 0.0 step can still flip
@@ -394,6 +442,24 @@ class TestEarlyReturnIsBitExact:
             cfg = TrainerConfig(loss=LossSpec.hinge(), beta0=beta0, v0=v0, alpha0=5e-324, eta=0.1, r=0.5,
                                 max_iters=50, seed=seed)
             _assert_matches_full_loop(cfg, ds.X, ds.y)
+
+
+def _assert_columns_match_full_loop(cfg, X, y):
+    """The loop over all of ``cfg``'s columns at once gives the bits, or
+    the NumericError, of all max_iters iterations."""
+    K = gram_matrix(cfg.kernel, X)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta, final = _reference_fit(cfg, X, y)
+        if not np.isfinite(final).all():
+            raise NumericError("non-finite final objective")
+    except NumericError as exc:
+        with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}"):
+            trainer._train(cfg, K, y, cfg.resolved_batch_size(len(y)))
+        return
+    got, got_final = trainer._train(cfg, K, y, cfg.resolved_batch_size(len(y)))
+    assert got.tobytes() == beta.tobytes()
+    assert got_final.tobytes() == final.tobytes()
 
 
 def _assert_matches_full_loop(cfg, X, y):
