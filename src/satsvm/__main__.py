@@ -1,9 +1,4 @@
-import gc
-
 from .cli import main
 
 if __name__ == "__main__":
-    # Collections during the command, and the one at exit, skip the objects
-    # the import made; callers of cli.main in-process keep their collector.
-    gc.freeze()
     raise SystemExit(main())

@@ -19,10 +19,10 @@ rounding included, plus the last-place rounding of ``exp``.
 
 Gram matrices are materialized in full, as plain read-only n-by-n arrays,
 because the trainer repeatedly needs arbitrary rows; a Gaussian Gram is
-built in place a tile of rows at a time, below 2731 points as its lower
-triangle mirrored above the diagonal, and a linear Gram is one symmetric
-matrix product, so either is the only n-by-n array its build holds, and
-construction refuses above a documented size cap to keep memory bounded.
+built in place a tile of rows at a time, as its lower triangle mirrored
+above the diagonal, and a linear Gram is one symmetric matrix product,
+so either is the only n-by-n array its build holds, and construction
+refuses above a documented size cap to keep memory bounded.
 Decision values never hold the query-by-support matrix:
 :func:`kernel_product` multiplies each block by the coefficients as it
 comes, so a cross-validation fold holds its Gram and no test block.
@@ -104,6 +104,14 @@ class KernelSpec:
 # system time, against 1.13-1.30 s on one thread.
 BLOCK_BYTES = 1 << 18
 TILE_BLOCKS = 4
+
+# numpy passes a broadcast ufunc over rows shorter than about a third of its
+# buffer (8192 entries by default) through that buffer, 2-4x slower per
+# entry: on a 2-vCPU Xeon a Gaussian tile's per-feature subtraction took
+# 0.9-1.5 ns per entry at 200 to 2730 columns, and 0.3-0.4 ns with this
+# buffer, which keeps rows of about 100 columns and more off it. An
+# elementwise ufunc rounds each entry alike on either path.
+UFUNC_BUFFER = 256
 
 # Calls over fewer kernel entries than this (len(Z) * len(X), or the size of
 # the matrix of row_product) run inline in the calling thread: the grids'
@@ -288,33 +296,39 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
             _times(Z[start : start + rows] @ X.T, W, product[start : start + rows])
         return
     scratch, own = tiles
-    # a squared distance, or its scaling, past the float range is inf, whose
-    # kernel value exp(-inf) is the exact limit 0.0, so overflow is no error
-    # here (nor in the products by W, whose kernel values are at most 1)
-    with np.errstate(over="ignore"):
-        for start in range(lo, hi, tile):
-            z = Z[start : min(start + tile, hi)]
-            shape = (len(z), start + len(z) if lower else n)
-            # a triangle's tile is computed contiguous, then copied: in the
-            # strided rows of out it took 1.5x as long at n = 320
-            D = out[start : start + len(z)] if own is None else own.reshape(-1)[: math.prod(shape)].reshape(shape)
-            t = scratch.reshape(-1)[: D.size].reshape(shape)
-            if m == 0:
-                D.fill(0.0)
-            for j in range(m):
-                # the first feature's squares start the sum in D
-                np.subtract(XT[j, : shape[1]], z[:, j : j + 1], out=t)
-                np.multiply(t, t, out=t if j else D)
-                if j:
-                    np.add(D, t, out=D)
-            np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
-            np.exp(D, out=D)
-            if lower:
-                out[start : start + len(z), : shape[1]] = D
-                out[:start, start : start + len(z)] = D[:, :start].T
-            if W is not None:
-                for b in range(0, len(z), rows):
-                    _times(D[b : b + rows], W, product[start + b : start + b + rows])
+    buffer = np.setbufsize(UFUNC_BUFFER)
+    try:
+        # a squared distance, or its scaling, past the float range is inf,
+        # whose kernel value exp(-inf) is the exact limit 0.0, so overflow is
+        # no error here (nor in the products by W, whose kernel values are at
+        # most 1)
+        with np.errstate(over="ignore"):
+            for start in range(lo, hi, tile):
+                z = Z[start : min(start + tile, hi)]
+                shape = (len(z), start + len(z) if lower else n)
+                # a triangle's tile is computed contiguous, then copied: in
+                # the strided rows of out it took 1.5x as long at n = 320
+                D = (out[start : start + len(z)] if own is None
+                     else own.reshape(-1)[: math.prod(shape)].reshape(shape))
+                t = scratch.reshape(-1)[: D.size].reshape(shape)
+                if m == 0:
+                    D.fill(0.0)
+                for j in range(m):
+                    # the first feature's squares start the sum in D
+                    np.subtract(XT[j, : shape[1]], z[:, j : j + 1], out=t)
+                    np.multiply(t, t, out=t if j else D)
+                    if j:
+                        np.add(D, t, out=D)
+                np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
+                np.exp(D, out=D)
+                if lower:
+                    out[start : start + len(z), : shape[1]] = D
+                    out[:start, start : start + len(z)] = D[:, :start].T
+                if W is not None:
+                    for b in range(0, len(z), rows):
+                        _times(D[b : b + rows], W, product[start + b : start + b + rows])
+    finally:
+        np.setbufsize(buffer)
 
 
 def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None,
@@ -408,9 +422,8 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     The matrix is symmetric bit-exactly, Gaussian diagonals are exactly
     1, and it is read-only, so one Gram can be shared by many fits. The
     Gram has the bits of :func:`kernel_block` of ``X`` against itself. A
-    Gaussian Gram of fewer than 2731 points computes its lower triangle,
-    tile by tile of rows, and mirrors it in place, a larger one the full
-    square: an entry's bits depend only on its two points,
+    Gaussian Gram computes its lower triangle, tile by tile of rows, and
+    mirrors it in place: an entry's bits depend only on its two points,
     which give ``x - z`` and ``z - x`` the same square, and a point's
     distance to itself is 0, whose kernel value is 1. A linear Gram is
     the one product ``X @ X.T``, which numpy takes as symmetric. Either
@@ -428,10 +441,6 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
         K = X @ X.T
     else:
         K = np.empty((len(X), len(X)))
-        # numpy passes a broadcast ufunc over rows shorter than a third of its
-        # buffer (8192 entries) through that buffer, about 4x slower per entry
-        # on a Xeon: from 2731 points on, the full square's rows skip it while
-        # most of the triangle's do not, and the triangle was slower (n = 3000)
-        _evaluate(spec, X, X, out=K, lower=3 * len(X) < np.getbufsize())
+        _evaluate(spec, X, X, out=K, lower=True)
     K.setflags(write=False)
     return K

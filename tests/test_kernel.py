@@ -337,28 +337,20 @@ class TestBitsForEveryWorkerCount:
 
 
 class TestMirroredGram:
-    """A Gaussian Gram of fewer than 2731 points computes its lower
-    triangle a tile of rows at a time and mirrors it above the diagonal;
-    it keeps the bytes of the full block of kernel values, inline and on
-    the workers' ranges of equal area. The triangle is checked at every
-    size, the larger ones included, where the Gram is the full square."""
+    """A Gaussian Gram computes its lower triangle a tile of rows at a
+    time and mirrors it above the diagonal; it keeps the bytes of the full
+    block of kernel values, inline and on the workers' ranges of equal
+    area."""
 
     SPEC = KernelSpec.gaussian(0.6)
-
-    def _triangle(self, X):
-        K = np.empty((len(X), len(X)))
-        kernel._evaluate(self.SPEC, X, X, out=K, lower=True)
-        return K.tobytes()
 
     def _assert_full_block(self, n):
         X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 10))
         full = _serial(kernel_block, self.SPEC, X, X).tobytes()
         assert _serial(gram_matrix, self.SPEC, X).tobytes() == full
-        assert _serial(self._triangle, X) == full
         for workers in (2, 3):
             with forced_workers(workers):
                 assert gram_matrix(self.SPEC, X).tobytes() == full, workers
-                assert self._triangle(X) == full, workers
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1023, 1025, 3000])
     def test_equals_the_full_block(self, n):
@@ -370,6 +362,27 @@ class TestMirroredGram:
         # n = 48 ends on a whole tile, 47, 49 and 50 on one cut short
         monkeypatch.setattr(kernel, "BLOCK_BYTES", 16 * 50 * 3)
         self._assert_full_block(n)
+
+
+@pytest.mark.parametrize("n", [40, 320, 2000])
+def test_ufunc_buffer_keeps_the_bits_and_the_callers_size(monkeypatch, n):
+    # kernel values under UFUNC_BUFFER have the bits of numpy's default
+    # buffer, on either path, and the caller's buffer size is restored
+    spec = KernelSpec.gaussian(0.6)
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 10))
+    Z = np.random.default_rng(n + 1).uniform(-1.0, 1.0, (70, 10))
+    W = np.random.default_rng(n + 2).standard_normal((n, 3))
+
+    def values():
+        return gram_matrix(spec, X).tobytes() + kernel_product(spec, X, Z, W).tobytes()
+
+    before = np.getbufsize()
+    ours = [_serial(values)]
+    with forced_workers(2):
+        ours.append(values())
+    assert np.getbufsize() == before
+    monkeypatch.setattr(kernel, "UFUNC_BUFFER", before)
+    assert _serial(values) == ours[0] == ours[1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -243,9 +243,10 @@ class TestFit:
         assert model.beta.tobytes() == _reference_fit(cfg, ds.X, ds.y)[0].tobytes()
 
     def test_products_skipped_once_steps_are_absorbed(self, monkeypatch):
-        # At the defaults the 122 iterations before the early return run
-        # the products and the loss derivative only up to iteration 37; the
-        # later gradient steps are below a quarter ulp of r*v.
+        # At the defaults the loop runs the products and the loss
+        # derivative only up to iteration 37; the later gradient steps are
+        # below a quarter ulp of r*v, and after iteration 38
+        # _absorbed_tail proves the rest of them so and the loop returns.
         calls = []
         real = trainer.loss_derivative
         monkeypatch.setattr(trainer, "loss_derivative", lambda *a: calls.append(1) or real(*a))
@@ -290,7 +291,8 @@ class TestFit:
         # K is the identity apart from that pair. At C = 1.5e308 beta is
         # frozen after iteration 186, but once the -1 sample is first drawn
         # (iteration 327 for seed 80) its gradient overflows. The gradient
-        # bound in _frozen keeps the loop running to that check.
+        # bound is infinite at this C, so _absorbed_tail never proves the
+        # tail and the loop runs on to that check.
         n = 200
         X = np.zeros((n, 1))
         X[2:, 0] = 100.0 * np.arange(1, n - 1)
