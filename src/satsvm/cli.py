@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,14 +48,6 @@ from .data import (
     write_rows,
 )
 from .errors import DataFormatError, NumericError, ParameterError, SatsvmError, ShapeError
-from .harness import GRID_AXES, GridSpec, accuracy, check_sweep_loss, grid_search_models, sensitivity_sweep
-from .kernel import gram_matrix, row_product
-from .loss import PARAMETERS, LossKind, LossSpec, loss_derivative, loss_value
-from .seeds import child_seed
-from .stats import RankTable, friedman_nemenyi, rank_models
-from .theory import CalibrationResult, ConditionalRiskQuery, calibration_check, conditional_risk, step_grid
-from .trainer import (FLAT_PARAMETERS, TrainerConfig, apply_params, decision_values, fit, load_model,
-                      save_model, sign_labels)
 
 MANIFEST_FORMAT = 1
 
@@ -67,7 +59,9 @@ class Option:
     ``type`` converts the flag's text (``None`` keeps it as a string);
     ``bool`` makes a switch, ``--no-<key>`` when the default is on and
     ``--<key>`` when it is off. ``flag`` overrides the spelling derived
-    from the key.
+    from the key. ``sets`` names the key whose value this option's grid
+    sets: a command refuses any other value of that key, so that no
+    manifest records a value its run ignored.
     """
 
     key: str
@@ -76,6 +70,7 @@ class Option:
     choices: tuple | None = None
     flag: str | None = None
     help: str | None = None
+    sets: str | None = None
 
     def add_to(self, parser) -> None:
         name = self.key.replace("_", "-")
@@ -105,29 +100,75 @@ def _values(enum_type) -> tuple[str, ...]:
     return tuple(member.value for member in enum_type)
 
 
-_GRID_DEFAULT = GridSpec()
-_GRID_KEYS = tuple(name for _, name in GRID_AXES)
-# The trainer keys, the loss's first; the seed is the root of the child
-# streams, its own option, and each command seeds its config from a stream.
-_LOSS_KEYS = tuple(key for key, p in FLAT_PARAMETERS.items() if p.field == "loss")
-_TRAINER_KEYS = (*_LOSS_KEYS, *(key for key in FLAT_PARAMETERS if key not in _LOSS_KEYS and key != "seed"))
-
 _OPTIONS = {o.key: o for o in (
     Option("input"), Option("model"), Option("output"), Option("record"),
     Option("format", "csv", choices=_values(DataFormat)),
     Option("mode", "outliers", choices=_values(CorruptionMode)),
     Option("input_kind", "accuracies", choices=("accuracies", "mean-ranks")),
-    Option("models", "expsat", help="comma-separated loss kinds"),
+    Option("models", "expsat", help="comma-separated loss kinds", sets="loss"),
     Option("normalize", True, bool),
     Option("invert", False, bool),
-    *(Option(key, p.default, p.type, p.choices, flag="--momentum" if key == "r" else None)
-      for key, p in FLAT_PARAMETERS.items() if key in _TRAINER_KEYS),
     *(Option(key, default, float) for key, default in dict(
         rate=0.1, factor=10.0, alpha=0.05, critical_f=None, u_min=-2.0, u_max=3.0, u_step=0.01, p=0.7,
         f_lo=-3.0, f_hi=3.0, f_step=1e-3).items()),
     *(Option(key, default, int) for key, default in dict(seed=0, folds=5, num_datasets=None).items()),
-    *(Option(key, list(getattr(_GRID_DEFAULT, key))) for key in _GRID_KEYS),
 )}
+
+
+def _option(key: str) -> Option:
+    """The option of ``key``: from the table, else the loss parameter of
+    that name with its ``LossSpec`` field's default, typed as that default,
+    else the trainer parameter of that name, else the grid axis of that
+    name with ``GridSpec``'s values. So only a command that has such a key
+    loads the loss, the trainer or the harness for its options."""
+    if key in _OPTIONS:
+        return _OPTIONS[key]
+    from .loss import LossSpec
+
+    loss_fields = {f.name: f for f in fields(LossSpec) if f.name != "kind"}
+    if key in loss_fields:
+        return Option(key, loss_fields[key].default, type(loss_fields[key].default))
+    from .trainer import FLAT_PARAMETERS
+
+    if key in FLAT_PARAMETERS:
+        p = FLAT_PARAMETERS[key]
+        return Option(key, p.default, p.type, p.choices, flag="--momentum" if key == "r" else None)
+    from .harness import GRID_AXES, GridSpec
+
+    return Option(key, list(getattr(GridSpec(), key)), sets={name: axis for axis, name in GRID_AXES}[key])
+
+
+# Groups of keys that a command's row names by one of these functions,
+# derived only when that command runs.
+def _loss_keys() -> tuple[str, ...]:
+    """The loss's keys, its kind first."""
+    from .trainer import FLAT_PARAMETERS
+
+    return tuple(key for key, p in FLAT_PARAMETERS.items() if p.field == "loss")
+
+
+def _trainer_keys() -> tuple[str, ...]:
+    """The trainer keys, the loss's first; the seed is the root of the
+    child streams, its own option, and each command seeds its config from
+    a stream."""
+    from .trainer import FLAT_PARAMETERS
+
+    loss = _loss_keys()
+    return (*loss, *(key for key in FLAT_PARAMETERS if key not in loss and key != "seed"))
+
+
+def _expsat_keys() -> tuple[str, ...]:
+    """The parameters of the saturating loss."""
+    from .loss import PARAMETERS, LossKind
+
+    return PARAMETERS[LossKind.EXPSAT]
+
+
+def _grid_keys() -> tuple[str, ...]:
+    """The grid axes, in tie-break order."""
+    from .harness import GRID_AXES
+
+    return tuple(name for _, name in GRID_AXES)
 
 
 def _read_text(path) -> str:
@@ -162,11 +203,14 @@ def _floats(p: dict, key: str) -> list[float]:
         raise ParameterError(f"{key} must be comma-separated numbers, got {value!r}") from None
 
 
-def _config(p: dict, stream: str, **params) -> TrainerConfig:
+def _config(p: dict, stream: str, **params):
     """The trainer settings in ``p``, overridden by ``params``, seeded
     from the child stream ``stream`` of ``p["seed"]``."""
+    from .seeds import child_seed
+    from .trainer import TrainerConfig, apply_params
+
     seed = child_seed(p["seed"], stream)
-    return apply_params(TrainerConfig(seed=seed), {**{k: p[k] for k in _TRAINER_KEYS}, **params})
+    return apply_params(TrainerConfig(seed=seed), {**{k: p[k] for k in _trainer_keys()}, **params})
 
 
 def _load(p: dict) -> Dataset:
@@ -180,6 +224,9 @@ def _training_data(p: dict) -> Dataset:
 
 
 def cmd_train(p: dict) -> int:
+    from .kernel import gram_matrix, row_product
+    from .trainer import accuracy, fit, save_model, sign_labels
+
     config = _config(p, "batches")
     ds = _training_data(p)
     # the fit's Gram gives the training decision values as K @ beta
@@ -195,6 +242,8 @@ def cmd_train(p: dict) -> int:
 
 
 def cmd_predict(p: dict) -> int:
+    from .trainer import decision_values, load_model, sign_labels
+
     model = load_model(_read_text(p["model"]))
     ds = _load(p)
     width = model.support_points.shape[1]
@@ -212,7 +261,11 @@ def cmd_predict(p: dict) -> int:
 
 
 def cmd_grid(p: dict) -> int:
-    grid = GridSpec(**{key: tuple(_floats(p, key)) for key in _GRID_KEYS})
+    from .harness import GRID_AXES, GridSpec, grid_search_models
+    from .loss import LossKind
+    from .seeds import child_seed
+
+    grid = GridSpec(**{name: tuple(_floats(p, name)) for _, name in GRID_AXES})
     kinds = [kind.strip() for kind in p["models"].split(",")]
     unknown = [kind for kind in kinds if kind not in _values(LossKind)]
     if unknown:
@@ -233,6 +286,8 @@ def cmd_grid(p: dict) -> int:
 
 
 def cmd_corrupt(p: dict) -> int:
+    from .seeds import child_seed
+
     # an inversion ignores the rate and the factor, but its manifest records them
     check_corruption(p["rate"], p["factor"])
     ds = _load(p)
@@ -296,6 +351,9 @@ def _pivot_results(header, body):
 
 
 def cmd_stats(p: dict) -> int:
+    from .stats import RankTable, check_alpha, friedman_nemenyi, rank_models
+
+    check_alpha(p["alpha"])
     header, body = _read_table(p["input"])
     if p["input_kind"] == "mean-ranks":
         if p["num_datasets"] is None:
@@ -331,7 +389,11 @@ def cmd_stats(p: dict) -> int:
 
 
 def cmd_loss_curve(p: dict) -> int:
-    spec = apply_params(TrainerConfig(), {k: p[k] for k in _LOSS_KEYS}).loss
+    from .loss import loss_derivative, loss_value
+    from .theory import step_grid
+    from .trainer import TrainerConfig, apply_params
+
+    spec = apply_params(TrainerConfig(), {k: p[k] for k in _loss_keys()}).loss
     u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)
@@ -340,11 +402,14 @@ def cmd_loss_curve(p: dict) -> int:
 
 
 def cmd_calibration(p: dict) -> int:
+    from .loss import LossKind, LossSpec
+    from .theory import ConditionalRiskQuery, calibration_check, conditional_risk
+
     q = ConditionalRiskQuery(
-        loss=LossSpec(LossKind.EXPSAT, **{k: p[k] for k in PARAMETERS[LossKind.EXPSAT]}), P=p["p"],
+        loss=LossSpec(LossKind.EXPSAT, **{k: p[k] for k in _expsat_keys()}), P=p["p"],
         f_lo=p["f_lo"], f_hi=p["f_hi"], f_step=p["f_step"],
     )
-    result: CalibrationResult = calibration_check(q)
+    result = calibration_check(q)
     f = q.grid()
     risk = conditional_risk(q, f)
     write_rows(p["output"], zip(f.tolist(), risk.tolist()), ["f", "risk"])
@@ -356,6 +421,9 @@ def cmd_calibration(p: dict) -> int:
 
 
 def cmd_sweep(p: dict) -> int:
+    from .harness import check_sweep_loss, sensitivity_sweep
+    from .seeds import child_seed
+
     config = _config(p, "train/expsat")
     check_sweep_loss(config)
     a_grid, lambda_grid = _floats(p, "a_grid"), _floats(p, "lambda_grid")
@@ -370,59 +438,74 @@ _DATA_KEYS = ("input", "format", "output", "seed", "normalize")
 _SWEEP_FLAGS = (*_DATA_KEYS, "folds", "a_grid", "lambda_grid", "C", "sigma", "batch_size", "max_iters")
 
 # subcommand -> (command, help, keys that have a flag, keys settable only
-# through --config, defaults that differ from the option table's, and the
-# (key, grid key) pairs whose grid sets the key: the subcommand refuses any
-# other value of that key, so that no manifest records a value its run ignored)
+# through --config, defaults that differ from the option table's); a key
+# group function in place of keys stands for its keys, and a config-only
+# key that has a flag keeps its flag
 _SUBCOMMANDS = {
-    "train": (cmd_train, "fit a model and serialize it", (*_DATA_KEYS, *_TRAINER_KEYS), (),
-              {"output": "model.json"}, ()),
+    "train": (cmd_train, "fit a model and serialize it", (*_DATA_KEYS, _trainer_keys), (),
+              {"output": "model.json"}),
     "predict": (cmd_predict, "classify rows of a data file with a saved model",
-                ("model", "input", "format", "output"), (), {"output": "predictions.csv"}, ()),
+                ("model", "input", "format", "output"), (), {"output": "predictions.csv"}),
     "grid": (cmd_grid, "grid search with k-fold cross-validation",
-             (*_DATA_KEYS, "models", "folds", *_GRID_KEYS, *_TRAINER_KEYS), (),
-             {"output": "grid_results.csv"}, (("loss", "models"), *GRID_AXES)),
+             (*_DATA_KEYS, "models", "folds", _grid_keys, _trainer_keys), (), {"output": "grid_results.csv"}),
     "corrupt": (cmd_corrupt, "inject outliers or label noise, or invert a record",
                 ("input", "format", "output", "mode", "rate", "factor", "seed", "record", "invert"),
-                (), {"output": "corrupted.csv"}, ()),
+                (), {"output": "corrupted.csv"}),
     "stats": (cmd_stats, "Friedman / Nemenyi report from accuracies or mean ranks",
               ("input", "input_kind", "num_datasets", "alpha", "critical_f", "output"), (),
-              {"output": "stats_report.csv"}, ()),
+              {"output": "stats_report.csv"}),
     "loss-curve": (cmd_loss_curve, "emit (u, value, derivative) samples of a loss",
-                   (*_LOSS_KEYS, "u_min", "u_max", "u_step", "output"), (),
-                   {"output": "loss_curve.csv"}, ()),
+                   (_loss_keys, "u_min", "u_max", "u_step", "output"), (), {"output": "loss_curve.csv"}),
     "calibration": (cmd_calibration, "emit the conditional-risk curve for one P",
-                    (*PARAMETERS[LossKind.EXPSAT], "p", "f_lo", "f_hi", "f_step", "output"), (),
-                    {"output": "calibration_curve.csv"}, ()),
-    "sweep": (cmd_sweep, "loss-parameter sensitivity surface",
-              _SWEEP_FLAGS, tuple(k for k in _TRAINER_KEYS if k not in _SWEEP_FLAGS),
-              {"output": "sweep.csv", "a_grid": [0.5, 1.0, 2.0, 5.0],
-               "lambda_grid": [0.5, 1.0, 1.5, 2.0]}, (("a", "a_grid"), ("lam", "lambda_grid"))),
+                    (_expsat_keys, "p", "f_lo", "f_hi", "f_step", "output"), (),
+                    {"output": "calibration_curve.csv"}),
+    "sweep": (cmd_sweep, "loss-parameter sensitivity surface", _SWEEP_FLAGS, (_trainer_keys,),
+              {"output": "sweep.csv", "a_grid": [0.5, 1.0, 2.0, 5.0], "lambda_grid": [0.5, 1.0, 1.5, 2.0]}),
 }
 
 _COMMANDS = {name: command for name, (command, *_) in _SUBCOMMANDS.items()}
 
-DEFAULTS = {
-    name: {key: overrides.get(key, _OPTIONS[key].default) for key in (*flags, *config_only)}
-    for name, (_, _, flags, config_only, overrides, _) in _SUBCOMMANDS.items()
-}
+
+def _keys(entries) -> tuple[str, ...]:
+    """The keys of a row's entries, each group function's in its place."""
+    return tuple(key for entry in entries for key in (entry() if callable(entry) else (entry,)))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _defaults(command: str) -> dict:
+    """Every parameter of ``command``, the flagged ones first, with its
+    default."""
+    _, _, flags, config_only, overrides = _SUBCOMMANDS[command]
+    keys = dict.fromkeys((*_keys(flags), *_keys(config_only)))
+    return {key: overrides.get(key, _option(key).default) for key in keys}
+
+
+def __getattr__(name: str):
+    # every subcommand's defaults, derived on demand: a run derives only its own
+    if name == "DEFAULTS":
+        return {command: _defaults(command) for command in _SUBCOMMANDS}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that
+    subcommand's parser gets its flags, all that its command line needs."""
     parser = argparse.ArgumentParser(prog="satsvm", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"satsvm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags, *_) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-        sp.add_argument("--config", help="JSON config or a previously emitted manifest")
-        for key in flags:
-            _OPTIONS[key].add_to(sp)
+        if command in (None, name):
+            sp.add_argument("--config", help="JSON config or a previously emitted manifest")
+            for key in _keys(flags):
+                _option(key).add_to(sp)
     return parser
 
 
 def resolve_params(command: str, supplied: dict) -> dict:
     """Layer defaults, then --config contents, then explicit flags, and
     refuse a value of a key that the command's grids set."""
-    params = dict(DEFAULTS[command])
+    defaults = _defaults(command)
+    params = dict(defaults)
     config_path = supplied.pop("config", None)
     if config_path:
         doc = parse_json(_read_text(config_path), f"config {config_path}", ParameterError)
@@ -438,22 +521,23 @@ def resolve_params(command: str, supplied: dict) -> dict:
         if unknown:
             raise ParameterError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in doc.items():
-            _OPTIONS[key].check(value)
+            _option(key).check(value)
         params.update(doc)
     params.update(supplied)
     missing = [k for k in ("input", "model") if k in params and params[k] is None]
     if missing:
         raise ParameterError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
-    *_, grid_set = _SUBCOMMANDS[command]
-    for key, grid in grid_set:
-        if params[key] != DEFAULTS[command][key]:
+    for grid in params:
+        key = _option(grid).sets
+        if key is not None and params[key] != defaults[key]:
             raise ParameterError(f"{command} takes {key} from --{grid.replace('_', '-')}, not {key}={params[key]!r}")
     return params
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the subcommand that the first token naming one names
+    args = build_parser(next((token for token in argv if token in _SUBCOMMANDS), None)).parse_args(argv)
     supplied = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         params = resolve_params(args.command, supplied)

@@ -20,7 +20,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import kernel
 from .errors import CapacityError, DataFormatError, ParameterError, ShapeError
 
 
@@ -312,7 +311,10 @@ def _parse_sparse(text: str, name: str) -> Dataset:
         entries.append(row)
     if not entries:
         raise DataFormatError("file contains no data rows")
-    limit = kernel.GRAM_CAPACITY**2
+    # the kernel loads here, not with this module, which most commands use without it
+    from .kernel import GRAM_CAPACITY
+
+    limit = GRAM_CAPACITY**2
     if len(entries) * width > limit:
         raise CapacityError(f"{len(entries)} rows of {width} features exceed the {limit}-entry dense matrix cap")
     X = np.zeros((len(entries), width), dtype=float)
@@ -355,11 +357,30 @@ def _cell(value) -> str:
 def write_rows(path, rows, header=None) -> None:
     """Write ``rows`` of cells as comma-separated lines, after the
     ``header`` line when one is given. Each line is formatted as it is
-    written, so the text is never held whole."""
+    written, so the text is never held whole.
+
+    A line is first formatted whole, ``%s`` (the ``str``) per cell, the
+    text :func:`_cell` gives every cell but None, True and False. Their
+    texts hold an ``N``, a ``T`` or an ``F`` and a number's text holds
+    none, so a line holding one of those letters is formatted again cell
+    by cell through :func:`_cell`.
+    """
+    formats: dict[int, str] = {}
+
+    def line(row) -> str:
+        row = tuple(row)
+        fmt = formats.get(len(row))
+        if fmt is None:
+            fmt = formats[len(row)] = ",".join(["%s"] * len(row)) + "\n"
+        text = fmt % row
+        if "N" in text or "T" in text or "F" in text:
+            return ",".join(map(_cell, row)) + "\n"
+        return text
+
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.writelines(map(line, rows))
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -55,7 +55,7 @@ from .errors import ParameterError, ShapeError
 from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
-from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
+from .trainer import TrainerConfig, apply_checked, apply_params, fit, fit_columns, sign_labels
 
 
 def _decade_grid() -> tuple[float, ...]:
@@ -128,26 +128,13 @@ def model_label(config: TrainerConfig) -> str:
     return f"{kind.value} (NAG)"
 
 
-def accuracy(predictions, truth) -> float:
-    """Percent of predictions matching truth; both in {-1, +1}."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    if p.shape != t.shape or p.ndim != 1:
-        raise ShapeError("predictions and truth must be equal-length vectors", p.shape, t.shape)
-    if p.size == 0:
-        raise ParameterError("accuracy of an empty prediction set is undefined")
-    if not (np.isin(p, (-1.0, 1.0)).all() and np.isin(t, (-1.0, 1.0)).all()):
-        raise ParameterError("predictions and truth must be -1 or +1")
-    return float(100.0 * np.mean(p == t))
-
-
 def _summarize(per_fold) -> CvResult:
     accs = np.asarray(per_fold, dtype=float)
     return CvResult(mean=float(accs.mean()), std=float(accs.std()), per_fold=tuple(float(a) for a in accs))
 
 
 def _fold_config(config: TrainerConfig, fold: int) -> TrainerConfig:
-    return replace(config, seed=child_seed(config.seed, f"batches/fold={fold}"))
+    return apply_checked(config, {"seed": child_seed(config.seed, f"batches/fold={fold}")})
 
 
 def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig],

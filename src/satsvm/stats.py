@@ -148,6 +148,13 @@ def f_critical(p: int, D: int, alpha: float = 0.05) -> float:
     )
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ``ParameterError`` unless ``alpha`` is 0.05, the one level
+    with built-in Nemenyi critical values."""
+    if alpha != 0.05:
+        raise ParameterError(f"alpha must be 0.05, the one level with built-in Nemenyi critical values, got {alpha!r}")
+
+
 def nemenyi_cd(p: int, D: int, alpha: float = 0.05) -> float:
     if alpha != 0.05 or p not in _Q_05:
         raise ParameterError(f"no Nemenyi critical value for p={p}, alpha={alpha}")

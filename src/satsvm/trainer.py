@@ -177,9 +177,32 @@ def apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
     is built and checked first, then the kernel, then the config, so of
     several invalid values the first in that order is reported.
     """
-    specs = {name: replace(getattr(config, name), **{p.spec: params[key] for key, p in FLAT_PARAMETERS.items()
-                                                      if p.field == name and key in params}) for name in _SPECS}
-    return replace(config, **specs, **{k: v for k, v in params.items() if FLAT_PARAMETERS[k].spec is None})
+    return _apply(config, params, replace)
+
+
+def apply_checked(config: TrainerConfig, params: dict) -> TrainerConfig:
+    """:func:`apply_params` for values that its checks passed already, so
+    without checking them again: a slice of the config's own per-column
+    values, say, or a seed, which no check reads."""
+    return _apply(config, params, _unchecked)
+
+
+def _unchecked(value, **changes):
+    """``replace(value, **changes)`` without the class's checks."""
+    new = object.__new__(type(value))
+    new.__dict__.update(vars(value), **changes)
+    return new
+
+
+def _apply(config: TrainerConfig, params: dict, build) -> TrainerConfig:
+    """``config`` with ``params`` set, each spec that a key sets and then
+    the config built by ``build``."""
+    specs = {}
+    for name in _SPECS:
+        changes = {p.spec: params[key] for key, p in FLAT_PARAMETERS.items() if p.field == name and key in params}
+        if changes:
+            specs[name] = build(getattr(config, name), **changes)
+    return build(config, **specs, **{k: v for k, v in params.items() if FLAT_PARAMETERS[k].spec is None})
 
 
 @dataclass(frozen=True)
@@ -570,7 +593,7 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
     chunks = [slice(lo, hi) for lo, hi in pairwise(sorted({*range(0, body, step), body, B}))]
 
     def train(cols: slice) -> np.ndarray:
-        chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters() if np.ndim(v)})
+        chunk = apply_checked(config, {name: v[cols] for name, v in config.column_parameters() if np.ndim(v)})
         return _train(chunk, gram, y, s)[0]
 
     return ((cols, train(cols)) for cols in chunks)
@@ -593,6 +616,19 @@ def decision_values(model: TrainedModel, X) -> np.ndarray:
 def sign_labels(values) -> np.ndarray:
     """Class labels from decision values; a zero value maps to +1."""
     return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
+
+
+def accuracy(predictions, truth) -> float:
+    """Percent of predictions matching truth; both in {-1, +1}."""
+    p = np.asarray(predictions, dtype=float)
+    t = np.asarray(truth, dtype=float)
+    if p.shape != t.shape or p.ndim != 1:
+        raise ShapeError("predictions and truth must be equal-length vectors", p.shape, t.shape)
+    if p.size == 0:
+        raise ParameterError("accuracy of an empty prediction set is undefined")
+    if not (np.isin(p, (-1.0, 1.0)).all() and np.isin(t, (-1.0, 1.0)).all()):
+        raise ParameterError("predictions and truth must be -1 or +1")
+    return float(100.0 * np.mean(p == t))
 
 
 def save_model(model: TrainedModel) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from satsvm import accuracy, two_cluster_dataset, write_csv
-from satsvm.cli import main
+from satsvm.cli import _SUBCOMMANDS, build_parser, main
 from satsvm.seeds import child_seed
 
 D1_RANK_CSV = "hinge,pinball,linex,qtself,wave,expsat\n3.35,2.96,3.96,4.45,4.12,2.16\n"
@@ -905,8 +906,9 @@ class TestIgnoredParameters:
 
 
 class TestParametersBeforeInput:
-    """``train``, ``grid`` and ``sweep`` convert their parameters before
-    they read the input, so a bad one is a usage error with the input missing."""
+    """``train``, ``grid``, ``sweep`` and ``stats`` convert their parameters
+    before they read the input, so a bad one is a usage error with the
+    input missing."""
 
     @pytest.mark.parametrize("argv,message", [
         (["grid", "--models", "svm"], "unknown model(s) ['svm']; choose from "),
@@ -914,7 +916,11 @@ class TestParametersBeforeInput:
         (["train", "--C", "-1"], "trade-off C must be > 0, got -1.0"),
         (["sweep", "--a-grid", "x"], "a_grid must be comma-separated numbers, got 'x'"),
         (["grid", "--c-grid", "x"], "c_grid must be comma-separated numbers, got 'x'"),
-    ], ids=["grid-unknown-model", "grid-repeated-model", "train-C", "sweep-a-grid", "grid-c-grid"])
+        # only alpha = 0.05 has Nemenyi critical values, with a given F critical value too
+        (["stats", "--alpha", "0.1"], "alpha must be 0.05, the one level with built-in Nemenyi critical values"),
+        (["stats", "--alpha", "0.1", "--critical-f", "2.35"], "alpha must be 0.05, the one level with built-in"),
+    ], ids=["grid-unknown-model", "grid-repeated-model", "train-C", "sweep-a-grid", "grid-c-grid", "stats-alpha",
+            "stats-alpha-critical-f"])
     def test_bad_parameter_is_reported_before_the_missing_input(self, argv, message, tmp_path, capsys):
         code, _, err = run([*argv, "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "out")],
                            capsys)
@@ -938,6 +944,57 @@ class TestParametersBeforeInput:
         _one_line_error(err)
 
 
+# what ``from satsvm import *`` gave when the package imported every module
+STAR_NAMES = [
+    "CalibrationResult", "CapacityError", "ConditionalRiskQuery", "CorruptionMode", "CorruptionRecord", "CvResult",
+    "DataFormat", "DataFormatError", "Dataset", "DegenerateStatisticError", "FoldPlan", "GridSpec", "KernelKind",
+    "KernelSpec", "LossKind", "LossSpec", "NumericError", "ParameterError", "RankTable", "RobustnessRow",
+    "RunResult", "SatsvmError", "ShapeError", "TestReport", "TrainedModel", "TrainerConfig", "accuracy",
+    "apply_params", "apply_scaler", "calibration_check", "conditional_risk", "corrupt", "data", "decision_values",
+    "errors", "f_critical", "fit", "fit_columns", "friedman_F", "friedman_chi2", "friedman_nemenyi",
+    "generalization_bound", "gram_matrix", "grid_search_models", "harness", "inject_label_noise",
+    "inject_outliers", "invert_corruption", "kernel", "kernel_block", "learning_rate_at", "learning_rate_sequence",
+    "load_dataset", "load_model", "loss", "loss_derivative", "loss_supremum", "loss_value", "make_folds",
+    "model_label", "nemenyi_cd", "nemenyi_report", "normalize", "objective", "rank_models", "robustness_suite",
+    "save_model", "seeds", "sensitivity_sweep", "sign_labels", "stats", "theory", "trainer",
+    "two_cluster_dataset", "write_csv",
+]
+
+_SMALL_GRID = ["--c-grid", "1", "--sigma-grid", "1", "--a-grid", "1", "--lambda-grid", "1", "--max-iters", "10"]
+
+# each command, and the package modules it loads besides satsvm, its cli,
+# data and errors modules
+COMMAND_MODULES = {
+    ("train", "--input", "d.csv", "--max-iters", "10", "--output", "model.json"):
+        {"kernel", "loss", "seeds", "trainer"},
+    ("predict", "--model", "model.json", "--input", "d.csv", "--output", "p.csv"): {"kernel", "loss", "trainer"},
+    ("grid", "--input", "d.csv", *_SMALL_GRID, "--output", "g.csv"): {"harness", "kernel", "loss", "seeds", "trainer"},
+    ("sweep", "--input", "d.csv", *_SMALL_GRID[4:], "--output", "s.csv"):
+        {"harness", "kernel", "loss", "seeds", "trainer"},
+    ("corrupt", "--input", "d.csv", "--output", "c.csv"): {"seeds"},
+    ("stats", "--input", "acc.csv", "--critical-f", "4.46", "--output", "r.csv"): {"stats"},
+    ("loss-curve", "--output", "l.csv"): {"kernel", "loss", "theory", "trainer"},
+    ("calibration", "--f-step", "0.1", "--output", "cal.csv"): {"loss", "theory"},
+}
+
+
+def _loaded(code: str, *argv, cwd=None):
+    """What the last stdout line of ``code``, run with ``argv`` in a fresh
+    interpreter, holds as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_program_env(),
+                          cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'satsvm')"
+
+
+def _subparser(parser, command):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, satsvm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -945,3 +1002,63 @@ class TestImportFootprint:
                               env=_program_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_importing_the_package_loads_no_module(self):
+        assert _loaded(f"import json, sys, satsvm; print(json.dumps({_MODULES}))") == ["satsvm"]
+        assert _loaded(f"import json, sys, satsvm.cli; print(json.dumps({_MODULES}))") == [
+            "satsvm", "satsvm.cli", "satsvm.data", "satsvm.errors"]
+
+    @pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=[argv[0] for argv in COMMAND_MODULES])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, tmp_path):
+        write_csv(two_cluster_dataset(n=40, m=2, seed=0), tmp_path / "d.csv")
+        (tmp_path / "acc.csv").write_text("dataset,m1,m2,m3\nd1,90,80,70\nd2,85,88,60\nd3,91,82,75\n")
+        if argv[0] == "predict":
+            assert main(["train", "--input", str(tmp_path / "d.csv"), "--max-iters", "10",
+                         "--output", str(tmp_path / "model.json")]) == 0
+        code = f"import json, sys\nfrom satsvm.cli import main\nprint(json.dumps([main(sys.argv[1:]), {_MODULES}]))"
+        expected = ["satsvm", "satsvm.cli", "satsvm.data", "satsvm.errors",
+                    *(f"satsvm.{module}" for module in COMMAND_MODULES[argv])]
+        assert _loaded(code, *argv, cwd=tmp_path) == [0, sorted(expected)]
+
+    def test_main_builds_the_flags_of_the_invoked_subcommand_only(self, monkeypatch, tmp_path):
+        import satsvm.cli as cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+        monkeypatch.chdir(tmp_path)
+        # an output named after another subcommand: the first token that names one is the subcommand
+        assert cli.main(["loss-curve", "--output", "stats"]) == 0
+        assert built == ["loss-curve"]
+
+    def test_every_exported_name_resolves(self):
+        import satsvm
+
+        assert satsvm.__all__ == STAR_NAMES
+        star = {}
+        exec("from satsvm import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == STAR_NAMES
+        for name in STAR_NAMES:
+            exec(f"from satsvm import {name}", {})
+        with pytest.raises(AttributeError):
+            satsvm.no_such_name
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+    def test_one_command_parser_is_that_of_the_full_parser(self, command, capsys):
+        def actions(sp):
+            return [(a.option_strings, a.dest, a.type, a.choices, a.default, a.const, a.nargs) for a in sp._actions]
+
+        def outcome(parser, argv):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr()
+
+        full, one = build_parser(), build_parser(command)
+        assert actions(_subparser(one, command)) == actions(_subparser(full, command))
+        assert _subparser(one, command).format_help() == _subparser(full, command).format_help()
+        # the flags of every command: this command's parse alike, the others' are refused alike
+        flags = {s for name in _SUBCOMMANDS for a in _subparser(full, name)._actions for s in a.option_strings}
+        for flag in sorted(flags):
+            for argv in ([command, flag, "1"], [command, flag], [command, f"{flag}=x"]):
+                assert outcome(one, argv) == outcome(full, argv), argv

@@ -25,6 +25,7 @@ from satsvm import (
 )
 from satsvm.cli import DEFAULTS, build_parser, main
 from satsvm.data import dump_json, from_doc, parse_json, to_doc
+from satsvm.trainer import FLAT_PARAMETERS
 
 LOSSES = {
     LossKind.ZERO_ONE: LossSpec.zero_one(),
@@ -74,7 +75,8 @@ class TestRoundTrip:
 def test_every_trainer_field_has_a_train_flag_with_its_default():
     """Each field of the loss, the kernel and the config (but the seed,
     which the CLI takes as the root of its child streams) is a train flag
-    whose default is the dataclass default; a kind is keyed by its spec."""
+    whose default is the dataclass default and whose type is the field's;
+    a kind is keyed by its spec."""
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command").choices["train"]
     dests = {a.dest for a in sub._actions}
@@ -87,6 +89,9 @@ def test_every_trainer_field_has_a_train_flag_with_its_default():
     for key, default in expected.items():
         assert key in dests, key
         assert DEFAULTS["train"][key] == default, key
+    # and each flag converts its text to the type the trainer declares
+    types = {a.dest: a.type for a in sub._actions}
+    assert all(types[key] is p.type for key, p in FLAT_PARAMETERS.items()), types
 
 
 # Single edits of a JSON document: drop a key, add a key, or put another

@@ -23,7 +23,8 @@ from satsvm import (
     two_cluster_dataset,
     write_csv,
 )
-from satsvm.data import _is_number, _normalize_labels, _parse_csv, dump_json, from_doc, parse_json, to_doc
+from satsvm.data import (_cell, _is_number, _normalize_labels, _parse_csv, dump_json, from_doc, parse_json, to_doc,
+                         write_rows)
 
 
 class TestLoadCsv:
@@ -408,6 +409,38 @@ _DOCS = st.recursive(
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4),
     max_leaves=10,
 )
+
+
+_CELLS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+
+class TestWriteRows:
+    """Each line is that of the cell-by-cell reference, ``_cell`` per cell."""
+
+    @staticmethod
+    def _reference(rows, header=None) -> str:
+        head = "" if header is None else ",".join(header) + "\n"
+        return head + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+    def test_mixed_rows(self, tmp_path):
+        rows = [
+            (None, True, False, 1, 0, 1.0, 0.0, -0.0),
+            [math.nan, math.inf, -math.inf, 1e16, 5e-324, -1],
+            ("None", "True", "False", "NaN", "x", ""),
+            (1.0, True), (True, 1.0), (0.0, False), (None,), (), ["a,b", 2.5],
+            (np.True_, np.float64(0.1), np.int64(3)),
+        ]
+        path = tmp_path / "rows.csv"
+        write_rows(path, iter(rows), ["h1", "h2"])
+        assert path.read_bytes() == self._reference(rows, ["h1", "h2"]).encode()
+        assert path.read_text().splitlines()[1:3] == [",true,false,1,0,1.0,0.0,-0.0", "nan,inf,-inf,1e+16,5e-324,-1"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_CELLS, max_size=5), max_size=5))
+    def test_any_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        write_rows(path, rows)
+        assert path.read_bytes() == self._reference(rows).encode()
 
 
 class TestJsonCodec:

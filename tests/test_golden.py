@@ -161,6 +161,11 @@ GROUPS = {
          "--output", "curve_tp.csv"],
         ["grid", "--input", "train.csv", "--models", "expsat,expsat", "--output", "grid.csv"],
         ["grid", "--input", "missing.csv", "--C", "5", "--output", "grid.csv"],
+        # only alpha = 0.05 has Nemenyi critical values: another is refused
+        # before the input is read, with an F critical value given or not
+        ["stats", "--input", "accuracies.csv", "--alpha", "0.1", "--output", "report.csv"],
+        ["stats", "--input", "accuracies.csv", "--alpha", "0.1", "--critical-f", "2.35", "--output", "report.csv"],
+        ["stats", "--input", "missing.csv", "--alpha", "0.01", "--output", "report.csv"],
     ],
     # flags are spelled in full; train, grid, sweep and corrupt refuse a bad
     # parameter before they read the input; a parameter that the chosen loss,

@@ -4,8 +4,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satsvm"
-# __init__.py imports names to re-export them
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
