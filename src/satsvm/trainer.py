@@ -17,27 +17,25 @@ applies the velocity update. The learning rate follows the recurrence
 ``alpha <- alpha * exp(-eta * t)`` after each iteration. At the defaults
 ``alpha0 = eta = 0.1`` the rate is 2.8e-6 at iteration 15 and exactly
 0.0 from iteration 123 on; this is faithful to the published schedule
-and is surfaced here rather than silently softened. Two shortcuts
-follow from it, and both keep the bits of the full loop. An iteration
-whose gradient step ``alpha*grad`` is provably below a quarter ulp of
-every entry of ``r*v``, by a bound on the gradient that holds for any
-batch, cannot change ``v``: it skips both matrix products and the loss
-derivative but still draws its batch. At the defaults that is every
-iteration after the first 35 to 40 or so. After such an iteration, or
-once the rate is 0.0, one test proves the whole tail (see
-:func:`_absorbed_tail`): every later step absorbed and every later
-gradient finite. It assumes that the rate falls by more per step than
-the spacing of the smallest ``|r*v|`` can, ``2**floor(log2 r)``; that
-``r*v`` stays normal while the rate is nonzero; that the gradient bound,
-over every point the tail reaches, stays finite; and that at rate 0.0
-beta holds no -0.0. Where it holds (after iteration 38 at the defaults)
-the loop returns, after running the rest as the bare recurrence
-``v = r*v; beta = (beta + v) + v`` one cache-sized tile of rows at a
-time, each tile until an iteration leaves it unchanged. Where it fails
-(r = 0, a zero in v, v heading into the subnormals, an infinite bound,
-a rate that falls slowly) the loop goes on, step by step.
-``iterations_run`` still records ``max_iters``, and the model and its
-file are the same as after the full loop.
+and is surfaced here rather than silently softened. One shortcut
+follows from it and keeps the bits of the full loop. After each
+iteration one test tries to prove the whole tail (see
+:func:`_absorbed_tail`): that every later gradient step ``alpha*grad``
+is below a quarter ulp of every entry of ``r*v``, by a bound on the
+gradient that holds for any batch, so cannot change ``v``, and that
+every later gradient is finite. It assumes that the rate falls by more
+per step than the spacing of the smallest ``|r*v|`` can,
+``2**floor(log2 r)``; that ``r*v`` stays normal while the rate is
+nonzero; that the gradient bound, over every point the tail reaches,
+stays finite; and that at rate 0.0 beta holds no -0.0. Where it holds
+(after iteration 37 at the defaults) the loop returns, after running
+the rest as the bare recurrence ``v = r*v; beta = (beta + v) + v`` one
+cache-sized tile of rows at a time, each tile until an iteration leaves
+it unchanged. Where it fails (r = 0, a zero in v, v heading into the
+subnormals, an infinite bound, a rate that falls slowly) the loop runs
+the next iteration in full and tries again. ``iterations_run`` still
+records ``max_iters``, and the model and its file are the same as after
+the full loop.
 
 :func:`fit_columns` runs the same loop for many models at once, the
 columns of an n-by-B beta that share everything but C and the loss
@@ -303,7 +301,7 @@ def learning_rate_at(alpha0: float, eta: float, t: int) -> float:
     return alpha0 * math.exp(-eta * t * (t - 1) / 2.0)
 
 
-# Gradients are kept below this bound wherever the loop skips them; it leaves
+# Gradients are kept below this bound wherever the tail skips them; it leaves
 # a factor of 2**24 below the float64 maximum for rounding in any order.
 _SAFE_GRADIENT = 2.0**1000
 
@@ -331,20 +329,6 @@ def _gradient_bound(top: float, n: int, bounds: tuple) -> float:
     k_max, loss_term, batch_sum = bounds
     g = k_max * n * top + loss_term
     return g if g + batch_sum < _SAFE_GRADIENT else math.inf
-
-
-def _step_absorbed(alpha: float, beta_look: np.ndarray, rv_min: float, bounds: tuple) -> bool:
-    """Whether ``r*v - alpha*grad`` rounds to ``r*v`` in every entry, for
-    the gradient at ``beta_look`` of any batch, and that gradient is
-    finite: ``2*alpha*g < spacing(rv_min)/4``, the one-step case of
-    :func:`_absorbed_tail`, with ``rv_min`` the smallest ``|r*v|``. The
-    loss term alone is tested first, since it fails while the rate is
-    large, before any pass over ``beta_look``.
-    """
-    loss_term = bounds[1]
-    quarter = np.spacing(rv_min) / 4
-    return bool(2.0 * alpha * loss_term < quarter
-                and 2.0 * alpha * _gradient_bound(np.abs(beta_look).max(), len(beta_look), bounds) < quarter)
 
 
 def _absorbed_tail(config: TrainerConfig, t: int, alpha: float, beta: np.ndarray, v: np.ndarray,
@@ -388,19 +372,24 @@ def _absorbed_tail(config: TrainerConfig, t: int, alpha: float, beta: np.ndarray
     an iteration that leaves a row tile's bits unchanged leaves them so
     for good (:func:`_run_tail`). Where this fails (r = 0, a zero in v, v
     heading into the subnormals, an infinite bound, a rate that falls
-    slower than ``rho`` per step), the loop goes on: it tests each step
-    by :func:`_step_absorbed` and runs the products where that fails.
+    slower than ``rho`` per step), the loop runs the next iteration in
+    full and tests again after it. A failed test reads no array before
+    the rate falls fast enough, and then only ``min|v|`` until the
+    first step passes on the loss term alone.
     """
     r, eta = config.r, config.eta
     rho = math.ldexp(0.5, math.frexp(r)[1])  # 2**floor(log2 r) for 0 < r < 1
-    if alpha > 0.0 and not math.exp(-eta * (t + 1)) < rho:
-        return False  # the rate does not yet fall faster than the spacing may
-    if alpha == 0.0 and np.any(np.signbit(beta) & (beta == 0.0)):
+    if alpha > 0.0:
+        if not math.exp(-eta * (t + 1)) < rho:
+            return False  # the rate does not yet fall faster than the spacing may
+        lower = np.spacing(r * np.abs(v).min())  # spacing of the smallest |r*v| at iteration t+1
+        if not 2.0 * alpha * bounds[1] < lower / 4:
+            return False  # the first step fails on the loss term alone, as g >= loss_term
+    elif np.any(np.signbit(beta) & (beta == 0.0)):
         return False
     q = r + 2.0**-52
     reach = np.abs(beta).max() + 4.0 * np.abs(v).max() * (q / (1.0 - q) if q < 1.0 else math.inf)
     g = _gradient_bound(reach, len(beta), bounds)
-    lower = np.spacing(r * np.abs(v).min())  # spacing of the smallest |r*v| at iteration t+1
     for u in range(t + 1, config.max_iters + 1):
         if alpha == 0.0:
             break
@@ -464,13 +453,10 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
 
     Every column draws the same batches, so each iteration makes one
     batch draw and two matrix products for all columns; C and the loss
-    parameters broadcast over the columns. An iteration whose gradient
-    step cannot change any bit of ``v`` (see :func:`_step_absorbed`)
-    skips the products and the loss derivative and sets ``v = r*v``,
-    which is what they would give; it still draws its batch, so later
-    iterations draw the same ones. Once every later step is proven
-    absorbed (see :func:`_absorbed_tail`), returns beta after the rest
-    of the iterations as the bare recurrence (:func:`_run_tail`).
+    parameters broadcast over the columns. After each iteration, once
+    every later step is proven absorbed (see :func:`_absorbed_tail`),
+    returns beta after the rest of the iterations as the bare recurrence
+    (:func:`_run_tail`).
     """
     n = len(y)
     scale = config.C / s
@@ -489,21 +475,17 @@ def _nag(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int) -> np.ndar
         for t, (alpha, next_alpha) in enumerate(rates, start=1):
             batch = rng.choice(n, size=s, replace=False)
             beta_look = beta + config.r * v
-            absorbed = _step_absorbed(alpha, beta_look, config.r * np.abs(v).min(), bounds)
-            if absorbed:
-                v = config.r * v
-            else:
-                kb = row_product(K, beta_look)
-                yb = yc[batch]
-                xi = 1.0 - yb * kb[batch]
-                w = loss_derivative(config.loss, xi) * yb
-                grad = kb - scale * (K[batch].T @ w)
-                if not np.isfinite(grad).all():
-                    which = _candidate(config, np.isfinite(grad).all(axis=0))
-                    raise NumericError(f"non-finite gradient at iteration {t}{which}")
-                v = config.r * v - alpha * grad
+            kb = row_product(K, beta_look)
+            yb = yc[batch]
+            xi = 1.0 - yb * kb[batch]
+            w = loss_derivative(config.loss, xi) * yb
+            grad = kb - scale * (K[batch].T @ w)
+            if not np.isfinite(grad).all():
+                which = _candidate(config, np.isfinite(grad).all(axis=0))
+                raise NumericError(f"non-finite gradient at iteration {t}{which}")
+            v = config.r * v - alpha * grad
             beta = beta_look + v
-            if (absorbed or next_alpha == 0.0) and _absorbed_tail(config, t, next_alpha, beta, v, bounds):
+            if _absorbed_tail(config, t, next_alpha, beta, v, bounds):
                 return _run_tail(beta, v, config.r, config.max_iters - t)
     return beta
 
@@ -534,10 +516,9 @@ def _train(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int):
 def fit(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> TrainedModel:
     """Train by mini-batch NAG for up to ``max_iters`` iterations.
 
-    Iterations whose gradient step cannot change a bit of the velocity
-    skip the matrix products (see :func:`_step_absorbed`), and once that
-    is proven for every later iteration, the loop runs the rest as a bare
-    recurrence (see :func:`_absorbed_tail`): the result is bit-identical to
+    Once no later gradient step can change a bit of the velocity, which
+    is proven for all of them at once (see :func:`_absorbed_tail`), the
+    loop runs the rest as a bare recurrence: the result is bit-identical to
     running every product of all ``max_iters`` iterations, including a
     ``NumericError`` at the iteration where that loop raises it, and
     ``iterations_run`` records ``max_iters`` either way. A non-finite

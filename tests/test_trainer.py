@@ -216,14 +216,14 @@ class TestFit:
         with pytest.raises(NumericError, match="non-finite final objective nan"):
             fit(TrainerConfig(C=1e306), ds.X, ds.y)
 
-    @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 38), (0.01, 1000, 150),
-                                                        (1e-9, 200, 200), (0.1, 50, 38)])
+    @pytest.mark.parametrize("eta,max_iters,expected", [(0.1, 1000, 37), (0.01, 1000, 149),
+                                                        (1e-9, 200, 200), (0.1, 50, 37)])
     def test_returns_once_beta_is_frozen(self, monkeypatch, eta, max_iters, expected):
         # The loop reads one rate ahead, so t iterations consume t + 1 rates.
         # It returns after the first iteration from which every later step
         # is proven absorbed: at eta = 0.1 the products run in the first 37
-        # iterations and the proof holds after iteration 38 (beta freezes
-        # after iteration 122), at eta = 0.01 after iteration 150 (385). At
+        # iterations and the proof holds after iteration 37 (beta freezes
+        # after iteration 122), at eta = 0.01 after iteration 149 (385). At
         # eta = 1e-9 the rate never falls fast enough, and all 200 run.
         rates = []
         real = trainer.learning_rate_sequence
@@ -244,9 +244,9 @@ class TestFit:
 
     def test_products_skipped_once_steps_are_absorbed(self, monkeypatch):
         # At the defaults the loop runs the products and the loss
-        # derivative only up to iteration 37; the later gradient steps are
-        # below a quarter ulp of r*v, and after iteration 38
-        # _absorbed_tail proves the rest of them so and the loop returns.
+        # derivative only up to iteration 37: the proof holds after
+        # iteration 37, since every later gradient step is below a quarter
+        # ulp of r*v, and the loop returns.
         calls = []
         real = trainer.loss_derivative
         monkeypatch.setattr(trainer, "loss_derivative", lambda *a: calls.append(1) or real(*a))
@@ -258,33 +258,39 @@ class TestFit:
         assert np.float64(model.final_objective).tobytes() == np.float64(final).tobytes()
 
     def test_skipped_and_live_iterations_alternate_bit_exactly(self, monkeypatch):
-        # At alpha0 = 1e-25 the first steps are absorbed; once r*v has
-        # shrunk below the gradient step the products run again, until the
-        # rate has decayed far enough. The first absorbed step after them
-        # proves the rest of the tail, so no later step is tested (the full
-        # loop tested 287 more).
-        absorbed = []
-        real = trainer._step_absorbed
-        monkeypatch.setattr(trainer, "_step_absorbed", lambda *a: absorbed.append(real(*a)) or absorbed[-1])
+        # At alpha0 = 1e-25 the first 19 steps are absorbed, but the rate
+        # does not yet fall fast enough to prove the tail; once r*v has
+        # shrunk below the gradient step they are live for 65 iterations,
+        # until the rate has decayed far enough. The proof holds after
+        # iteration 84, so the loss derivative runs 84 times, not 400.
+        calls = []
+        real = trainer.loss_derivative
+        monkeypatch.setattr(trainer, "loss_derivative", lambda *a: calls.append(1) or real(*a))
         ds = two_cluster_dataset(n=60, seed=4)
         cfg = TrainerConfig(alpha0=1e-25, eta=0.01, max_iters=400, seed=2)
         model = fit(cfg, ds.X, ds.y)
-        runs = [(state, len(list(group))) for state, group in itertools.groupby(absorbed)]
-        assert runs == [(True, 19), (False, 65), (True, 1)]
+        assert len(calls) == 84
         assert model.beta.tobytes() == _reference_fit(cfg, ds.X, ds.y)[0].tobytes()
 
     def test_zero_momentum_step_is_never_absorbed(self):
+        # At a positive rate the tail is not proven with a zero in r*v,
+        # whose quarter spacing rounds to 0.0, a NaN |v| or an infinite
+        # beta. A loss term too large for the first step fails before any
+        # pass over beta (None here), and a rate that does not yet fall
+        # faster than the spacing may, before any pass at all.
         bounds = (1.0, 700.0, 1400.0)
-        beta = np.ones((2, 1))
-        assert trainer._step_absorbed(1e-300, beta, 1.0, bounds)
-        assert not trainer._step_absorbed(1e-300, beta, 0.0, bounds)
-        assert not trainer._step_absorbed(1e-300, beta, np.float64(np.nan), bounds)
-        assert not trainer._step_absorbed(1e-300, np.array([[1.0], [np.inf]]), 1.0, bounds)
-        # not even at rate 0.0, where -0.0 - 0.0*grad is +0.0 for grad < 0;
-        # nor does the smallest subnormal, whose quarter spacing is 0.0
-        assert not trainer._step_absorbed(0.0, beta, 0.0, bounds)
-        assert not trainer._step_absorbed(0.0, beta, 5e-324, bounds)
-        assert trainer._step_absorbed(0.0, beta, 2.0**-1000, bounds)
+        cfg = TrainerConfig(r=0.5, eta=1.0, max_iters=10)
+        ones = np.ones((2, 1))
+
+        def proven(beta, v, bounds=bounds, config=cfg):
+            return trainer._absorbed_tail(config, 5, 1e-300, beta, v, bounds)
+
+        assert proven(ones, ones)
+        assert not proven(ones, np.array([[1.0], [0.0]]))
+        assert not proven(ones, np.array([[1.0], [np.nan]]))
+        assert not proven(np.array([[1.0], [np.inf]]), ones)
+        assert not proven(None, ones, bounds=(1.0, 1e300, 1400.0))
+        assert not proven(None, None, config=replace(cfg, eta=0.1))
 
     def test_gradient_check_kept_after_freeze(self):
         # One -1 sample sits on a +1 sample; the others are far apart, so
@@ -304,7 +310,7 @@ class TestFit:
         with pytest.raises(NumericError, match="iteration 327$"):
             fit(cfg, X, y)
 
-    def test_frozen_rules_out_negative_zero(self):
+    def test_tail_proof_rules_out_negative_zero(self):
         # At rate 0.0 a step may flip the sign of a zero in v, which changes
         # a -0.0 in beta, so the tail is proven only for a beta free of -0.0.
         # The bounds of K = I with the default expsat loss: k_max, C*d, n*d.

@@ -1,10 +1,14 @@
 import ast
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satsvm"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+# a Sphinx cross-reference and its target, ``~`` (show the last part only) aside
+REFERENCE = re.compile(r":(?:func|class|data|meth):`~?([^`]*)`")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,3 +31,40 @@ def test_every_import_is_used(module):
 
 def test_the_check_finds_an_unused_import():
     assert _unused_imports("import os\nfrom a import b, c as d\nos.sep\nd()\n") == ["b (line 2)"]
+
+
+def _resolves(module: str, target: str) -> bool:
+    """Whether ``target``, referred to in the package's ``module``, names
+    an object: a fully qualified name, a name in another module of the
+    package (``kernel.gram_matrix``) or a name in ``module`` itself
+    (``_run_tail``, ``GridSpec.validated``)."""
+    here = "satsvm" if module == "__init__.py" else f"satsvm.{module.removesuffix('.py')}"
+    if target.startswith("satsvm."):
+        name = target
+    elif target.split(".")[0] + ".py" in MODULES:
+        name = f"satsvm.{target}"
+    else:
+        name = f"{here}.{target}"
+    try:
+        pkgutil.resolve_name(name)
+    except (ImportError, AttributeError, ValueError):  # ValueError: not a dotted name
+        return False
+    return True
+
+
+def _unresolved_references(module: str, source: str) -> list[str]:
+    """The cross-reference targets in ``source``, the text of the
+    package's ``module``, that name no object."""
+    return [target for target in REFERENCE.findall(source) if not _resolves(module, target)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_cross_reference_resolves(module):
+    assert _unresolved_references(module, (PACKAGE / module).read_text()) == []
+
+
+def test_the_check_finds_a_missing_reference():
+    source = (":func:`fit` :func:`_gone` :meth:`TrainedModel.kernel` :func:`~satsvm.kernel.kernel_product`\n"
+              ":data:`kernel.GONE` :class:`~satsvm.trainer.Gone` :func:`trainer.fit` :func:`split\nname`")
+    assert _unresolved_references("trainer.py", source) == ["_gone", "kernel.GONE", "satsvm.trainer.Gone",
+                                                            "split\nname"]
