@@ -116,15 +116,18 @@ _OPTIONS = {o.key: o for o in (
 
 
 def _option(key: str) -> Option:
-    """The option of ``key``: from the table, else the loss parameter of
-    that name with its ``LossSpec`` field's default, typed as that default,
-    else the trainer parameter of that name, else the grid axis of that
-    name with ``GridSpec``'s values. So only a command that has such a key
-    loads the loss, the trainer or the harness for its options."""
+    """The option of ``key``: from the table, else the loss's kind
+    (``loss``) or the loss parameter of that name with its ``LossSpec``
+    field's default, typed as that default, else the trainer parameter of
+    that name, else the grid axis of that name with ``GridSpec``'s values.
+    So only a command that has such a key loads the loss, the trainer or
+    the harness for its options."""
     if key in _OPTIONS:
         return _OPTIONS[key]
-    from .loss import LossSpec
+    from .loss import LossKind, LossSpec
 
+    if key == "loss":
+        return Option(key, LossSpec().kind.value, str, _values(LossKind))
     loss_fields = {f.name: f for f in fields(LossSpec) if f.name != "kind"}
     if key in loss_fields:
         return Option(key, loss_fields[key].default, type(loss_fields[key].default))
@@ -141,10 +144,10 @@ def _option(key: str) -> Option:
 # Groups of keys that a command's row names by one of these functions,
 # derived only when that command runs.
 def _loss_keys() -> tuple[str, ...]:
-    """The loss's keys, its kind first."""
-    from .trainer import FLAT_PARAMETERS
+    """The loss's keys, its kind (``loss``) first."""
+    from .loss import LossSpec
 
-    return tuple(key for key, p in FLAT_PARAMETERS.items() if p.field == "loss")
+    return tuple("loss" if f.name == "kind" else f.name for f in fields(LossSpec))
 
 
 def _trainer_keys() -> tuple[str, ...]:
@@ -389,11 +392,10 @@ def cmd_stats(p: dict) -> int:
 
 
 def cmd_loss_curve(p: dict) -> int:
-    from .loss import loss_derivative, loss_value
+    from .loss import LossSpec, loss_derivative, loss_value
     from .theory import step_grid
-    from .trainer import TrainerConfig, apply_params
 
-    spec = apply_params(TrainerConfig(), {k: p[k] for k in _loss_keys()}).loss
+    spec = LossSpec(**{"kind" if k == "loss" else k: p[k] for k in _loss_keys()})
     u = step_grid(p["u_min"], p["u_max"], p["u_step"], ("u_min", "u_max", "u_step"))
     values = loss_value(spec, u)
     derivs = loss_derivative(spec, u)

@@ -120,42 +120,8 @@ def check_layout(value, schema, where: str, error=DataFormatError) -> None:
 def dump_json(doc) -> str:
     """The canonical JSON text of ``doc``: sorted keys, an indent of two
     and a final newline, so equal documents give identical bytes. Model
-    files, corruption records and manifests are written in it.
-
-    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
-    byte for byte. ``json`` lays out an indented document in its
-    pure-Python encoder, one call per element, so a model's coefficients
-    and support points are laid out here instead: a list of finite floats,
-    or of non-empty such lists, is its ``float.__repr__`` texts joined by
-    the separators ``json`` puts between them.
-    """
-    return _json(doc, "\n") + "\n"
-
-
-def _json(value, newline: str) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` lays it
-    out when every line after its first starts with ``newline``."""
-    inner = newline + "  "
-    if isinstance(value, dict) and value and all(type(key) is str for key in value):
-        items = (json.dumps(key) + ": " + _json(value[key], inner) for key in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list) and value:
-        try:
-            if all(type(row) is list and row for row in value):
-                row_inner = inner + "  "
-                text = ("," + inner).join("[" + row_inner + ("," + row_inner).join(map(float.__repr__, row))
-                                          + inner + "]" for row in value)
-            else:
-                text = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:  # an element that is no float
-            pass
-        else:
-            # a finite float's text has no "n"; json spells nan and inf otherwise
-            if "n" not in text:
-                return "[" + inner + text + newline + "]"
-    # json's text nested one level deeper is its text with every line break
-    # followed by the deeper indent; strings hold no raw line break
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+    files, corruption records and manifests are written in it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_json(text: str, what: str, error=DataFormatError):
@@ -355,32 +321,14 @@ def _cell(value) -> str:
 
 
 def write_rows(path, rows, header=None) -> None:
-    """Write ``rows`` of cells as comma-separated lines, after the
-    ``header`` line when one is given. Each line is formatted as it is
-    written, so the text is never held whole.
-
-    A line is first formatted whole, ``%s`` (the ``str``) per cell, the
-    text :func:`_cell` gives every cell but None, True and False. Their
-    texts hold an ``N``, a ``T`` or an ``F`` and a number's text holds
-    none, so a line holding one of those letters is formatted again cell
-    by cell through :func:`_cell`.
+    """Write ``rows`` of cells as comma-separated lines, each cell's text
+    from :func:`_cell`, after the ``header`` line when one is given. Each
+    line is formatted as it is written, so the text is never held whole.
     """
-    formats: dict[int, str] = {}
-
-    def line(row) -> str:
-        row = tuple(row)
-        fmt = formats.get(len(row))
-        if fmt is None:
-            fmt = formats[len(row)] = ",".join(["%s"] * len(row)) + "\n"
-        text = fmt % row
-        if "N" in text or "T" in text or "F" in text:
-            return ",".join(map(_cell, row)) + "\n"
-        return text
-
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.writelines(map(line, rows))
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -4,7 +4,7 @@ sweeps, and corruption-robustness tables.
 Grid search, sweeps and robustness tables share one evaluation loop,
 :func:`_evaluate`. It goes fold by fold and builds each distinct
 kernel's Gram matrix over the training part once for every
-configuration that uses it: one Gram per (fold, sigma), not per
+configuration that uses it: one Gram per fold and kernel, not per
 candidate. A fold holds one Gram at a time and no other kernel matrix:
 the test part is scored through :func:`kernel.kernel_product`, the
 product behind ``predict``, a block of rows at a time. The largest Gram
@@ -52,10 +52,10 @@ import numpy as np
 
 from .data import CorruptionMode, Dataset, FoldPlan, corrupt
 from .errors import ParameterError, ShapeError
-from .kernel import KernelKind, KernelSpec, check_capacity, gram_matrix, kernel_product
+from .kernel import KernelKind, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
-from .trainer import TrainerConfig, apply_checked, apply_params, fit, fit_columns, sign_labels
+from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
 
 
 def _decade_grid() -> tuple[float, ...]:
@@ -134,7 +134,7 @@ def _summarize(per_fold) -> CvResult:
 
 
 def _fold_config(config: TrainerConfig, fold: int) -> TrainerConfig:
-    return apply_checked(config, {"seed": child_seed(config.seed, f"batches/fold={fold}")})
+    return apply_params(config, {"seed": child_seed(config.seed, f"batches/fold={fold}")})
 
 
 def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig],
@@ -143,20 +143,18 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     fold's training part and scored on its test part: one B-by-k array
     per configuration (B = 1 for a plain one).
 
-    Per fold, each distinct kernel's Gram is built once (sigma is dropped
-    for a linear kernel) and one fold Gram is alive at a time, the fold's
-    only kernel matrix. Each configuration that uses the kernel is a
-    batch of its own: ``fit_columns`` trains its columns chunk by chunk
-    and each chunk is scored by ``kernel_product``, the call behind
-    ``decision_values``. The largest Gram of the run, the training parts'
-    or a refit's on ``refit`` points, is checked against the size cap
-    before fold 0.
+    Per fold, each distinct kernel's Gram is built once and one fold Gram
+    is alive at a time, the fold's only kernel matrix. Each configuration
+    that uses the kernel is a batch of its own: ``fit_columns`` trains its
+    columns chunk by chunk and each chunk is scored by ``kernel_product``,
+    the call behind ``decision_values``. The largest Gram of the run, the
+    training parts' or a refit's on ``refit`` points, is checked against
+    the size cap before fold 0.
     """
     check_capacity(max(refit, *(len(train.X) for train, _ in folds)))
     by_kernel: dict = {}
     for i, config in enumerate(configs):
-        kernel = config.kernel if config.kernel.kind is KernelKind.GAUSSIAN else KernelSpec.linear()
-        by_kernel.setdefault(kernel, []).append(i)
+        by_kernel.setdefault(config.kernel, []).append(i)
     per_fold = [np.empty((config.columns or 1, len(folds))) for config in configs]
     for f, (train, test) in enumerate(folds):
         for kernel, idx in by_kernel.items():

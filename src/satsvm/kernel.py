@@ -81,6 +81,8 @@ class KernelSpec:
             if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
                 raise ParameterError(f"gaussian kernel width sigma={self.sigma} is out of range: "
                                      "1/sigma**2 must be finite and nonzero")
+        if not math.isfinite(self.sigma):
+            raise ParameterError(f"sigma must be finite, got sigma={self.sigma}")
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "KernelSpec":

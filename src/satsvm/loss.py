@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,17 +57,19 @@ PARAMETERS = {
 class LossSpec:
     """A loss family plus its parameters.
 
-    Only the parameters relevant to ``kind`` (:data:`PARAMETERS`) are
-    validated and used: ``a``/``lam`` (finite and > 0) for expsat,
-    ``tau`` for the pinball family, ``delta`` for the truncated hinge,
-    ``tau``/``delta1``/``delta2`` for the truncated pinball. A parameter
+    The kind defaults to expsat. Only the parameters relevant to
+    ``kind`` (:data:`PARAMETERS`) are range-checked and used: ``a``/``lam``
+    (> 0) for expsat, ``tau`` for the pinball family, ``delta`` for the
+    truncated hinge, ``tau``/``delta1``/``delta2`` for the truncated
+    pinball. Every parameter must be finite, used by the kind or not, so
+    that no model file or manifest records a non-finite number. A parameter
     may also be a length-B array, one value per column: the loss
     functions then broadcast it over the last axis of their argument, and
     each column's values are bit-identical to those of the scalar spec
     holding that column's parameters.
     """
 
-    kind: LossKind
+    kind: LossKind = LossKind.EXPSAT
     a: float = 1.0
     lam: float = 1.0
     tau: float = 0.5
@@ -95,6 +97,10 @@ class LossSpec:
                 raise ParameterError(f"truncated pinball cap delta1 must be > 0, got delta1={self.delta1}")
             if not np.all(np.greater(self.delta2, 0)):
                 raise ParameterError(f"truncated pinball cap delta2 must be > 0, got delta2={self.delta2}")
+        for name in (f.name for f in fields(self) if f.name != "kind"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ParameterError(f"{name} must be finite, got {name}={value}")
 
     @classmethod
     def expsat(cls, a: float = 1.0, lam: float = 1.0) -> "LossSpec":

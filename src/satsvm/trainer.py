@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import pairwise
 
 import numpy as np
@@ -70,9 +70,9 @@ class TrainerConfig:
     Defaults are the reference constants: ``beta0 = v0 = 0.01``,
     ``alpha0 = eta = 0.1``, momentum ``r = 0.6``, 1000 iterations, and a
     batch size resolved at fit time to 4 when n < 100 and 32 otherwise.
-    ``C``, ``alpha0``, ``eta``, ``beta0``, ``v0`` and every parameter of
-    the loss and the kernel must be finite, used by their kinds or not,
-    so that no model file or manifest records a non-finite number.
+    ``C``, ``alpha0``, ``eta``, ``beta0`` and ``v0`` must be finite, as
+    the loss and the kernel check their own parameters, so that no model
+    file or manifest records a non-finite number.
 
     ``C`` and the loss parameters may also be length-B arrays, one value
     per column: :func:`fit_columns` then trains the B models that share
@@ -80,7 +80,7 @@ class TrainerConfig:
     """
 
     C: float = 1.0
-    loss: LossSpec = field(default_factory=LossSpec.expsat)
+    loss: LossSpec = field(default_factory=LossSpec)
     kernel: KernelSpec = field(default_factory=KernelSpec.gaussian)
     beta0: float = 0.01
     v0: float = 0.01
@@ -104,10 +104,8 @@ class TrainerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        numbers = [(name, getattr(self, name)) for name in ("C", "alpha0", "eta", "beta0", "v0")]
-        numbers += [(f.name, getattr(spec, f.name)) for spec in (self.loss, self.kernel) for f in fields(spec)
-                    if f.name != "kind"]
-        for name, value in numbers:
+        for name in ("C", "alpha0", "eta", "beta0", "v0"):
+            value = getattr(self, name)
             if not np.all(np.isfinite(value)):
                 raise ParameterError(f"{name} must be finite, got {name}={value}")
         shapes = [np.shape(v) for _, v in self.column_parameters()]
@@ -171,36 +169,18 @@ def apply_params(config: TrainerConfig, params: dict) -> TrainerConfig:
     ``LossSpec`` field names set the loss, ``kernel`` and the other
     ``KernelSpec`` field names the kernel, and every other key (``C``,
     ``beta0``, ``max_iters``, ...) the config field of its name. A value
-    may be an array where the field takes one value per column. The loss
-    is built and checked first, then the kernel, then the config, so of
-    several invalid values the first in that order is reported.
+    may be an array where the field takes one value per column. Each spec
+    and config it builds checks itself, a fold's seed and a chunk's slice
+    of the columns included: the loss first, then the kernel, then the
+    config, so of several invalid values the first in that order is
+    reported.
     """
-    return _apply(config, params, replace)
-
-
-def apply_checked(config: TrainerConfig, params: dict) -> TrainerConfig:
-    """:func:`apply_params` for values that its checks passed already, so
-    without checking them again: a slice of the config's own per-column
-    values, say, or a seed, which no check reads."""
-    return _apply(config, params, _unchecked)
-
-
-def _unchecked(value, **changes):
-    """``replace(value, **changes)`` without the class's checks."""
-    new = object.__new__(type(value))
-    new.__dict__.update(vars(value), **changes)
-    return new
-
-
-def _apply(config: TrainerConfig, params: dict, build) -> TrainerConfig:
-    """``config`` with ``params`` set, each spec that a key sets and then
-    the config built by ``build``."""
     specs = {}
     for name in _SPECS:
         changes = {p.spec: params[key] for key, p in FLAT_PARAMETERS.items() if p.field == name and key in params}
         if changes:
-            specs[name] = build(getattr(config, name), **changes)
-    return build(config, **specs, **{k: v for k, v in params.items() if FLAT_PARAMETERS[k].spec is None})
+            specs[name] = replace(getattr(config, name), **changes)
+    return replace(config, **specs, **{k: v for k, v in params.items() if FLAT_PARAMETERS[k].spec is None})
 
 
 @dataclass(frozen=True)
@@ -574,7 +554,7 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
     chunks = [slice(lo, hi) for lo, hi in pairwise(sorted({*range(0, body, step), body, B}))]
 
     def train(cols: slice) -> np.ndarray:
-        chunk = apply_checked(config, {name: v[cols] for name, v in config.column_parameters() if np.ndim(v)})
+        chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters() if np.ndim(v)})
         return _train(chunk, gram, y, s)[0]
 
     return ((cols, train(cols)) for cols in chunks)

@@ -1,8 +1,10 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -973,9 +975,22 @@ COMMAND_MODULES = {
         {"harness", "kernel", "loss", "seeds", "trainer"},
     ("corrupt", "--input", "d.csv", "--output", "c.csv"): {"seeds"},
     ("stats", "--input", "acc.csv", "--critical-f", "4.46", "--output", "r.csv"): {"stats"},
-    ("loss-curve", "--output", "l.csv"): {"kernel", "loss", "theory", "trainer"},
+    ("loss-curve", "--output", "l.csv"): {"loss", "theory"},
     ("calibration", "--f-step", "0.1", "--output", "cal.csv"): {"loss", "theory"},
 }
+MODULES_BY_COMMAND = {argv[0]: modules for argv, modules in COMMAND_MODULES.items()}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_modules(text: str) -> dict[str, set[str]]:
+    """Each command's modules as the README's per-command module table
+    names them; a row may name several commands."""
+    table = text.split("\n| command | modules |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {command: set(re.findall(r"`(\w+)`", modules))
+            for commands, modules in rows for command in re.findall(r"`([\w-]+)`", commands)}
 
 
 def _loaded(code: str, *argv, cwd=None):
@@ -1019,6 +1034,18 @@ class TestImportFootprint:
         expected = ["satsvm", "satsvm.cli", "satsvm.data", "satsvm.errors",
                     *(f"satsvm.{module}" for module in COMMAND_MODULES[argv])]
         assert _loaded(code, *argv, cwd=tmp_path) == [0, sorted(expected)]
+
+    def test_readme_names_the_modules_of_each_command(self):
+        assert _readme_modules(README.read_text(encoding="utf-8")) == MODULES_BY_COMMAND
+
+    @pytest.mark.parametrize("row", ["| `loss-curve` | `trainer`, `kernel`, `loss`, `theory` | 106 ms |", ""],
+                             ids=["wrong-modules", "missing-row"])
+    def test_a_wrong_readme_row_fails_the_module_check(self, row):
+        text = README.read_text(encoding="utf-8")
+        line = next(line for line in text.splitlines() if line.startswith("| `loss-curve` |"))
+        wrong = text.replace(line + "\n", row + "\n" if row else "")
+        assert wrong != text
+        assert _readme_modules(wrong) != MODULES_BY_COMMAND
 
     def test_main_builds_the_flags_of_the_invoked_subcommand_only(self, monkeypatch, tmp_path):
         import satsvm.cli as cli

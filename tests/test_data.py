@@ -400,7 +400,7 @@ class TestDatasetInvariants:
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # JSON documents with every kind of leaf, the float lists (and lists of
-# them) that dump_json lays out itself, and non-finite floats among them
+# them) that model files hold, and non-finite floats among them
 _DOCS = st.recursive(
     st.one_of(st.text(max_size=5), st.integers(), st.booleans(), st.none(), st.floats(),
               st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), st.lists(_FINITE, max_size=5),

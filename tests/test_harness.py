@@ -119,20 +119,6 @@ class TestGridSearch:
         base.update(kw)
         return GridSpec(**base)
 
-    def test_no_fold_or_chunk_checks_its_columns_again(self, monkeypatch):
-        # the shape of the grid-cv benchmark: expsat and hinge, two values on
-        # each of C, sigma, a and lam, the five default tau values, 5 folds
-        ds = two_cluster_dataset(n=60, m=2, seed=0)
-        configs = [TrainerConfig(max_iters=5), TrainerConfig(loss=LossSpec.hinge(), max_iters=5)]
-        grid = GridSpec(c_grid=(1.0, 30.0), sigma_grid=(0.3, 1.0), a_grid=(0.5, 2.0), lambda_grid=(0.5, 1.0))
-        checks = []
-        real = TrainerConfig.__post_init__
-        monkeypatch.setattr(TrainerConfig, "__post_init__", lambda config: checks.append(config) or real(config))
-        grid_search_models(ds, configs, grid, make_folds(ds.n, 5, seed=0))
-        # per configuration: its 13 axis values one by one, each sigma and its
-        # batch of columns, the refit and the refit model's snapshot
-        assert len(checks) == 2 * (13 + 2 + 2 + 1 + 1)
-
     def test_empty_grid_rejected(self, separable, monkeypatch):
         monkeypatch.setattr(harness, "gram_matrix", lambda *a: pytest.fail("a Gram was built"))
         ds, plan = separable

@@ -59,7 +59,11 @@ class TestKernelEval:
 
         with pytest.raises(ParameterError, match="1/sigma\\*\\*2 must be finite and nonzero"):
             KernelSpec.gaussian(sigma)
-        KernelSpec(KernelKind.LINEAR, sigma=sigma)  # sigma does not enter a linear kernel
+        if math.isfinite(sigma):
+            KernelSpec(KernelKind.LINEAR, sigma=sigma)  # sigma does not enter a linear kernel
+        else:  # but a model file records it
+            with pytest.raises(ParameterError, match="^sigma must be finite, got sigma=inf$"):
+                KernelSpec(KernelKind.LINEAR, sigma=sigma)
 
     def test_sigma_at_the_ends_of_the_range(self):
         # the narrowest width overflows the scaled distances to -inf, whose

@@ -164,20 +164,21 @@ class TestFit:
             TrainerConfig(max_iters=0)
 
     @pytest.mark.parametrize("loss,kernel,message", [
-        (LossSpec(LossKind.EXPSAT, tau=math.nan, delta=math.inf), KernelSpec.gaussian(),
+        (dict(kind=LossKind.EXPSAT, tau=math.nan, delta=math.inf), dict(kind=KernelKind.GAUSSIAN),
          "tau must be finite, got tau=nan"),
-        (LossSpec(LossKind.HINGE, a=math.inf), KernelSpec.gaussian(), "a must be finite, got a=inf"),
-        (LossSpec.expsat(), KernelSpec(KernelKind.LINEAR, sigma=math.inf), "sigma must be finite, got sigma=inf"),
-        (LossSpec.hinge(), KernelSpec.gaussian(), None),
+        (dict(kind=LossKind.HINGE, a=math.inf), dict(kind=KernelKind.GAUSSIAN), "a must be finite, got a=inf"),
+        (dict(kind=LossKind.EXPSAT), dict(kind=KernelKind.LINEAR, sigma=math.inf),
+         "sigma must be finite, got sigma=inf"),
+        (dict(kind=LossKind.HINGE, delta1=-5.0), dict(kind=KernelKind.GAUSSIAN), None),
     ], ids=["expsat-tau", "hinge-a", "linear-sigma", "finite"])
     def test_every_loss_and_kernel_parameter_must_be_finite(self, loss, kernel, message):
         # the specs ignore the domains of the fields their kinds do not use,
         # but a config would record those fields in its model file
         if message is None:
-            TrainerConfig(loss=replace(loss, delta1=-5.0), kernel=kernel)
+            TrainerConfig(loss=LossSpec(**loss), kernel=KernelSpec(**kernel))
             return
         with pytest.raises(ParameterError) as exc:
-            TrainerConfig(loss=loss, kernel=kernel)
+            TrainerConfig(loss=LossSpec(**loss), kernel=KernelSpec(**kernel))
         assert str(exc.value) == message
 
     def test_per_column_loss_parameters_must_be_finite(self):
