@@ -195,7 +195,7 @@ def _normalize_labels(raw: list[float]) -> np.ndarray:
         return np.array([1.0 if v == 1.0 else -1.0 for v in raw])
     if values <= {-1.0, 1.0}:
         return np.array(raw, dtype=float)
-    raise DataFormatError(f"labels must be from {{0,1}} or {{-1,+1}}, found {sorted(values)}")
+    raise DataFormatError(f"labels must be from {{0,1}} or {{-1,+1}}, found {sorted(map(float, values))}")
 
 
 def _is_number(cell: str) -> bool:

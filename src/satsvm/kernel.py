@@ -1,9 +1,10 @@
 """Kernel evaluation and Gram-matrix construction.
 
 The Gaussian kernel is ``exp(-||x - z||**2 / sigma**2)``; note the width
-enters squared in the denominator. One loop over blocks of rows
-evaluates every kernel value the package uses: Gram matrices, and
-decision values, for ``predict`` and the cross-validation test parts
+enters squared in the denominator. One loop over tiles of rows
+evaluates every kernel value the package uses, with two outputs (the
+values, or their products by weights): Gram matrices, and decision
+values, for ``predict`` and the cross-validation test parts
 alike (:func:`gram_matrix` through :func:`kernel_block`, and
 :func:`kernel_product`). The squared distance is
 the explicit differences, squared and added feature by feature from left
@@ -18,28 +19,28 @@ the exact squared distance ``D``, so a Gaussian entry ``K`` differs from
 rounding included, plus the last-place rounding of ``exp``.
 
 Gram matrices are materialized in full, as plain read-only n-by-n arrays,
-because the trainer repeatedly needs arbitrary rows; a Gaussian Gram is
-built in place a tile of rows at a time, as its lower triangle mirrored
-above the diagonal, and a linear Gram is one symmetric matrix product,
-so either is the only n-by-n array its build holds, and construction
-refuses above a documented size cap to keep memory bounded.
+because the trainer repeatedly needs arbitrary rows. A Gram is the
+:func:`kernel_block` of its points against themselves: a Gaussian one
+filled in place a tile of rows at a time, a linear one a single
+symmetric matrix product. Either is the only n-by-n array its build
+holds, and construction refuses above a documented size cap to keep
+memory bounded.
 Decision values never hold the query-by-support matrix:
 :func:`kernel_product` multiplies each block by the coefficients as it
 comes, so a cross-validation fold holds its Gram and no test block.
 
-From ``PARALLEL_ENTRIES`` kernel entries on, a call splits the rows of
-``Z`` into one contiguous range per worker thread, each range starting at
-a multiple of a tile of ``TILE_BLOCKS`` blocks (ranges of equal area for
-a Gaussian Gram's triangle); the fit's product
-``K @ beta`` (:func:`row_product`) splits its rows at multiples of
-``ROW_ALIGN`` the same way. The workers are daemon threads, one per CPU
-the process may run on, each pinned to its CPU, started on the first such
-call (a forked child starts its own); smaller calls, and every call on
-one CPU, run in the calling thread. Neither split changes a bit: a
-Gaussian entry depends only on its two points, every product ``K @ W``
-is taken over the same block of rows on either path, and a
-matrix-vector product split at multiples of ``ROW_ALIGN`` rows keeps its
-bits at one BLAS thread.
+Every call evaluates tiles of ``TILE_BLOCKS`` blocks. From
+``PARALLEL_ENTRIES`` kernel entries on, a call splits the rows of ``Z``
+into one contiguous range per worker thread, each range starting at a
+multiple of a tile; the fit's product ``K @ beta`` (:func:`row_product`)
+splits its rows at multiples of ``ROW_ALIGN`` the same way. The workers
+are daemon threads, one per CPU the process may run on, each pinned to
+its CPU, started on the first such call (a forked child starts its own);
+smaller calls, and every call on one CPU, run in the calling thread.
+Neither split changes a bit: a Gaussian entry depends only on its two
+points, every product ``K @ W`` is taken over the same block of rows on
+either path, and a matrix-vector product split at multiples of
+``ROW_ALIGN`` rows keeps its bits at one BLAS thread.
 """
 
 from __future__ import annotations
@@ -94,16 +95,17 @@ class KernelSpec:
 
 
 # Largest size of one block of squared distances together with the scratch
-# block that each feature's squared differences pass through, the budget of
-# every Gaussian block: Gram rows and decision values. On a
-# 2-vCPU Xeon with m = 10, decision values for 20000 queries against 3000
-# support points (5 rows per block) were fastest at this budget among
-# 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x slower. On the parallel
-# path a worker evaluates TILE_BLOCKS blocks per pass, so its tile and
-# scratch take TILE_BLOCKS * BLOCK_BYTES: there, on two pinned workers, that
-# ``predict`` took 0.84-1.00 s with four-block tiles and 1.42-1.58 s with
-# one-block tiles, whose hand-offs of the interpreter lock cost 0.3 s of
-# system time, against 1.13-1.30 s on one thread.
+# block that each feature's squared differences pass through: the rows of
+# each product by weights. On a 2-vCPU Xeon with m = 10, decision values for
+# 20000 queries against 3000 support points (5 rows per block) were fastest
+# at this budget among 64 KiB to 4 MiB: 64 KiB ran 2.3x and 1 MiB 1.2x
+# slower. Every call evaluates TILE_BLOCKS blocks per pass, inline and on
+# each worker, so a tile and its scratch take TILE_BLOCKS * BLOCK_BYTES. On
+# two pinned workers that ``predict`` took 0.84-1.00 s with four-block tiles
+# and 1.42-1.58 s with one-block tiles, whose hand-offs of the interpreter
+# lock cost 0.3 s of system time; on one CPU, 8 fresh runs took 0.91-1.45 s
+# (median 1.08 s) with four-block tiles and 0.98-1.60 s (1.19 s) with
+# one-block tiles.
 BLOCK_BYTES = 1 << 18
 TILE_BLOCKS = 4
 
@@ -208,20 +210,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(total: int, align: int, entries: int, triangle: bool = False) -> list | None:
+def _split(total: int, align: int, entries: int) -> list | None:
     """Contiguous ``(lo, hi)`` row ranges of ``0:total``, at most one per
-    worker, each starting at a multiple of ``align`` and none of one row
-    unless ``total`` is 1; None when the call is to run inline: fewer than
-    ``PARALLEL_ENTRIES`` entries, or one CPU. The ranges hold about equal
-    numbers of rows, or with ``triangle``, where row i has i + 1 entries,
-    of entries."""
+    worker, of about equal numbers of rows, each starting at a multiple of
+    ``align`` and none of one row unless ``total`` is 1; None when the
+    call is to run inline: fewer than ``PARALLEL_ENTRIES`` entries, or one
+    CPU."""
     workers = len(_pool()) if entries >= PARALLEL_ENTRIES else 0
     if workers < 2:
         return None
     units = -(-total // align)
-    shares = [math.isqrt(units * units * i // workers) if triangle else units * i // workers
-              for i in range(workers + 1)]
-    bounds = [min(total, align * share) for share in shares]
+    bounds = [min(total, align * (units * i // workers)) for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in pairwise(bounds) if lo < hi]
     if len(ranges) > 1 and ranges[-1][1] - ranges[-1][0] == 1:
         # numpy takes a one-row product as a dot product, which rounds
@@ -266,28 +265,25 @@ def _times(block: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
         out[:, c : c + COLUMN_GROUP] = block @ W[:, c : c + COLUMN_GROUP]
 
 
-def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: int, hi: int, tile: int,
-          tiles: tuple, out: np.ndarray | None, W: np.ndarray | None, product: np.ndarray | None,
-          lower: bool = False) -> None:
+def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: int, hi: int, tiles: tuple,
+          out: np.ndarray | None, W: np.ndarray | None, product: np.ndarray | None) -> None:
     """Kernel values between rows ``lo:hi`` of ``Z`` and the rows of ``X``:
     written to the same rows of ``out`` when it is given, and, when ``W``
     is given, each :func:`block_rows` block of them times ``W`` written to
-    the block's rows of ``product``. ``lo`` is a multiple of the block
-    rows. With ``lower`` (a Gaussian Gram: ``Z`` is ``X``), a tile takes
-    only the columns up to its last row and writes its entries left of the
-    diagonal to their mirror places above it. The package's one kernel
-    evaluation; shapes are not checked here.
+    the block's rows of ``product``. ``lo`` is a multiple of a tile's
+    rows. The package's one kernel evaluation; shapes are not checked
+    here.
 
-    A linear block is a matrix product. A Gaussian tile of ``tile`` rows
-    (a multiple of the block rows) is ``exp(D * (-1/sigma**2))`` over the
-    squared distances ``D``, the explicit differences squared and added
-    feature by feature from the left: with ``XT`` the feature-major
-    ``X``, each feature is one pass of three ufuncs over a contiguous tile
-    of rows through the scratch tile ``tiles[0]``, into the rows of
-    ``out``, else (and for a triangle) into the tile ``tiles[1]``, reused
-    for each tile of rows. An entry's bits therefore depend on neither the
-    tile, nor its columns, nor the order of its rows and columns:
-    ``K(X, Z)`` is ``K(Z, X).T`` bit for bit. Each product is taken over the same block of rows
+    A linear block is a matrix product. A Gaussian tile of ``TILE_BLOCKS``
+    blocks is ``exp(D * (-1/sigma**2))`` over the squared distances ``D``,
+    the explicit differences squared and added feature by feature from the
+    left: with ``XT`` the feature-major ``X``, each feature is one pass of
+    three ufuncs over a contiguous tile of rows through the scratch tile
+    ``tiles[0]``, into the rows of ``out``, else into the tile
+    ``tiles[1]``, reused for each tile of rows. An entry's bits therefore
+    depend on neither the tile nor the order of its rows and columns:
+    ``K(X, Z)`` is ``K(Z, X).T`` bit for bit, and a Gram is symmetric with
+    a diagonal of ones. Each product is taken over the same block of rows
     whatever the tile, since a product's bits depend on its rows, and by
     :func:`_times` over the n-by-B ``W``.
     """
@@ -298,6 +294,7 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
             _times(Z[start : start + rows] @ X.T, W, product[start : start + rows])
         return
     scratch, own = tiles
+    tile = TILE_BLOCKS * rows
     buffer = np.setbufsize(UFUNC_BUFFER)
     try:
         # a squared distance, or its scaling, past the float range is inf,
@@ -307,25 +304,18 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
         with np.errstate(over="ignore"):
             for start in range(lo, hi, tile):
                 z = Z[start : min(start + tile, hi)]
-                shape = (len(z), start + len(z) if lower else n)
-                # a triangle's tile is computed contiguous, then copied: in
-                # the strided rows of out it took 1.5x as long at n = 320
-                D = (out[start : start + len(z)] if own is None
-                     else own.reshape(-1)[: math.prod(shape)].reshape(shape))
-                t = scratch.reshape(-1)[: D.size].reshape(shape)
+                D = own[: len(z)] if out is None else out[start : start + len(z)]
+                t = scratch[: len(z)]
                 if m == 0:
                     D.fill(0.0)
                 for j in range(m):
                     # the first feature's squares start the sum in D
-                    np.subtract(XT[j, : shape[1]], z[:, j : j + 1], out=t)
+                    np.subtract(XT[j], z[:, j : j + 1], out=t)
                     np.multiply(t, t, out=t if j else D)
                     if j:
                         np.add(D, t, out=D)
                 np.multiply(D, -1.0 / (spec.sigma * spec.sigma), out=D)
                 np.exp(D, out=D)
-                if lower:
-                    out[start : start + len(z), : shape[1]] = D
-                    out[:start, start : start + len(z)] = D[:, :start].T
                 if W is not None:
                     for b in range(0, len(z), rows):
                         _times(D[b : b + rows], W, product[start + b : start + b + rows])
@@ -333,16 +323,13 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
         np.setbufsize(buffer)
 
 
-def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None,
-              lower: bool = False) -> None:
-    """:func:`_rows` over all of ``Z``: inline one block per tile, or, from
-    ``PARALLEL_ENTRIES`` entries on, in one contiguous range of tiles of
-    ``TILE_BLOCKS`` blocks per worker, ranges of equal area with
-    ``lower``."""
-    rows = block_rows(len(X))
+def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None) -> None:
+    """:func:`_rows` over all of ``Z`` in tiles of ``TILE_BLOCKS`` blocks:
+    inline, or, from ``PARALLEL_ENTRIES`` entries on, in one contiguous
+    range of tiles per worker."""
+    tile = TILE_BLOCKS * block_rows(len(X))
     XT = np.ascontiguousarray(X.T) if spec.kind is KernelKind.GAUSSIAN else None
-    ranges = _split(len(Z), TILE_BLOCKS * rows, len(Z) * len(X), lower)
-    tile = rows if ranges is None else TILE_BLOCKS * rows
+    ranges = _split(len(Z), tile, len(Z) * len(X))
 
     def tiles(lo: int, hi: int) -> tuple:
         # taken in the calling thread: freed tiles a worker took itself would
@@ -350,13 +337,13 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, 
         if spec.kind is KernelKind.LINEAR:
             return None, None
         shape = (min(tile, hi - lo), len(X))
-        return np.empty(shape), np.empty(shape) if out is None or lower else None
+        return np.empty(shape), np.empty(shape) if out is None else None
 
     if ranges is None:
-        _rows(spec, X, XT, Z, 0, len(Z), tile, tiles(0, len(Z)), out, W, product, lower)
+        _rows(spec, X, XT, Z, 0, len(Z), tiles(0, len(Z)), out, W, product)
     else:
         taken = {lo: tiles(lo, hi) for lo, hi in ranges}
-        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, tile, taken[lo], out, W, product, lower), ranges)
+        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, taken[lo], out, W, product), ranges)
 
 
 def _points(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -419,17 +406,15 @@ def check_capacity(n: int) -> None:
 
 
 def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Build the n-by-n kernel matrix of the rows of ``X``.
+    """Build the n-by-n kernel matrix of the rows of ``X``: the
+    :func:`kernel_block` of ``X`` against itself, made read-only, so one
+    Gram can be shared by many fits.
 
-    The matrix is symmetric bit-exactly, Gaussian diagonals are exactly
-    1, and it is read-only, so one Gram can be shared by many fits. The
-    Gram has the bits of :func:`kernel_block` of ``X`` against itself. A
-    Gaussian Gram computes its lower triangle, tile by tile of rows, and
-    mirrors it in place: an entry's bits depend only on its two points,
-    which give ``x - z`` and ``z - x`` the same square, and a point's
-    distance to itself is 0, whose kernel value is 1. A linear Gram is
-    the one product ``X @ X.T``, which numpy takes as symmetric. Either
-    kind's Gram is the only n-by-n array its build allocates.
+    The matrix is symmetric bit-exactly and Gaussian diagonals are exactly
+    1: a Gaussian entry's bits depend only on its two points, which give
+    ``x - z`` and ``z - x`` the same square, and a point's distance to
+    itself is 0, whose kernel value is 1. The block is the only n-by-n
+    array the build allocates.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -439,10 +424,6 @@ def gram_matrix(spec: KernelSpec, X) -> np.ndarray:
     # one symmetric product, so a linear Gram's entries mirror bit for bit;
     # other strides would take a general product
     X = np.ascontiguousarray(X)
-    if spec.kind is KernelKind.LINEAR:
-        K = X @ X.T
-    else:
-        K = np.empty((len(X), len(X)))
-        _evaluate(spec, X, X, out=K, lower=True)
+    K = kernel_block(spec, X, X)
     K.setflags(write=False)
     return K

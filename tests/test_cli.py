@@ -656,6 +656,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "satsvm" in proc.stdout
 
+    def test_module_runs_blas_at_one_thread_and_the_library_keeps_the_callers(self):
+        code = ("import os, sys, importlib; importlib.import_module(sys.argv[1]); "
+                "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        env = {**_program_env(), "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+        for module, want in (("satsvm.__main__", "1 1 1"), ("satsvm.cli", "2 2 2")):
+            proc = subprocess.run([sys.executable, "-c", code, module], env=env, capture_output=True, text=True,
+                                  check=True)
+            assert proc.stdout.strip() == want, module
+
 
 def _program_env():
     """The environment with this checkout's package first on the path."""
@@ -821,6 +830,16 @@ class TestBadDataFiles:
                             "--output", str(tmp_path / "m.json")], capsys)
         assert code == 3
         assert "line 2" in err
+        _one_line_error(err)
+
+    @pytest.mark.parametrize("fmt,text", [("csv", "0.1,1\n0.2,2\n"), ("sparse", "1 1:0.1\n2 1:0.2\n")])
+    def test_label_error_names_the_labels_as_numbers(self, fmt, text, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, _, err = run(["train", "--input", str(bad), "--format", fmt, "--output", str(tmp_path / "m.json")],
+                           capsys)
+        assert code == 3
+        assert err.endswith("labels must be from {0,1} or {-1,+1}, found [1.0, 2.0]\n"), err
         _one_line_error(err)
 
     def test_sparse_width_past_the_cap(self, tmp_path, model_file, capsys):

@@ -341,20 +341,23 @@ class TestBitsForEveryWorkerCount:
 
 
 class TestMirroredGram:
-    """A Gaussian Gram computes its lower triangle a tile of rows at a
-    time and mirrors it above the diagonal; it keeps the bytes of the full
-    block of kernel values, inline and on the workers' ranges of equal
-    area."""
+    """A Gram, mirrored about its diagonal bit for bit, is the full kernel
+    block of its points against themselves, for either kind, whatever the
+    layout of ``X``: C- or F-ordered or a strided view, inline and on 2
+    and 3 workers."""
 
-    SPEC = KernelSpec.gaussian(0.6)
+    SPECS = [KernelSpec.gaussian(0.6), KernelSpec.linear()]
 
     def _assert_full_block(self, n):
-        X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 10))
-        full = _serial(kernel_block, self.SPEC, X, X).tobytes()
-        assert _serial(gram_matrix, self.SPEC, X).tobytes() == full
-        for workers in (2, 3):
-            with forced_workers(workers):
-                assert gram_matrix(self.SPEC, X).tobytes() == full, workers
+        X = np.random.default_rng(n).uniform(-1.0, 1.0, (2 * n, 20))[::2, ::2]
+        C = np.ascontiguousarray(X)
+        for spec in self.SPECS:
+            block = _serial(kernel_block, spec, C, C).tobytes()
+            for points in (C, np.asfortranarray(X), X):
+                assert _serial(gram_matrix, spec, points).tobytes() == block
+                for workers in (2, 3):
+                    with forced_workers(workers):
+                        assert gram_matrix(spec, points).tobytes() == block, workers
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1023, 1025, 3000])
     def test_equals_the_full_block(self, n):
@@ -362,8 +365,8 @@ class TestMirroredGram:
 
     @pytest.mark.parametrize("n", [47, 48, 49, 50])
     def test_equals_the_full_block_at_block_row_boundaries(self, monkeypatch, n):
-        # 3-row blocks: tiles of 3 rows inline and of 12 on the workers;
-        # n = 48 ends on a whole tile, 47, 49 and 50 on one cut short
+        # 3-row blocks: tiles of 12 rows on either path; n = 48 ends on a
+        # whole tile, 47, 49 and 50 on one cut short
         monkeypatch.setattr(kernel, "BLOCK_BYTES", 16 * 50 * 3)
         self._assert_full_block(n)
 
@@ -433,8 +436,6 @@ def test_split_starts_ranges_at_multiples_and_leaves_no_one_row_range(monkeypatc
     assert kernel._split(9, 8, 1 << 20) == [(0, 9)]
     assert kernel._split(1, 8, 1 << 20) == [(0, 1)]
     assert kernel._split(0, 8, 1 << 20) == []
-    # a triangle's ranges hold about equal numbers of entries, row i having i + 1
-    assert kernel._split(100, 8, 1 << 20, triangle=True) == [(0, 56), (56, 80), (80, 100)]
     monkeypatch.setattr(kernel, "_workers", [None])
     assert kernel._split(100, 8, 1 << 20) is None  # one CPU: inline
 

@@ -759,23 +759,31 @@ class TestDecisionValues:
     def test_blocks_stay_within_the_byte_budget(self, monkeypatch):
         import satsvm.kernel as kernel
 
-        calls = []
-        real = kernel._rows
+        calls, products = [], []
+        real_rows, real_times = kernel._rows, kernel._times
 
-        def spy(spec, S, ST, Z, lo, hi, tile, tiles, *rest):
-            calls.append((lo, hi, tile, *(t.shape for t in tiles)))
-            real(spec, S, ST, Z, lo, hi, tile, tiles, *rest)
+        def spy(spec, S, ST, Z, lo, hi, tiles, *rest):
+            calls.append((lo, hi, *(t.shape for t in tiles)))
+            real_rows(spec, S, ST, Z, lo, hi, tiles, *rest)
+
+        def times(block, W, out):
+            products.append(len(block))
+            real_times(block, W, out)
 
         monkeypatch.setattr(kernel, "_rows", spy)
+        monkeypatch.setattr(kernel, "_times", times)
         rng = np.random.default_rng(0)
         n, m = 500, 10
         model = self._model(rng, n, m)
         X = rng.uniform(-1, 1, (1000, m))
         decision_values(model, X)
         # a block of kernel values and its scratch, 8 bytes per entry each;
-        # 1000 x 500 entries run inline, one block per tile
+        # 1000 x 500 entries run inline in tiles of TILE_BLOCKS blocks, and
+        # each product still takes one block of rows
         rows = kernel.BLOCK_BYTES // (16 * n)
-        assert calls == [(0, 1000, rows, (rows, n), (rows, n))] and rows < 1000
+        tile = kernel.TILE_BLOCKS * rows
+        assert calls == [(0, 1000, (tile, n), (tile, n))] and tile < 1000
+        assert products == [rows] * (1000 // rows) + [1000 % rows] and 1000 % rows
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.linear()], ids=["gauss", "linear"])
     @pytest.mark.parametrize("queries", [1, 7, 1001])
