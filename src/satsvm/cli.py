@@ -373,7 +373,7 @@ def cmd_stats(p: dict) -> int:
         models = header[1:]
         acc = np.array([_numbers(header, no, cells, range(1, len(header))) for no, cells in body])
         table = rank_models(acc, models=models)
-    report = friedman_nemenyi(table, critical_F=p["critical_f"], alpha=p["alpha"])
+    report = friedman_nemenyi(table, critical_F=p["critical_f"])
     best = int(np.argmin(report.mean_ranks))
     names = report.models or tuple(f"model_{i+1}" for i in range(len(report.mean_ranks)))
     rows = []
@@ -481,13 +481,6 @@ def _defaults(command: str) -> dict:
     return {key: overrides.get(key, _option(key).default) for key in keys}
 
 
-def __getattr__(name: str):
-    # every subcommand's defaults, derived on demand: a run derives only its own
-    if name == "DEFAULTS":
-        return {command: _defaults(command) for command in _SUBCOMMANDS}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand; given a ``command``, only that
     subcommand's parser gets its flags, all that its command line needs."""
@@ -552,5 +545,8 @@ def main(argv=None) -> int:
             return 4
         return 3 if isinstance(exc, (DataFormatError, OSError, UnicodeDecodeError)) else 2
 
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # a run from here would skip the one-thread BLAS setting of __main__.py
+    print("satsvm: run commands as python -m satsvm, not python -m satsvm.cli", file=sys.stderr)
+    raise SystemExit(2)

@@ -55,7 +55,7 @@ from .errors import ParameterError, ShapeError
 from .kernel import KernelKind, check_capacity, gram_matrix, kernel_product
 from .loss import PARAMETERS, LossKind
 from .seeds import child_seed
-from .trainer import TrainerConfig, apply_params, fit, fit_columns, sign_labels
+from .trainer import TrainerConfig, accuracy, apply_params, fit, fit_columns, sign_labels
 
 
 def _decade_grid() -> tuple[float, ...]:
@@ -147,7 +147,8 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     is alive at a time, the fold's only kernel matrix. Each configuration
     that uses the kernel is a batch of its own: ``fit_columns`` trains its
     columns chunk by chunk and each chunk is scored by ``kernel_product``,
-    the call behind ``decision_values``. The largest Gram of the run, the
+    the call behind ``decision_values``, and :func:`trainer.accuracy`, one
+    value per column. The largest Gram of the run, the
     training parts' or a refit's on ``refit`` points, is checked against
     the size cap before fold 0.
     """
@@ -161,8 +162,7 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
             gram = gram_matrix(kernel, train.X)
             for i in idx:
                 for cols, beta in fit_columns(_fold_config(configs[i], f), train.X, train.y, gram=gram):
-                    hits = sign_labels(kernel_product(kernel, train.X, test.X, beta)) == test.y[:, None]
-                    per_fold[i][cols, f] = 100.0 * np.mean(hits, axis=0)
+                    per_fold[i][cols, f] = accuracy(sign_labels(kernel_product(kernel, train.X, test.X, beta)), test.y)
             del gram
     return per_fold
 

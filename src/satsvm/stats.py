@@ -138,26 +138,27 @@ def friedman_F(chi2: float, D: int, p: int) -> float:
     return (D - 1) * chi2 / denom
 
 
-def f_critical(p: int, D: int, alpha: float = 0.05) -> float:
-    """Built-in F critical value lookup for the shapes this package ships
-    fixtures for; anything else must be caller-supplied."""
-    if alpha == 0.05 and (p, D) in _F_CRIT_05:
+def f_critical(p: int, D: int) -> float:
+    """Built-in F critical value lookup at alpha = 0.05 for the shapes this
+    package ships fixtures for; anything else must be caller-supplied."""
+    if (p, D) in _F_CRIT_05:
         return _F_CRIT_05[(p, D)]
     raise ParameterError(
-        f"no built-in F critical value for p={p}, D={D}, alpha={alpha}; supply one explicitly"
+        f"no built-in F critical value for p={p}, D={D}, alpha=0.05; supply one explicitly"
     )
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise ``ParameterError`` unless ``alpha`` is 0.05, the one level
-    with built-in Nemenyi critical values."""
-    if alpha != 0.05:
-        raise ParameterError(f"alpha must be 0.05, the one level with built-in Nemenyi critical values, got {alpha!r}")
+def check_alpha(level: float) -> None:
+    """Raise ``ParameterError`` unless the significance level ``level`` is
+    0.05, the one level with built-in Nemenyi critical values."""
+    if level != 0.05:
+        raise ParameterError(f"alpha must be 0.05, the one level with built-in Nemenyi critical values, got {level!r}")
 
 
-def nemenyi_cd(p: int, D: int, alpha: float = 0.05) -> float:
-    if alpha != 0.05 or p not in _Q_05:
-        raise ParameterError(f"no Nemenyi critical value for p={p}, alpha={alpha}")
+def nemenyi_cd(p: int, D: int) -> float:
+    """The Nemenyi critical difference at alpha = 0.05."""
+    if p not in _Q_05:
+        raise ParameterError(f"no Nemenyi critical value for p={p}, alpha=0.05")
     if D < 1:
         raise ParameterError(f"dataset count D must be >= 1, got {D}")
     return _Q_05[p] * math.sqrt(p * (p + 1) / (6.0 * D))
@@ -175,16 +176,17 @@ def nemenyi_report(table: RankTable, cd: float):
     return diffs, significant
 
 
-def friedman_nemenyi(table: RankTable, critical_F: float | None = None, alpha: float = 0.05) -> TestReport:
-    """Full pipeline: Friedman chi-squared, Iman-Davenport F, rejection
-    decision against ``critical_F``, and the Nemenyi post hoc matrix."""
+def friedman_nemenyi(table: RankTable, critical_F: float | None = None) -> TestReport:
+    """Full pipeline at alpha = 0.05: Friedman chi-squared, Iman-Davenport
+    F, rejection decision against ``critical_F``, and the Nemenyi post hoc
+    matrix."""
     chi2 = friedman_chi2(table)
     ff = friedman_F(chi2, table.D, table.p)
     if critical_F is None:
-        critical_F = f_critical(table.p, table.D, alpha)
+        critical_F = f_critical(table.p, table.D)
     elif not (math.isfinite(critical_F) and critical_F > 0):
         raise ParameterError(f"critical_F must be finite and > 0, got {critical_F!r}")
-    cd = nemenyi_cd(table.p, table.D, alpha)
+    cd = nemenyi_cd(table.p, table.D)
     diffs, significant = nemenyi_report(table, cd)
     return TestReport(
         chi2=chi2,

@@ -75,11 +75,10 @@ class CalibrationResult:
 
 
 def conditional_risk(q: ConditionalRiskQuery, f):
-    """r(f) = L(1-f)*P + L(1+f)*(1-P); accepts scalar or array f."""
-    scalar = np.ndim(f) == 0
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    out = loss_value(q.loss, 1.0 - f) * q.P + loss_value(q.loss, 1.0 + f) * (1.0 - q.P)
-    return float(out[0]) if scalar else out
+    """r(f) = L(1-f)*P + L(1+f)*(1-P): a float for a scalar f, as
+    :func:`loss.loss_value` gives one, else an array of f's shape."""
+    f = np.asarray(f, dtype=float)
+    return loss_value(q.loss, 1.0 - f) * q.P + loss_value(q.loss, 1.0 + f) * (1.0 - q.P)
 
 
 def calibration_check(q: ConditionalRiskQuery) -> CalibrationResult:

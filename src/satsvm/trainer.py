@@ -23,19 +23,20 @@ iteration one test tries to prove the whole tail (see
 :func:`_absorbed_tail`): that every later gradient step ``alpha*grad``
 is below a quarter ulp of every entry of ``r*v``, by a bound on the
 gradient that holds for any batch, so cannot change ``v``, and that
-every later gradient is finite. It assumes that the rate falls by more
-per step than the spacing of the smallest ``|r*v|`` can,
-``2**floor(log2 r)``; that ``r*v`` stays normal while the rate is
-nonzero; that the gradient bound, over every point the tail reaches,
-stays finite; and that at rate 0.0 beta holds no -0.0. Where it holds
+every later gradient is finite. It succeeds when every later rate,
+walked as the loop computes it, keeps the step below a quarter spacing
+of the smallest ``|r*v|`` as that spacing shrinks, by at worst a factor
+``2**floor(log2 r)`` a step; when ``r*v`` stays normal while the rate is
+nonzero; when the gradient bound, over every point the tail reaches,
+stays finite; and when at rate 0.0 beta holds no -0.0. Where it holds
 (after iteration 37 at the defaults) the loop returns, after running
 the rest as the bare recurrence ``v = r*v; beta = (beta + v) + v`` one
 cache-sized tile of rows at a time, each tile until an iteration leaves
 it unchanged. Where it fails (r = 0, a zero in v, v heading into the
-subnormals, an infinite bound, a rate that falls slowly) the loop runs
-the next iteration in full and tries again. ``iterations_run`` still
-records ``max_iters``, and the model and its file are the same as after
-the full loop.
+subnormals, an infinite bound, a rate that has yet to fall far enough)
+the loop runs the next iteration in full and tries again.
+``iterations_run`` still records ``max_iters``, and the model and its
+file are the same as after the full loop.
 
 :func:`fit_columns` runs the same loop for many models at once, the
 columns of an n-by-B beta that share everything but C and the loss
@@ -245,10 +246,13 @@ def _check_labels(y: np.ndarray) -> np.ndarray:
 
 def objective(config: TrainerConfig, K: np.ndarray, y, beta) -> float | np.ndarray:
     """Regularized empirical risk 0.5*b'Kb + (C/n) * sum L(1 - y*(Kb)),
-    with ``K`` the n-by-n Gram matrix.
+    with ``K`` the n-by-n Gram matrix: a float for a vector ``beta``, and
+    for an n-by-B one an array of one value per column, with the column's
+    C and loss parameters when ``config`` gives them per column.
 
-    For an n-by-B ``beta``, one value per column, with the column's C and
-    loss parameters when ``config`` gives them per column.
+    One formula serves both: a vector and an n-by-1 matrix give the same
+    bits, as ``K beta`` is one product, ``vecdot`` over axis 0 is ``b'Kb``
+    and a sum over axis 0 sums the column as it sums the vector.
     """
     y = _check_labels(y)
     beta = np.asarray(beta, dtype=float)
@@ -256,12 +260,9 @@ def objective(config: TrainerConfig, K: np.ndarray, y, beta) -> float | np.ndarr
     if beta.shape[:1] != (n,) or beta.ndim > 2 or y.shape != (n,):
         raise ShapeError("beta and y must match the kernel matrix", beta.shape, y.shape, n)
     kb = row_product(K, beta)
-    if beta.ndim == 1:
-        xi = 1.0 - y * kb
-        return float(0.5 * (beta @ kb) + (config.C / n) * np.sum(loss_value(config.loss, xi)))
-    xi = 1.0 - y[:, None] * kb
-    quad = np.einsum("ij,ij->j", beta, kb)
-    return 0.5 * quad + (config.C / n) * np.sum(loss_value(config.loss, xi), axis=0)
+    xi = 1.0 - (y * kb.T).T
+    value = 0.5 * np.vecdot(beta, kb, axis=0) + (config.C / n) * np.sum(loss_value(config.loss, xi), axis=0)
+    return float(value) if value.ndim == 0 else value
 
 
 def learning_rate_sequence(alpha0: float, eta: float, n_iters: int):
@@ -351,17 +352,14 @@ def _absorbed_tail(config: TrainerConfig, t: int, alpha: float, beta: np.ndarray
     The tail then follows the recurrence, and since rounding is monotone,
     an iteration that leaves a row tile's bits unchanged leaves them so
     for good (:func:`_run_tail`). Where this fails (r = 0, a zero in v, v
-    heading into the subnormals, an infinite bound, a rate that falls
-    slower than ``rho`` per step), the loop runs the next iteration in
-    full and tests again after it. A failed test reads no array before
-    the rate falls fast enough, and then only ``min|v|`` until the
-    first step passes on the loss term alone.
+    heading into the subnormals, an infinite bound, a rate that some step
+    has not yet brought below the falling spacing), the loop runs the next
+    iteration in full and tests again after it. A failed test reads only
+    ``min|v|`` until the first step passes on the loss term alone.
     """
     r, eta = config.r, config.eta
     rho = math.ldexp(0.5, math.frexp(r)[1])  # 2**floor(log2 r) for 0 < r < 1
     if alpha > 0.0:
-        if not math.exp(-eta * (t + 1)) < rho:
-            return False  # the rate does not yet fall faster than the spacing may
         lower = np.spacing(r * np.abs(v).min())  # spacing of the smallest |r*v| at iteration t+1
         if not 2.0 * alpha * bounds[1] < lower / 4:
             return False  # the first step fails on the loss term alone, as g >= loss_term
@@ -476,20 +474,19 @@ COLUMN_BYTES = 1 << 22
 
 
 def _train(config: TrainerConfig, K: np.ndarray, y: np.ndarray, s: int):
-    """The NAG loop over prepared data; the n-by-B betas and their final
-    objective, after raising ``NumericError`` for a non-finite one with
-    the failing column's parameters. A plain config (no per-column
-    parameters) takes the 1-D objective of its one column, the value a
-    model records: the n-by-B form sums in another order.
+    """The NAG loop over prepared data; the n-by-B betas and their B final
+    objectives, after raising ``NumericError`` for a non-finite one with
+    the failing column's parameters. A plain config trains one column,
+    whose objective has the bits of its beta as a vector (see
+    :func:`objective`).
     """
     beta = _nag(config, K, y, s)
     with np.errstate(over="ignore", invalid="ignore"):
-        final = objective(config, K, y, beta[:, 0] if config.columns is None else beta)
-    finals = np.atleast_1d(final)
-    ok = np.isfinite(finals)
+        final = objective(config, K, y, beta)
+    ok = np.isfinite(final)
     if not ok.all():
         j = int(np.argmin(ok))
-        raise NumericError(f"non-finite final objective {float(finals[j])!r}{_candidate(config, ok)}")
+        raise NumericError(f"non-finite final objective {float(final[j])!r}{_candidate(config, ok)}")
     return beta, final
 
 
@@ -516,7 +513,7 @@ def fit(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> TrainedM
         beta=beta[:, 0],
         support_points=X,
         config_snapshot=replace(config, batch_size=s),
-        final_objective=final,
+        final_objective=float(final[0]),
     )
 
 
@@ -579,17 +576,21 @@ def sign_labels(values) -> np.ndarray:
     return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
 
 
-def accuracy(predictions, truth) -> float:
-    """Percent of predictions matching truth; both in {-1, +1}."""
+def accuracy(predictions, truth) -> float | np.ndarray:
+    """Percent of predictions matching the n labels ``truth``, all in
+    {-1, +1}: a float for an n-vector of predictions, and one value per
+    column for an n-by-B matrix of them. A mean of 0/1 values is exact, so
+    a column scores the bits of its vector."""
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(truth, dtype=float)
-    if p.shape != t.shape or p.ndim != 1:
-        raise ShapeError("predictions and truth must be equal-length vectors", p.shape, t.shape)
+    if p.shape[:1] != t.shape or t.ndim != 1 or p.ndim > 2:
+        raise ShapeError("predictions must be a vector or matrix with one row per truth label", p.shape, t.shape)
     if p.size == 0:
         raise ParameterError("accuracy of an empty prediction set is undefined")
     if not (np.isin(p, (-1.0, 1.0)).all() and np.isin(t, (-1.0, 1.0)).all()):
         raise ParameterError("predictions and truth must be -1 or +1")
-    return float(100.0 * np.mean(p == t))
+    out = 100.0 * np.mean(p.T == t, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def save_model(model: TrainedModel) -> str:

@@ -102,8 +102,12 @@ class TestTrain:
         (["--beta0", "inf"], "beta0 must be finite, got beta0=inf"),
         (["--v0", "nan"], "v0 must be finite, got v0=nan"),
         (["--beta0", "inf", "--momentum", "2"], "momentum r must lie in [0, 1), got 2.0"),
+        (["--alpha0", "0"], "initial learning rate must be > 0, got 0.0"),
+        (["--eta", "-1"], "learning-rate decay eta must be > 0, got -1.0"),
+        (["--batch-size", "0"], "batch size must be >= 1, got 0"),
     ], ids=["loss-first", "kernel-next", "config-last", "infinite-C", "infinite-alpha0", "infinite-eta",
-            "infinite-beta0", "nan-v0", "ranges-before-finiteness"])
+            "infinite-beta0", "nan-v0", "ranges-before-finiteness", "zero-alpha0", "negative-eta",
+            "zero-batch-size"])
     def test_invalid_values_checked_loss_then_kernel_then_config(self, flags, message, tmp_path, data_csv,
                                                                  capsys):
         out = tmp_path / "m.json"
@@ -305,7 +309,12 @@ class TestStats:
         ("m1,m2,m3\n1.5,x,2.5\n", "mean-ranks", "line 2, column 'm2': 'x'"),
         ("dataset,model,mean_acc\nd1,a,90\nd1,b,80\nd1,a,10\n", "accuracies",
          "line 4 repeats dataset 'd1', model 'a'"),
-    ], ids=["non-numeric", "nan", "ragged-row", "harness-results", "mean-ranks", "repeated-row"])
+        ("\n\n", "accuracies", "empty table"),
+        ("dataset,model,mean_acc\nd1,a,90\nd1,b,80\nd2,a,70\n", "accuracies",
+         "results table is missing some (dataset, model) cells"),
+        ("m1,m2\n1.5,1.5\n1.5,1.5\n", "mean-ranks", "mean-rank input must have exactly one data row"),
+    ], ids=["non-numeric", "nan", "ragged-row", "harness-results", "mean-ranks", "repeated-row", "empty-table",
+            "missing-cell", "two-mean-rank-rows"])
     def test_bad_cell_is_data_error(self, text, kind, where, tmp_path, capsys):
         src = tmp_path / "acc.csv"
         src.write_text(text)
@@ -656,6 +665,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "satsvm" in proc.stdout
 
+    def test_cli_module_runs_no_command(self, tmp_path, data_csv):
+        # run as a script, cli.py would skip the one-thread BLAS setting
+        out = tmp_path / "m.json"
+        proc = subprocess.run([sys.executable, "-m", "satsvm.cli", "train", "--input", str(data_csv),
+                               "--output", str(out)], capture_output=True, text=True, env=_program_env())
+        assert proc.returncode == 2
+        assert proc.stderr == "satsvm: run commands as python -m satsvm, not python -m satsvm.cli\n"
+        assert list(tmp_path.iterdir()) == [data_csv]
+
     def test_module_runs_blas_at_one_thread_and_the_library_keeps_the_callers(self):
         code = ("import os, sys, importlib; importlib.import_module(sys.argv[1]); "
                 "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
@@ -760,9 +778,9 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("params", [
         {"C": "abc"}, {"seed": 1.5}, {"max_iters": True}, {"normalize": "yes"}, {"loss": "foo"},
-        {"kernel": 3}, {"sigma": None}, {"format": ["csv"]},
+        {"kernel": 3}, {"sigma": None}, {"format": ["csv"]}, {"bogus": 1},
     ], ids=["string-for-float", "float-for-int", "bool-for-int", "string-for-bool", "unknown-choice",
-            "number-for-choice", "null-for-float", "list-for-string"])
+            "number-for-choice", "null-for-float", "list-for-string", "unknown-key"])
     def test_mistyped_config_value_is_usage_error(self, params, tmp_path, data_csv, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(params))
@@ -821,8 +839,8 @@ class TestBadDataFiles:
         assert "line 1: non-numeric cell" in err
         _one_line_error(err)
 
-    @pytest.mark.parametrize("line", ["1 1:nan 2:0.5", "1 1:0.5 1:0.7", "nan 1:0.5"],
-                             ids=["nan-value", "repeated-index", "nan-label"])
+    @pytest.mark.parametrize("line", ["1 1:nan 2:0.5", "1 1:0.5 1:0.7", "nan 1:0.5", "x 1:0.5"],
+                             ids=["nan-value", "repeated-index", "nan-label", "non-numeric-label"])
     def test_bad_sparse_line(self, line, tmp_path, capsys):
         bad = tmp_path / "bad.svm"
         bad.write_text(f"-1 1:0.1 2:0.2\n{line}\n")
@@ -831,6 +849,13 @@ class TestBadDataFiles:
         assert code == 3
         assert "line 2" in err
         _one_line_error(err)
+
+    def test_sparse_file_of_blank_lines(self, tmp_path, capsys):
+        blank = tmp_path / "blank.svm"
+        blank.write_text("\n  \n\t\n")
+        code, _, err = run(["train", "--input", str(blank), "--format", "sparse",
+                            "--output", str(tmp_path / "m.json")], capsys)
+        assert (code, err) == (3, "satsvm: file contains no data rows\n")
 
     @pytest.mark.parametrize("fmt,text", [("csv", "0.1,1\n0.2,2\n"), ("sparse", "1 1:0.1\n2 1:0.2\n")])
     def test_label_error_names_the_labels_as_numbers(self, fmt, text, tmp_path, capsys):
@@ -926,6 +951,23 @@ class TestIgnoredParameters:
         assert list(tmp_path.iterdir()) == [data_csv]
 
 
+class TestOptionsTheCommandNeeds:
+    """A required option left out, or a count the input rules out, is a
+    usage error of one line that writes no file."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train"], "missing required option(s): --input"),
+        (["grid", "--input", "{data}", "--folds", "1"], "fold count k=1 must satisfy 2 <= k <= n=150"),
+        (["stats", "--input", "{data}", "--input-kind", "mean-ranks"],
+         "--num-datasets is required with mean-rank input"),
+    ], ids=["train-input", "grid-one-fold", "stats-num-datasets"])
+    def test_usage_error_writes_nothing(self, argv, message, tmp_path, data_csv, capsys):
+        code, _, err = run([*(arg.format(data=data_csv) for arg in argv), "--output", str(tmp_path / "out")],
+                           capsys)
+        assert (code, err) == (2, f"satsvm: {message}\n")
+        assert list(tmp_path.iterdir()) == [data_csv]
+
+
 class TestParametersBeforeInput:
     """``train``, ``grid``, ``sweep`` and ``stats`` convert their parameters
     before they read the input, so a bad one is a usage error with the
@@ -940,8 +982,9 @@ class TestParametersBeforeInput:
         # only alpha = 0.05 has Nemenyi critical values, with a given F critical value too
         (["stats", "--alpha", "0.1"], "alpha must be 0.05, the one level with built-in Nemenyi critical values"),
         (["stats", "--alpha", "0.1", "--critical-f", "2.35"], "alpha must be 0.05, the one level with built-in"),
+        (["predict"], "missing required option(s): --model"),
     ], ids=["grid-unknown-model", "grid-repeated-model", "train-C", "sweep-a-grid", "grid-c-grid", "stats-alpha",
-            "stats-alpha-critical-f"])
+            "stats-alpha-critical-f", "predict-model"])
     def test_bad_parameter_is_reported_before_the_missing_input(self, argv, message, tmp_path, capsys):
         code, _, err = run([*argv, "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "out")],
                            capsys)

@@ -9,7 +9,9 @@ import argparse
 
 import pytest
 
-from satsvm.cli import DEFAULTS, build_parser, main
+from satsvm.cli import _SUBCOMMANDS, _defaults, build_parser, main
+
+DEFAULTS = {command: _defaults(command) for command in _SUBCOMMANDS}
 
 DECADES = [1e-06, 1e-05, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0,
            100000.0, 1000000.0]

@@ -23,7 +23,7 @@ from satsvm import (
     two_cluster_dataset,
     write_csv,
 )
-from satsvm.cli import DEFAULTS, build_parser, main
+from satsvm.cli import _defaults, build_parser, main
 from satsvm.data import dump_json, from_doc, parse_json, to_doc
 from satsvm.trainer import FLAT_PARAMETERS
 
@@ -88,7 +88,7 @@ def test_every_trainer_field_has_a_train_flag_with_its_default():
                      if f.name not in ("seed", "loss", "kernel")})
     for key, default in expected.items():
         assert key in dests, key
-        assert DEFAULTS["train"][key] == default, key
+        assert _defaults("train")[key] == default, key
     # and each flag converts its text to the type the trainer declares
     types = {a.dest: a.type for a in sub._actions}
     assert all(types[key] is p.type for key, p in FLAT_PARAMETERS.items()), types

@@ -57,6 +57,16 @@ class TestAccuracy:
         preds = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, 1], dtype=float)
         assert accuracy(preds, truth) == 50.0
 
+    def test_columns_score_as_their_vectors(self):
+        rng = np.random.default_rng(0)
+        truth = rng.choice([-1.0, 1.0], size=37)
+        preds = rng.choice([-1.0, 1.0], size=(37, 5))
+        got = accuracy(preds, truth)
+        assert got.shape == (5,)
+        assert got.tolist() == [accuracy(column, truth) for column in preds.T]
+        with pytest.raises(ShapeError):
+            accuracy(preds, preds)
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             accuracy(np.array([]), np.array([]))

@@ -156,8 +156,6 @@ class TestNemenyi:
     def test_unsupported_pairs(self):
         with pytest.raises(ParameterError):
             nemenyi_cd(11, 10)
-        with pytest.raises(ParameterError):
-            nemenyi_cd(6, 10, alpha=0.01)
 
 
 class TestFCritical:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_gradient
+from conftest import forced_workers, full_gradient
 
 import satsvm.trainer as trainer
 from satsvm import (
@@ -30,12 +31,14 @@ from satsvm import (
     learning_rate_sequence,
     load_model,
     loss_derivative,
+    loss_value,
     normalize,
     objective,
     save_model,
     sign_labels,
     two_cluster_dataset,
 )
+from satsvm.kernel import row_product
 
 ONE_MINUS_2_OVER_E = 0.26424111765711533
 ONE_OVER_E = 0.36787944117144233
@@ -86,6 +89,40 @@ class TestObjective:
         K = gram_matrix(KernelSpec.linear(), np.eye(2))
         with pytest.raises(ParameterError, match="labels"):
             objective(TrainerConfig(), K, np.array([1.0, 0.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 199, 255, 256, 257, 320, 1000, 1001, 3000, 4096])
+    def test_column_reductions_give_the_vector_bits(self, n):
+        # objective's one formula rests on this: over axis 0, an n-by-1
+        # matrix reduces to the bits of its vector
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a, b = rng.standard_normal((2, n))
+            dot = np.float64(a @ b).tobytes()
+            assert np.vecdot(a, b, axis=0).tobytes() == dot
+            assert np.vecdot(a[:, None], b[:, None], axis=0)[0].tobytes() == dot
+            assert np.sum(a[:, None], axis=0)[0].tobytes() == np.sum(a).tobytes()
+
+    @pytest.mark.parametrize("loss", [LossSpec.expsat(0.5, 1.0), LossSpec.hinge()], ids=["expsat", "hinge"])
+    @pytest.mark.parametrize("n", [7, 320, 1001, 3000])
+    def test_final_objective_keeps_the_vector_formula_bits(self, n, loss):
+        # fit records the objective of its n-by-1 beta; at n >= 1001 every
+        # product runs through the row split of row_product on two workers
+        ds = normalize(two_cluster_dataset(n=n, m=3, separation=3.0, spread=1.0, seed=n))
+        cfg = TrainerConfig(C=100.0, loss=loss, kernel=KernelSpec.gaussian(0.3), batch_size=4, seed=1)
+        with forced_workers(2) if n > 1000 else contextlib.nullcontext():
+            K = gram_matrix(cfg.kernel, ds.X)
+            model = fit(cfg, ds.X, ds.y, gram=K)
+            want = _vector_objective(cfg, K, ds.y, model.beta)
+        assert np.float64(model.final_objective).tobytes() == np.float64(want).tobytes()
+        assert objective(cfg, K, ds.y, model.beta) == model.final_objective
+
+
+def _vector_objective(config, K, y, beta):
+    """The formula that objective kept for a vector beta before one formula
+    served a vector and an n-by-B matrix alike, frozen here."""
+    kb = row_product(K, beta)
+    xi = 1.0 - y * kb
+    return float(0.5 * (beta @ kb) + (config.C / len(K)) * np.sum(loss_value(config.loss, xi)))
 
 
 class TestFullGradient:
@@ -277,21 +314,26 @@ class TestFit:
         # At a positive rate the tail is not proven with a zero in r*v,
         # whose quarter spacing rounds to 0.0, a NaN |v| or an infinite
         # beta. A loss term too large for the first step fails before any
-        # pass over beta (None here), and a rate that does not yet fall
-        # faster than the spacing may, before any pass at all.
+        # pass over beta (None here). At alpha = 1.9e-20 the first step
+        # passes, 2 * alpha * g = 2.70e-17 (g = 710) against a quarter
+        # spacing of 2.78e-17. The spacing may halve at each later step
+        # (rho = 1/2 for r = 0.5), so the rate must fall faster: at eta = 1
+        # it does, but at eta = 0.1 the next rate is exp(-0.6) = 0.55 of
+        # this one and fails.
         bounds = (1.0, 700.0, 1400.0)
         cfg = TrainerConfig(r=0.5, eta=1.0, max_iters=10)
         ones = np.ones((2, 1))
 
-        def proven(beta, v, bounds=bounds, config=cfg):
-            return trainer._absorbed_tail(config, 5, 1e-300, beta, v, bounds)
+        def proven(beta, v, bounds=bounds, config=cfg, alpha=1e-300):
+            return trainer._absorbed_tail(config, 5, alpha, beta, v, bounds)
 
         assert proven(ones, ones)
         assert not proven(ones, np.array([[1.0], [0.0]]))
         assert not proven(ones, np.array([[1.0], [np.nan]]))
         assert not proven(np.array([[1.0], [np.inf]]), ones)
         assert not proven(None, ones, bounds=(1.0, 1e300, 1400.0))
-        assert not proven(None, None, config=replace(cfg, eta=0.1))
+        assert proven(ones, ones, alpha=1.9e-20)
+        assert not proven(ones, ones, config=replace(cfg, eta=0.1), alpha=1.9e-20)
 
     def test_gradient_check_kept_after_freeze(self):
         # One -1 sample sits on a +1 sample; the others are far apart, so
