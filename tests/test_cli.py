@@ -971,7 +971,8 @@ class TestOptionsTheCommandNeeds:
 class TestParametersBeforeInput:
     """``train``, ``grid``, ``sweep`` and ``stats`` convert their parameters
     before they read the input, so a bad one is a usage error with the
-    input missing."""
+    input missing; so is a required option left out, such as ``predict``'s
+    ``--model``."""
 
     @pytest.mark.parametrize("argv,message", [
         (["grid", "--models", "svm"], "unknown model(s) ['svm']; choose from "),
