@@ -375,9 +375,8 @@ def cmd_stats(p: dict) -> int:
         table = rank_models(acc, models=models)
     report = friedman_nemenyi(table, critical_F=p["critical_f"])
     best = int(np.argmin(report.mean_ranks))
-    names = report.models or tuple(f"model_{i+1}" for i in range(len(report.mean_ranks)))
     rows = []
-    for i, name in enumerate(names):
+    for i, name in enumerate(report.models):
         diff = None if i == best else float(report.pairwise_diffs[i, best])
         sig = None if i == best else bool(report.significant[i, best])
         rows.append((

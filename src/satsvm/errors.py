@@ -5,6 +5,8 @@ errors (2), file and format problems are data errors (3), and numeric
 breakdown during optimization is a numeric failure (4).
 """
 
+import numpy as np
+
 
 class SatsvmError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,3 +48,16 @@ class NumericError(SatsvmError, ArithmeticError):
 
 class DegenerateStatisticError(SatsvmError):
     """A test statistic is undefined for the given inputs."""
+
+
+def check_finite(spec, names) -> None:
+    """Raise ``ParameterError`` for the first of the fields ``names`` of
+    ``spec`` that is not finite: a number, or a vector with one value per
+    column, any of which is not. An integer past the float range raises
+    ``OverflowError``. The specs and the trainer's config call it after
+    their range checks, so that no model file or manifest records a
+    non-finite number."""
+    for name in names:
+        value = getattr(spec, name)
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ParameterError(f"{name} must be finite, got {name}={value}")

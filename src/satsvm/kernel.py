@@ -36,11 +36,12 @@ multiple of a tile; the fit's product ``K @ beta`` (:func:`row_product`)
 splits its rows at multiples of ``ROW_ALIGN`` the same way. The workers
 are daemon threads, one per CPU the process may run on, each pinned to
 its CPU, started on the first such call (a forked child starts its own);
-smaller calls, and every call on one CPU, run in the calling thread.
-Neither split changes a bit: a Gaussian entry depends only on its two
-points, every product ``K @ W`` is taken over the same block of rows on
-either path, and a matrix-vector product split at multiples of
-``ROW_ALIGN`` rows keeps its bits at one BLAS thread.
+smaller calls, and every call on one CPU, are one range of rows, which
+runs in the calling thread and starts no worker. Neither split changes
+a bit: a Gaussian entry depends only on its two points, every product
+``K @ W`` is taken over the same block of rows on either path, and a
+matrix-vector product split at multiples of ``ROW_ALIGN`` rows keeps its
+bits at one BLAS thread.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ShapeError
+from .errors import CapacityError, ParameterError, ShapeError, check_finite
 
 # n*n float64 entries; 20000 keeps the matrix around 3 GB worst case.
 GRAM_CAPACITY = 20000
@@ -82,8 +83,7 @@ class KernelSpec:
             if not (0.0 < square < math.inf and 0.0 < 1.0 / square < math.inf):
                 raise ParameterError(f"gaussian kernel width sigma={self.sigma} is out of range: "
                                      "1/sigma**2 must be finite and nonzero")
-        if not math.isfinite(self.sigma):
-            raise ParameterError(f"sigma must be finite, got sigma={self.sigma}")
+        check_finite(self, ("sigma",))
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "KernelSpec":
@@ -210,15 +210,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(total: int, align: int, entries: int) -> list | None:
+def _split(total: int, align: int, entries: int) -> list:
     """Contiguous ``(lo, hi)`` row ranges of ``0:total``, at most one per
     worker, of about equal numbers of rows, each starting at a multiple of
-    ``align`` and none of one row unless ``total`` is 1; None when the
-    call is to run inline: fewer than ``PARALLEL_ENTRIES`` entries, or one
-    CPU."""
+    ``align`` and none of one row unless ``total`` is 1; the one range
+    ``(0, total)``, which :func:`_run` runs in the calling thread, below
+    ``PARALLEL_ENTRIES`` entries or on one CPU."""
     workers = len(_pool()) if entries >= PARALLEL_ENTRIES else 0
     if workers < 2:
-        return None
+        return [(0, total)]
     units = -(-total // align)
     bounds = [min(total, align * (units * i // workers)) for i in range(workers + 1)]
     ranges = [(lo, hi) for lo, hi in pairwise(bounds) if lo < hi]
@@ -230,8 +230,13 @@ def _split(total: int, align: int, entries: int) -> list | None:
 
 
 def _run(fn, ranges: list) -> None:
-    """``fn(lo, hi)`` for each range, range i on worker i; returns when
-    all are done, re-raising the first exception a worker raised."""
+    """``fn(lo, hi)`` for each range: a lone range in the calling thread,
+    which starts no worker, else range i on worker i; returns when all
+    are done, re-raising the first exception a worker raised. A range's
+    bits do not depend on the thread that runs it."""
+    if len(ranges) == 1:
+        fn(*ranges[0])
+        return
     done = queue.SimpleQueue()
     for jobs, bounds in zip(_pool(), ranges):
         jobs.put((fn, bounds, done))
@@ -244,14 +249,12 @@ def _run(fn, ranges: list) -> None:
 
 
 def row_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``K @ b`` for a vector or one-column ``b``, with the rows split over
-    the workers at multiples of ``ROW_ALIGN`` when ``K`` has
-    ``PARALLEL_ENTRIES`` entries or more, bit for bit at one BLAS thread.
-    Other products are the one ``K @ b``: the bits of a row split of a
-    wider product are unproven."""
-    ranges = _split(len(K), ROW_ALIGN, np.size(K)) if np.ndim(b) == 1 or np.shape(b)[1] == 1 else None
-    if ranges is None:
-        return K @ b
+    """``K @ b``, one ``np.matmul`` per range of rows: for a vector or
+    one-column ``b``, the rows are split over the workers at multiples of
+    ``ROW_ALIGN`` when ``K`` has ``PARALLEL_ENTRIES`` entries or more, bit
+    for bit at one BLAS thread. Wider products are the one range of all
+    rows: the bits of a row split of them are unproven."""
+    ranges = _split(len(K), ROW_ALIGN, np.size(K)) if np.ndim(b) == 1 or np.shape(b)[1] == 1 else [(0, len(K))]
     out = np.empty((len(K), *np.shape(b)[1:]))
     _run(lambda lo, hi: np.matmul(K[lo:hi], b, out=out[lo:hi]), ranges)
     return out
@@ -324,9 +327,10 @@ def _rows(spec: KernelSpec, X: np.ndarray, XT: np.ndarray, Z: np.ndarray, lo: in
 
 
 def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, product=None) -> None:
-    """:func:`_rows` over all of ``Z`` in tiles of ``TILE_BLOCKS`` blocks:
-    inline, or, from ``PARALLEL_ENTRIES`` entries on, in one contiguous
-    range of tiles per worker."""
+    """:func:`_rows` over all of ``Z`` in tiles of ``TILE_BLOCKS`` blocks,
+    over the ranges of tiles of :func:`_split`: all of ``Z`` in the
+    calling thread, or, from ``PARALLEL_ENTRIES`` entries on, one
+    contiguous range per worker."""
     tile = TILE_BLOCKS * block_rows(len(X))
     XT = np.ascontiguousarray(X.T) if spec.kind is KernelKind.GAUSSIAN else None
     ranges = _split(len(Z), tile, len(Z) * len(X))
@@ -339,11 +343,8 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None, W=None, 
         shape = (min(tile, hi - lo), len(X))
         return np.empty(shape), np.empty(shape) if out is None else None
 
-    if ranges is None:
-        _rows(spec, X, XT, Z, 0, len(Z), tiles(0, len(Z)), out, W, product)
-    else:
-        taken = {lo: tiles(lo, hi) for lo, hi in ranges}
-        _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, taken[lo], out, W, product), ranges)
+    taken = {lo: tiles(lo, hi) for lo, hi in ranges}
+    _run(lambda lo, hi: _rows(spec, X, XT, Z, lo, hi, taken[lo], out, W, product), ranges)
 
 
 def _points(X, Z) -> tuple[np.ndarray, np.ndarray]:

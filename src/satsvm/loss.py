@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite
 
 # exp(-t) underflows well past t = 700; beyond it the (a*u + 1)*exp(-a*u)
 # product is defined as exactly 0 so values saturate at lam precisely.
@@ -85,8 +85,6 @@ class LossSpec:
                 raise ParameterError(f"expsat requires shape parameter a > 0, got a={self.a}")
             if not np.all(np.greater(self.lam, 0)):
                 raise ParameterError(f"expsat requires bound parameter lam > 0, got lam={self.lam}")
-            if not np.all(np.isfinite(self.a) & np.isfinite(self.lam)):
-                raise ParameterError(f"expsat requires finite a and lam, got a={self.a}, lam={self.lam}")
         if k in (LossKind.PINBALL, LossKind.TRUNCATED_PINBALL):
             if not np.all(np.greater_equal(self.tau, 0.0) & np.less_equal(self.tau, 1.0)):
                 raise ParameterError(f"pinball slope tau must lie in [0, 1], got tau={self.tau}")
@@ -97,10 +95,7 @@ class LossSpec:
                 raise ParameterError(f"truncated pinball cap delta1 must be > 0, got delta1={self.delta1}")
             if not np.all(np.greater(self.delta2, 0)):
                 raise ParameterError(f"truncated pinball cap delta2 must be > 0, got delta2={self.delta2}")
-        for name in (f.name for f in fields(self) if f.name != "kind"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ParameterError(f"{name} must be finite, got {name}={value}")
+        check_finite(self, [f.name for f in fields(self) if f.name != "kind"])
 
     @classmethod
     def expsat(cls, a: float = 1.0, lam: float = 1.0) -> "LossSpec":
@@ -149,14 +144,12 @@ def loss_value(spec: LossSpec, u):
     elif k is LossKind.TRUNCATED_PINBALL:
         neg = np.where(np.greater(spec.tau, 0), np.minimum(-spec.tau * u, spec.delta2), 0.0)
         out = np.where(u >= 0, np.minimum(u, spec.delta1), neg)
-    elif k is LossKind.EXPSAT:
+    else:  # expsat
         # a*u past the float range is +inf where u > 0, which saturates the
         # loss; every other overflow falls in the branch np.where discards
         with np.errstate(over="ignore"):
             t = spec.a * u
             out = np.where(u > 0, spec.lam * (1.0 - _saturating_from_zero(t)), 0.0)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown loss kind {k}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,7 +178,7 @@ def loss_derivative(spec: LossSpec, u):
         with np.errstate(divide="ignore", over="ignore"):
             edge = -spec.delta2 / tau
         out = np.where((tau > 0) & (u <= 0) & (u > edge), -spec.tau, out)
-    elif k is LossKind.EXPSAT:
+    else:  # expsat
         # as in loss_value; lam*a past the float range gives the limit inf
         # where the mask keeps d, and inf*0 = nan only where u = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -193,8 +186,6 @@ def loss_derivative(spec: LossSpec, u):
             tc = np.clip(t, -_EXP_CUTOFF, _EXP_CUTOFF)
             d = spec.lam * spec.a * tc * np.exp(-tc)
         out = np.where((u > 0) & (t <= _EXP_CUTOFF), d, 0.0)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown loss kind {k}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -222,6 +213,4 @@ def loss_supremum(spec: LossSpec) -> float:
         return spec.delta
     if k is LossKind.TRUNCATED_PINBALL:
         return max(spec.delta1, spec.delta2) if spec.tau > 0 else spec.delta1
-    if k is LossKind.EXPSAT:
-        return spec.lam
-    raise ParameterError(f"unknown loss kind {k}")  # pragma: no cover
+    return spec.lam

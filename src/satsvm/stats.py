@@ -54,16 +54,15 @@ _F_CRIT_05 = {
 
 @dataclass(frozen=True)
 class RankTable:
-    """Per-dataset accuracies and ranks; ``mean_ranks`` is length p.
+    """Per-dataset ranks and their means; ``mean_ranks`` is length p.
 
-    ``accuracies``/``ranks`` are absent when the table was built directly
-    from published mean ranks.
+    ``ranks`` is absent when the table was built directly from published
+    mean ranks.
     """
 
     D: int
     p: int
     mean_ranks: np.ndarray
-    accuracies: np.ndarray | None = None
     ranks: np.ndarray | None = None
     models: tuple[str, ...] | None = None
 
@@ -116,7 +115,6 @@ def rank_models(accuracies, models=None) -> RankTable:
         D=acc.shape[0],
         p=acc.shape[1],
         mean_ranks=ranks.mean(axis=0),
-        accuracies=acc,
         ranks=ranks,
         models=None if models is None else tuple(models),
     )

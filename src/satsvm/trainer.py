@@ -57,7 +57,7 @@ from itertools import pairwise
 import numpy as np
 
 from .data import check_layout, dump_json, from_doc, layout, parse_json, to_doc
-from .errors import DataFormatError, NumericError, ParameterError, ShapeError
+from .errors import DataFormatError, NumericError, ParameterError, ShapeError, check_finite
 from .kernel import COLUMN_GROUP, KernelSpec, gram_matrix, kernel_product, row_product
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
@@ -105,10 +105,7 @@ class TrainerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("C", "alpha0", "eta", "beta0", "v0"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ParameterError(f"{name} must be finite, got {name}={value}")
+        check_finite(self, ("C", "alpha0", "eta", "beta0", "v0"))
         shapes = [np.shape(v) for _, v in self.column_parameters()]
         if any(len(shape) > 1 for shape in shapes) or len({shape for shape in shapes if shape}) > 1:
             raise ShapeError("C and the loss parameters must be numbers or equal-length vectors", *shapes)

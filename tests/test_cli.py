@@ -105,9 +105,11 @@ class TestTrain:
         (["--alpha0", "0"], "initial learning rate must be > 0, got 0.0"),
         (["--eta", "-1"], "learning-rate decay eta must be > 0, got -1.0"),
         (["--batch-size", "0"], "batch size must be >= 1, got 0"),
+        (["--a", "inf"], "a must be finite, got a=inf"),
+        (["--lam", "inf"], "lam must be finite, got lam=inf"),
     ], ids=["loss-first", "kernel-next", "config-last", "infinite-C", "infinite-alpha0", "infinite-eta",
             "infinite-beta0", "nan-v0", "ranges-before-finiteness", "zero-alpha0", "negative-eta",
-            "zero-batch-size"])
+            "zero-batch-size", "infinite-a", "infinite-lam"])
     def test_invalid_values_checked_loss_then_kernel_then_config(self, flags, message, tmp_path, data_csv,
                                                                  capsys):
         out = tmp_path / "m.json"
@@ -323,6 +325,22 @@ class TestStats:
         assert code == 3
         assert where in err
         _one_line_error(err)
+
+    @pytest.mark.parametrize("text,kind,datasets,message", [
+        ("m1\n1.5\n", "mean-ranks", "2", "mean ranks must be a vector of two or more models (got (1,))"),
+        ("dataset,m1\nd1,90\nd2,85\n", "accuracies", "2",
+         "accuracies must be a D-by-p matrix with p >= 2 (got (2, 1))"),
+        ("m1,m2,m3\n1.5,2,2.5\n", "mean-ranks", "0", "dataset count D must be >= 1, got 0"),
+    ], ids=["one-mean-rank", "one-model-column", "no-datasets"])
+    def test_table_of_the_wrong_shape_is_usage_error(self, text, kind, datasets, message, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        out = tmp_path / "r.csv"
+        code, _, err = run(["stats", "--input", str(src), "--input-kind", kind, "--num-datasets", datasets,
+                            "--critical-f", "5", "--output", str(out)], capsys)
+        assert code == 2
+        assert err == f"satsvm: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("critical_f", ["nan", "inf", "0", "-1"])
     def test_critical_f_that_cannot_be_one_is_usage_error(self, critical_f, tmp_path, capsys):
@@ -742,6 +760,8 @@ MANGLED_MODELS = {
     "nan-unused-loss-parameter": _edit(lambda d: d["config"]["loss"].update(tau=float("nan"))),
     "infinite-unused-sigma": _edit(_linear_with_infinite_sigma),
     "integer-past-the-float-range": _edit(lambda d: d.update(final_objective=10**400)),
+    "integer-past-the-float-range-C": _edit(lambda d: d["config"].update(C=10**400)),
+    "integer-past-the-float-range-loss-parameter": _edit(lambda d: d["config"]["loss"].update(tau=10**400)),
 }
 
 

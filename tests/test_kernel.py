@@ -423,21 +423,32 @@ def test_row_split_keeps_the_bits_at_one_blas_thread():
 
 def test_row_product_keeps_wider_products_whole():
     K, b = np.random.default_rng(9).standard_normal((40, 40)), np.ones((40, 3))
+    seen = []
+    run = kernel._run
     with forced_workers(2), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_run", lambda *a: pytest.fail("a product of 3 columns was split"))
+        mp.setattr(kernel, "_run", lambda fn, ranges: (seen.append(ranges), run(fn, ranges)))
         assert row_product(K, b).tobytes() == (K @ b).tobytes()
+    assert seen == [[(0, 40)]]  # a product of 3 columns is one range, never split
 
 
 def test_split_starts_ranges_at_multiples_and_leaves_no_one_row_range(monkeypatch):
     monkeypatch.setattr(kernel, "_workers", [None] * 3)
-    assert kernel._split(100, 8, 1 << 19) is None  # below PARALLEL_ENTRIES: inline
+    assert kernel._split(100, 8, 1 << 19) == [(0, 100)]  # below PARALLEL_ENTRIES: one range, inline
     assert kernel._split(100, 8, 1 << 20) == [(0, 32), (32, 64), (64, 100)]
     assert kernel._split(17, 8, 1 << 20) == [(0, 8), (8, 17)]
     assert kernel._split(9, 8, 1 << 20) == [(0, 9)]
     assert kernel._split(1, 8, 1 << 20) == [(0, 1)]
     assert kernel._split(0, 8, 1 << 20) == []
     monkeypatch.setattr(kernel, "_workers", [None])
-    assert kernel._split(100, 8, 1 << 20) is None  # one CPU: inline
+    assert kernel._split(100, 8, 1 << 20) == [(0, 100)]  # one CPU: one range, inline
+
+
+def test_a_lone_range_runs_in_the_calling_thread_and_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(kernel, "_workers", None)
+    seen = []
+    kernel._run(lambda lo, hi: seen.append((lo, hi, threading.current_thread())), [(3, 11)])
+    assert seen == [(3, 11, threading.current_thread())]
+    assert kernel._workers is None
 
 
 class TestWorkers:

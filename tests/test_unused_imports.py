@@ -33,6 +33,46 @@ def test_the_check_finds_an_unused_import():
     assert _unused_imports("import os\nfrom a import b, c as d\nos.sep\nd()\n") == ["b (line 2)"]
 
 
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions, classes and assigned names of the
+    modules ``sources`` (file name -> text) that no module reads, as a
+    name or as an attribute; dunder names aside."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}: {name} (line {node.lineno})" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_every_private_name_is_read():
+    assert _dead_private_names({module: (PACKAGE / module).read_text() for module in MODULES}) == []
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {"a.py": "def _called(): pass\ndef _unused(): pass\n_LIMIT, _spare = 1, 2\n_typed: int = 3\n"
+                       "class _Gone: pass\n__all__ = []\n",
+               "b.py": "from .a import _called\n_called()\nlimit = a._LIMIT\n_typed = 4\n"}
+    assert _dead_private_names(sources) == ["a.py: _unused (line 2)", "a.py: _spare (line 3)",
+                                            "a.py: _typed (line 4)", "a.py: _Gone (line 5)",
+                                            "b.py: _typed (line 4)"]
+
+
 def _resolves(module: str, target: str) -> bool:
     """Whether ``target``, referred to in the package's ``module``, names
     an object: a fully qualified name, a name in another module of the
