@@ -289,8 +289,6 @@ def cmd_grid(p: dict) -> int:
 
 
 def cmd_corrupt(p: dict) -> int:
-    from .seeds import child_seed
-
     # an inversion ignores the rate and the factor, but its manifest records them
     check_corruption(p["rate"], p["factor"])
     ds = _load(p)
@@ -301,6 +299,8 @@ def cmd_corrupt(p: dict) -> int:
         check_layout(doc, layout(CorruptionRecord), "corruption record")
         write_csv(invert_corruption(ds, from_doc(CorruptionRecord, doc)), p["output"])
         return 0
+    from .seeds import child_seed  # an inversion draws no random numbers, so loads no hashlib
+
     corrupted, record = corrupt(ds, p["mode"], p["rate"], p["factor"], child_seed(p["seed"], "corruption"))
     write_csv(corrupted, p["output"])
     _write_text(p["record"] or p["output"] + ".record.json", dump_json(to_doc(record)))

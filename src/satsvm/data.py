@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -87,7 +88,7 @@ class FoldPlan:
 
 
 def _is(value, kind) -> bool:
-    return type(value) is kind or (kind is float and type(value) is int)
+    return type(value) is kind or (kind is float and type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def check_layout(value, schema, where: str, error=DataFormatError) -> None:
@@ -96,7 +97,8 @@ def check_layout(value, schema, where: str, error=DataFormatError) -> None:
 
     A dict is an object with exactly these keys, a one-element list is a
     list of that item, a tuple ``(item,)`` is that item or null, and
-    ``float`` admits any JSON number.
+    ``float`` admits any JSON number a float holds: an integer past the
+    float range is refused here, before any conversion overflows.
     """
     if isinstance(schema, tuple):
         if value is None:
@@ -110,11 +112,12 @@ def check_layout(value, schema, where: str, error=DataFormatError) -> None:
     elif isinstance(schema, list):
         if not isinstance(value, list):
             raise error(f"{where} must be a list")
-        if not (schema[0] is float and {type(v) for v in value} <= {int, float}):
+        if not (schema[0] is float and {type(v) for v in value} <= {float}):
             for i, item in enumerate(value):
                 check_layout(item, schema[0], f"{where}[{i}]", error)
     elif not _is(value, schema):
-        raise error(f"{where} must be of type {schema.__name__}, got {type(value).__name__}")
+        got = "an integer past the float range" if schema is float and type(value) is int else type(value).__name__
+        raise error(f"{where} must be of type {schema.__name__}, got {got}")
 
 
 def dump_json(doc) -> str:
@@ -129,7 +132,7 @@ def parse_json(text: str, what: str, error=DataFormatError):
     ``error`` with the message ``<what> is not valid JSON: <reason>``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python converts
         raise error(f"{what} is not valid JSON: {exc}") from None
 
 

@@ -14,11 +14,16 @@ configuration is a batch of its own: its columns (one per candidate; a
 grid makes one configuration per sigma, whose columns run over C and the
 loss parameters) train together through :func:`trainer.fit_columns`,
 which picks the chunks and states how far a batch's decision values may
-differ from separate fits' (a one-column batch's are bit-identical to
-``decision_values`` on the fitted model). Grid and sweep build those
-columns with one mesh builder, :func:`_columns`, and check their axes
-with one check, :func:`_check_axes`, before any Gram is built; a grid
-checks every axis, searched or not, after :meth:`GridSpec.validated` has
+differ from separate fits'. A batch trains and is scored in whole groups
+of ``kernel.COLUMN_GROUP`` columns, so at one BLAS thread a candidate's
+betas, decision values and accuracies are the same bits in any batch
+that holds it, at any chunk width. A plain configuration's one column
+is scored as a vector, so its decision values, a robustness row's among
+them, are bit-identical to ``decision_values`` on the model ``fit``
+trains. Grid and sweep build those columns with one mesh builder,
+:func:`_columns`, and check their axes with one check,
+:func:`_check_axes`, before any Gram is built; a grid checks every
+axis, searched or not, after :meth:`GridSpec.validated` has
 silently dropped the a grid's values <= 0 (the default a grid starts at
 0). A grid searches each distinct axis value once, and for a linear
 kernel, which sigma does not enter, only the smallest sigma. Scoring an
@@ -148,7 +153,8 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
     that uses the kernel is a batch of its own: ``fit_columns`` trains its
     columns chunk by chunk and each chunk is scored by ``kernel_product``,
     the call behind ``decision_values``, and :func:`trainer.accuracy`, one
-    value per column. The largest Gram of the run, the
+    value per column; a plain configuration's one column as a vector. The
+    largest Gram of the run, the
     training parts' or a refit's on ``refit`` points, is checked against
     the size cap before fold 0.
     """
@@ -162,7 +168,8 @@ def _evaluate(folds: list[tuple[Dataset, Dataset]], configs: list[TrainerConfig]
             gram = gram_matrix(kernel, train.X)
             for i in idx:
                 for cols, beta in fit_columns(_fold_config(configs[i], f), train.X, train.y, gram=gram):
-                    per_fold[i][cols, f] = accuracy(sign_labels(kernel_product(kernel, train.X, test.X, beta)), test.y)
+                    W = beta if configs[i].columns is not None else beta[:, 0]  # a plain config's as a vector
+                    per_fold[i][cols, f] = accuracy(sign_labels(kernel_product(kernel, train.X, test.X, W)), test.y)
             del gram
     return per_fold
 

@@ -127,16 +127,23 @@ PARALLEL_ENTRIES = 1 << 20
 # with AVX-512). test_row_split_keeps_the_bits_at_one_blas_thread in
 # tests/test_kernel.py holds this premise.
 ROW_ALIGN = 8
-# kernel_product multiplies by a weight matrix this many columns at a time,
-# and fit_columns trains a batch's columns in chunks of whole multiples of
-# it. OpenBLAS's GEMM computes each full group of 8 columns with one kernel,
+# kernel_product multiplies by a weight matrix, and fit_columns trains every
+# chunk of a batch, in whole groups of this many columns (whole_groups).
+# OpenBLAS's GEMM computes each full group of 8 columns with one kernel,
 # but a product's last B mod 8 columns, and products of a few columns, with
-# others: without the groups a column's bits would depend on the width of
-# its product. At one BLAS thread, products in groups of 8 columns kept
-# their bits on the SkylakeX, Haswell, Zen and SandyBridge cores (n from 50
-# to 2000). test_chunk_width_keeps_the_bits in tests/test_harness.py holds
+# others: without whole groups a column's bits would depend on the other
+# columns of its product. At one BLAS thread, products in groups of 8
+# columns kept their bits on the SkylakeX, Haswell, Zen and SandyBridge
+# cores (n from 50 to 2000). test_chunk_width_keeps_the_bits and
+# test_columns_keep_their_bits_in_any_batch in tests/test_harness.py hold
 # this premise.
 COLUMN_GROUP = 8
+
+
+def whole_groups(width: int) -> np.ndarray:
+    """Indices of ``width`` columns padded to a whole number of groups of
+    ``COLUMN_GROUP`` columns by repeating the last one."""
+    return np.minimum(np.arange(-(-width // COLUMN_GROUP) * COLUMN_GROUP), width - 1)
 
 
 def block_rows(n: int) -> int:
@@ -262,8 +269,11 @@ def row_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _times(block: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
     """``block @ W`` into ``out``, one product per group of ``COLUMN_GROUP``
-    columns of ``W``, so that a column's bits do not depend on how many
-    columns ``W`` has; up to 8 columns are one product, a vector's too."""
+    columns of ``W``, which :func:`kernel_product` pads to whole groups,
+    so that a column's bits do not depend on how many columns ``W`` has
+    (one product of them all would: tests/test_harness.py's
+    test_chunk_width_keeps_the_bits fails with it); a vector's one column
+    is one product."""
     for c in range(0, W.shape[1], COLUMN_GROUP):
         out[:, c : c + COLUMN_GROUP] = block @ W[:, c : c + COLUMN_GROUP]
 
@@ -382,19 +392,21 @@ def kernel_product(spec: KernelSpec, X, Z, W) -> np.ndarray:
     scratch take at most ``BLOCK_BYTES``, or ``TILE_BLOCKS`` times that
     per worker on the parallel path. Each block's rows are the bits of
     :func:`kernel_block` over the same rows of ``Z``, times ``W``, on
-    either path. A matrix ``W`` is taken ``COLUMN_GROUP`` columns at a
-    time, so a column of a full group has the same bits whatever the
-    width of ``W``.
+    either path. A matrix ``W`` is padded to whole groups of
+    ``COLUMN_GROUP`` columns by repeating its last column
+    (:func:`whole_groups`) and taken a group at a time, so a column's bits
+    depend on neither the width of ``W`` nor its other columns. A vector
+    ``W`` is one matrix-vector product per block.
     """
     X, Z = _points(X, Z)
     W = np.asarray(W, dtype=float)
     if W.ndim not in (1, 2) or W.shape[0] != len(X):
         raise ShapeError("one weight or weight row per point", W.shape, X.shape)
-    out = np.empty((len(Z), *W.shape[1:]))
     # a vector W as one column: numpy takes either as the same matrix-vector product
-    cols = W.shape[1] if W.ndim == 2 else 1
-    _evaluate(spec, X, Z, W=W.reshape(len(X), cols), product=out.reshape(len(Z), cols))
-    return out
+    V = W[:, whole_groups(W.shape[1])] if W.ndim == 2 else W[:, None]
+    out = np.empty((len(Z), V.shape[1]))
+    _evaluate(spec, X, Z, W=V, product=out)
+    return out[:, : W.shape[1]] if W.ndim == 2 else out[:, 0]
 
 
 def check_capacity(n: int) -> None:

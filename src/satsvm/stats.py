@@ -24,6 +24,7 @@ the 5% level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ class RankTable:
         mr = np.asarray(mean_ranks, dtype=float)
         if mr.ndim != 1 or mr.size < 2:
             raise ShapeError("mean ranks must be a vector of two or more models", mr.shape)
-        if D < 1:
-            raise ParameterError(f"dataset count D must be >= 1, got {D}")
+        if not 1 <= D <= sys.float_info.max:  # the statistics take D as a float
+            raise ParameterError(f"dataset count D must be >= 1, got {D}" if D < 1 else
+                                 "dataset count D is past the float range")
         return cls(D=D, p=mr.size, mean_ranks=mr, models=None if models is None else tuple(models))
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .data import check_layout, dump_json, from_doc, layout, parse_json, to_doc
 from .errors import DataFormatError, NumericError, ParameterError, ShapeError, check_finite
-from .kernel import COLUMN_GROUP, KernelSpec, gram_matrix, kernel_product, row_product
+from .kernel import COLUMN_GROUP, KernelSpec, gram_matrix, kernel_product, row_product, whole_groups
 from .loss import PARAMETERS, LossSpec, loss_derivative, loss_derivative_bound, loss_value
 
 MODEL_FORMAT_VERSION = 1
@@ -521,14 +521,19 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
     columns in the slice ``cols``.
 
     The columns of a chunk train together in one loop, and a chunk trains
-    when the caller asks for it, so memory is bounded by one chunk. A
-    batch of up to ``COLUMN_GROUP`` columns is one chunk. A wider one is
-    split into chunks of whole multiples of ``COLUMN_GROUP`` columns, as
-    many as ``COLUMN_BYTES`` of coefficients holds at this training size,
-    and a chunk of its last B mod ``COLUMN_GROUP`` columns, so a column's
-    bits do not depend on the chunk width. The call itself checks the
-    data, and builds the Gram when ``gram`` is None, before any chunk
-    trains. A ``NumericError`` names the failing column's parameters.
+    when the caller asks for it, so memory is bounded by one chunk: each
+    chunk but the last holds as many whole groups of ``COLUMN_GROUP``
+    columns as ``COLUMN_BYTES`` of coefficients holds at this training
+    size. A batch, a config with per-column parameters (of one column
+    too), trains every chunk in whole groups, its last column repeated to
+    fill the last group (:func:`kernel.whole_groups`), and yields only
+    its own columns: so a column's bits depend neither on the chunk width
+    nor on the other columns of its batch. A repeated column raises only
+    the ``NumericError`` its original raises, and the message names the
+    original, which comes first. A plain config trains its one column as
+    :func:`fit` does. The call itself checks the data, and builds the Gram
+    when ``gram`` is None, before any chunk trains. A ``NumericError``
+    names the failing column's parameters.
 
     Column j is what :func:`fit` would train for the config holding
     column j's C and loss parameters, up to rounding: the matrix products
@@ -538,20 +543,19 @@ def fit_columns(config: TrainerConfig, X, y, gram: np.ndarray | None = None) -> 
     of the run. On typical data that is the final ``|beta_j|``: the
     largest drift of a decision value measured on two-cluster data at
     n = 320 was 1.8e-14 * sum_j |beta_j K(x_j, x)|, and grid winners and
-    accuracies on the test data were unchanged. One column is
+    accuracies on the test data were unchanged. A plain config's column is
     bit-identical to :func:`fit`.
     """
     _, y, gram, s = _prepare(config, X, y, gram)
-    B = config.columns or 1
+    B = 1 if config.columns is None else config.columns
     step = COLUMN_GROUP * max(1, COLUMN_BYTES // (8 * COLUMN_GROUP * len(y)))
-    body = B if B <= COLUMN_GROUP else B - B % COLUMN_GROUP
-    chunks = [slice(lo, hi) for lo, hi in pairwise(sorted({*range(0, body, step), body, B}))]
 
     def train(cols: slice) -> np.ndarray:
-        chunk = apply_params(config, {name: v[cols] for name, v in config.column_parameters() if np.ndim(v)})
-        return _train(chunk, gram, y, s)[0]
+        pad = cols.start + whole_groups(cols.stop - cols.start)
+        chunk = apply_params(config, {name: v[pad] for name, v in config.column_parameters() if np.ndim(v)})
+        return _train(chunk, gram, y, s)[0][:, : cols.stop - cols.start]
 
-    return ((cols, train(cols)) for cols in chunks)
+    return ((cols, train(cols)) for cols in (slice(lo, min(lo + step, B)) for lo in range(0, B, step)))
 
 
 def decision_values(model: TrainedModel, X) -> np.ndarray:
@@ -632,7 +636,7 @@ def load_model(text: str) -> TrainedModel:
         model = TrainedModel(beta=doc["beta"], support_points=doc["support_points"],
                              config_snapshot=from_doc(TrainerConfig, doc["config"]),
                              final_objective=doc["final_objective"], scaler=doc["scaler"])
-    except (ValueError, OverflowError) as exc:  # an integer past the float range overflows
+    except ValueError as exc:
         raise DataFormatError(f"invalid model: {exc}") from None
     if doc["kernel"] != to_doc(model.kernel):
         raise DataFormatError(f"model kernel {doc['kernel']} != config.kernel {doc['config']['kernel']}")

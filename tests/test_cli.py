@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -8,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satsvm import accuracy, two_cluster_dataset, write_csv
-from satsvm.cli import _SUBCOMMANDS, build_parser, main
+from satsvm.cli import _SUBCOMMANDS, _defaults, build_parser, main
 from satsvm.seeds import child_seed
 
 D1_RANK_CSV = "hinge,pinball,linex,qtself,wave,expsat\n3.35,2.96,3.96,4.45,4.12,2.16\n"
@@ -953,6 +957,98 @@ class TestOutOfRangeValues:
         _one_line_error(err)
 
 
+# an integer past the float range, written out in JSON: Python reads it
+# exactly, and its first conversion to a float overflows
+_HUGE = 10**400
+
+
+def _huge_record(tmp_path, data_csv):
+    """A corrupted copy of ``data_csv`` whose record restores its first
+    value as ``_HUGE``; the argv that inverts it."""
+    corrupted = tmp_path / "corrupted.csv"
+    assert main(["corrupt", "--input", str(data_csv), "--output", str(corrupted), "--seed", "1"]) == 0
+    record = Path(str(corrupted) + ".record.json")
+    doc = json.loads(record.read_text())
+    doc["original_values"][0] = _HUGE
+    record.write_text(json.dumps(doc))
+    return ["corrupt", "--invert", "--input", str(corrupted)]
+
+
+_PAST_THE_FLOAT_RANGE = {
+    "train-C": (["train", "--input", "{data}"], {"C": _HUGE}, 2),
+    "grid-c-grid": (["grid", "--input", "{data}"], {"c_grid": [_HUGE]}, 2),
+    "grid-alpha0": (["grid", "--input", "{data}"], {"alpha0": _HUGE}, 2),
+    "grid-beta0": (["grid", "--input", "{data}"], {"beta0": _HUGE}, 2),
+    "corrupt-factor": (["corrupt", "--input", "{data}"], {"factor": _HUGE}, 2),
+    "stats-num-datasets-config": (["stats", "--input", "{ranks}"], {"input_kind": "mean-ranks",
+                                                                   "num_datasets": _HUGE}, 2),
+    "stats-num-datasets-flag": (["stats", "--input", "{ranks}", "--input-kind", "mean-ranks",
+                                 "--num-datasets", str(_HUGE)], None, 2),
+    "invert-original-value": (None, None, 3),
+    # more digits than Python converts to an int at all: not valid JSON to read
+    "train-C-of-5000-digits": (["train", "--input", "{data}"], '{"C": 1' + "0" * 5000 + "}", 2),
+}
+
+
+class TestNumbersPastTheFloatRange:
+    @pytest.mark.parametrize("case", list(_PAST_THE_FLOAT_RANGE))
+    def test_exits_with_one_line_and_writes_nothing(self, case, tmp_path, data_csv, capsys):
+        argv, config, want = _PAST_THE_FLOAT_RANGE[case]
+        ranks = tmp_path / "ranks.csv"
+        ranks.write_text("m1,m2,m3\n1.5,2,2.5\n")
+        if argv is None:
+            argv = _huge_record(tmp_path, data_csv)
+            capsys.readouterr()
+        argv = [a.format(data=data_csv, ranks=ranks) for a in argv]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        code, stdout, err = run([*argv, "--output", str(out)], capsys)
+        assert (code, stdout) == (want, "")
+        _one_line_error(err)
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+# JSON numbers, huge and negative ones among them, and the other scalars
+_FUZZ_SCALARS = (st.sampled_from([_HUGE, -_HUGE]) | st.integers() | st.floats() | st.booleans()
+                 | st.text(max_size=4) | st.none())
+# each command's base run: its input and the settings that keep it short
+_FUZZ_BASES = {
+    "train": ({"max_iters": 30}, "data"),
+    "grid": ({"c_grid": [1], "sigma_grid": [1], "a_grid": [1], "lambda_grid": [1], "max_iters": 30}, "data"),
+    "corrupt": ({}, "data"),
+    "stats": ({"input_kind": "mean-ranks", "num_datasets": 10}, "ranks"),
+}
+
+
+class TestConfigFuzz:
+    """A ``--config`` file with any value for one of a command's
+    parameters exits 0, 2, 3 or 4, and a failure prints one line."""
+
+    @pytest.mark.parametrize("command", list(_FUZZ_BASES))
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_config_value_exits_with_a_code_and_one_line(self, command, data, tmp_path):
+        base, source = _FUZZ_BASES[command]
+        inputs = {"data": tmp_path / "d.csv", "ranks": tmp_path / "ranks.csv"}
+        if not inputs["data"].exists():
+            write_csv(two_cluster_dataset(n=40, m=2, seed=0), inputs["data"])
+            inputs["ranks"].write_text("m1,m2,m3\n1.5,2,2.5\n")
+        key = data.draw(st.sampled_from(sorted(set(_defaults(command)) - {"input", "output", "record"})))
+        value = data.draw(_FUZZ_SCALARS | st.lists(_FUZZ_SCALARS, max_size=3))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        out, err = tmp_path / "out", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(inputs[source]), "--config", str(cfg), "--output", str(out)])
+        assert code in (0, 2, 3, 4), (key, value)
+        if code:
+            _one_line_error(err.getvalue())
+
+
 class TestIgnoredParameters:
     """A parameter that the chosen loss or kernel ignores is still recorded
     in the model file and the manifest, so it must be finite too."""
@@ -1117,6 +1213,16 @@ class TestImportFootprint:
         expected = ["satsvm", "satsvm.cli", "satsvm.data", "satsvm.errors",
                     *(f"satsvm.{module}" for module in COMMAND_MODULES[argv])]
         assert _loaded(code, *argv, cwd=tmp_path) == [0, sorted(expected)]
+
+    def test_an_inversion_loads_no_seed_stream(self, tmp_path):
+        # an inversion draws no random numbers: no seeds module, no hashlib
+        write_csv(two_cluster_dataset(n=40, m=2, seed=0), tmp_path / "d.csv")
+        assert main(["corrupt", "--input", str(tmp_path / "d.csv"), "--output", str(tmp_path / "c.csv")]) == 0
+        code = ("import json, sys\nfrom satsvm.cli import main\n"
+                "print(json.dumps([main(sys.argv[1:]), 'satsvm.seeds' in sys.modules, '_hashlib' in sys.modules]))")
+        argv = ["corrupt", "--invert", "--input", "c.csv", "--output", "back.csv"]
+        assert _loaded(code, *argv, cwd=tmp_path) == [0, False, False]
+        assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
     def test_readme_names_the_modules_of_each_command(self):
         assert _readme_modules(README.read_text(encoding="utf-8")) == MODULES_BY_COMMAND

@@ -24,6 +24,7 @@ from satsvm import (
     ShapeError,
     TrainerConfig,
     accuracy,
+    apply_params,
     decision_values,
     fit,
     grid_search_models,
@@ -543,6 +544,39 @@ def test_chunk_width_keeps_the_bits():
                    env=one_blas_thread_env(), check=True)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(20, 300), B=st.integers(1, 40), linear=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       subsets=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)), min_size=1, max_size=3))
+@example(n=64, B=13, linear=False, seed=1, subsets=[(0, 0), (1, 1)])
+def _columns_keep_their_bits_in_any_batch(n, B, linear, seed, subsets):
+    """A candidate's betas, and the test-part decision values and
+    accuracies ``_evaluate`` gives it, are the bits of the full batch's
+    in any random subset of the batch's columns, in any order, trained at
+    the default budget or in chunks of 8, 16 or 24 columns."""
+    rng = np.random.default_rng(seed)
+    ds = two_cluster_dataset(n=n + 24, m=4, separation=2.0, spread=1.0, seed=seed)
+    folds = [(ds.subset(np.arange(n)), ds.subset(np.arange(n, n + 24)))]
+    base = TrainerConfig(kernel=KernelSpec.linear() if linear else KernelSpec.gaussian(0.7), seed=seed)
+    C, a = np.exp(rng.uniform(-5.0, 7.0, B)), rng.uniform(0.1, 5.0, B)
+    full = _chunked(folds, [apply_params(base, {"C": C, "a": a})], trainer.COLUMN_BYTES)
+    betas, scores = np.hstack(full[2]), np.hstack(full[3])
+    for subset_seed, groups in subsets:
+        prng = np.random.default_rng(subset_seed)
+        pick = prng.permutation(B)[: prng.integers(1, B + 1)]
+        budget = 8 * n * COLUMN_GROUP * groups if groups else trainer.COLUMN_BYTES
+        part = _chunked(folds, [apply_params(base, {"C": C[pick], "a": a[pick]})], budget)
+        assert np.hstack(part[2]).tobytes() == np.ascontiguousarray(betas[:, pick]).tobytes()
+        assert np.hstack(part[3]).tobytes() == np.ascontiguousarray(scores[:, pick]).tobytes()
+        assert part[0][0].tobytes() == full[0][0][pick].tobytes()
+
+
+def test_columns_keep_their_bits_in_any_batch():
+    """At one BLAS thread in a child process, as
+    :func:`test_chunk_width_keeps_the_bits`."""
+    subprocess.run([sys.executable, "-c", "import test_harness; test_harness._columns_keep_their_bits_in_any_batch()"],
+                   env=one_blas_thread_env(), check=True)
+
+
 class TestBatchedEvaluation:
     def test_split_chunks_match_one_chunk(self):
         ds = _overlapping(1)
@@ -550,15 +584,15 @@ class TestBatchedEvaluation:
         grid = GridSpec(c_grid=(10.0, 0.5, 3.0), sigma_grid=(2.0, 0.5), a_grid=(2.0, 0.5, 1.0),
                         lambda_grid=(1.0, 0.5))
         _, configs = harness._grid_columns(TrainerConfig(seed=1), grid.validated())
-        # 18 columns per (fold, sigma): 16 and the last 2 apart at the default
-        # budget, and 8, 8 and 2 at a budget of 8 columns of 48 coefficients
+        # 18 columns per (fold, sigma): one chunk at the default budget, and
+        # 8, 8 and 2 at a budget of 8 columns of 48 coefficients
         whole = _chunked(folds, configs, trainer.COLUMN_BYTES)
         split = _chunked(folds, configs, 8 * 48 * 8)
-        assert whole[1] == [slice(0, 16), slice(16, 18)] * 2 * 5
+        assert whole[1] == [slice(0, 18)] * 2 * 5
         assert split[1] == [slice(0, 8), slice(8, 16), slice(16, 18)] * 2 * 5
         for i in range(2 * 5):
-            assert _same_columns(split[2][3 * i : 3 * i + 3], whole[2][2 * i : 2 * i + 2])
-            assert _same_columns(split[3][3 * i : 3 * i + 3], whole[3][2 * i : 2 * i + 2])
+            assert _same_columns(split[2][3 * i : 3 * i + 3], whole[2][i : i + 1])
+            assert _same_columns(split[3][3 * i : 3 * i + 3], whole[3][i : i + 1])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(split[0], whole[0]))
 
     @pytest.mark.parametrize("kernel", [KernelSpec.gaussian(0.7), KernelSpec.linear()], ids=["gaussian", "linear"])
@@ -577,7 +611,7 @@ class TestBatchedEvaluation:
         assert len(scored) == len(folds)
         for f, (train, test) in enumerate(folds):
             model = fit(harness._fold_config(config, f), train.X, train.y)
-            assert scored[f][:, 0].tobytes() == decision_values(model, test.X).tobytes()
+            assert scored[f].tobytes() == decision_values(model, test.X).tobytes()
 
     def test_linear_kernel_trains_each_sigma_once(self, monkeypatch):
         ds = _overlapping(3)

@@ -38,7 +38,7 @@ from satsvm import (
     sign_labels,
     two_cluster_dataset,
 )
-from satsvm.kernel import row_product
+from satsvm.kernel import COLUMN_GROUP, row_product
 
 ONE_MINUS_2_OVER_E = 0.26424111765711533
 ONE_OVER_E = 0.36787944117144233
@@ -588,17 +588,22 @@ class TestFitColumns:
             beta0=beta0, v0=v0, alpha0=alpha0, eta=eta, r=r, batch_size=1 + int(batch * (n - 1)),
             max_iters=max_iters, seed=seed,
         )
-        one = _column_config(cfg, C=[C])
-        try:
-            beta, final = _reference_fit(cfg, X, y)
-            if not math.isfinite(final):
-                raise NumericError(f"non-finite final objective {final!r}")
-        except NumericError as exc:
-            with pytest.raises(NumericError, match=f"^{exc} for C="):
-                _betas(one, X, y)
-            return
-        ((cols, got),) = fit_columns(one, X, y)
-        assert cols == slice(0, 1) and got[:, 0].tobytes() == beta.tobytes()
+        # a plain config trains the vector of fit; a batch of one trains
+        # in a whole group, its column repeated
+        group = _column_config(cfg, C=[C] * COLUMN_GROUP)
+        for config, reference in ((cfg, cfg), (_column_config(cfg, C=[C]), group)):
+            try:
+                beta, final = _reference_fit(reference, X, y)
+                final = np.ravel(final)
+                if not np.isfinite(final).all():
+                    raise NumericError(f"non-finite final objective {float(final[~np.isfinite(final)][0])!r}")
+            except NumericError as exc:
+                with pytest.raises(NumericError, match=f"^{exc}$" if config is cfg else f"^{exc} for C="):
+                    _betas(config, X, y)
+                continue
+            ((cols, got),) = fit_columns(config, X, y)
+            want = beta if config is cfg else beta[:, 0]
+            assert cols == slice(0, 1) and got.shape == (n, 1) and got[:, 0].tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -662,21 +667,37 @@ class TestFitColumns:
         with pytest.raises(NumericError, match=r"^non-finite gradient at iteration 327 for C=1.5e\+308$"):
             _betas(_column_config(hinge, C=[1.0, 1.5e308]), X, y)
 
+    def test_a_last_column_that_overflows_is_named_once(self, monkeypatch):
+        # the overflowing column is the last of its chunk, which repeats it
+        # to a whole group: the message names it once, as in the row above
+        n = 200
+        X = np.zeros((n, 1))
+        X[2:, 0] = 100.0 * np.arange(1, n - 1)
+        y = np.ones(n)
+        y[1] = -1.0
+        cfg = _column_config(TrainerConfig(loss=LossSpec.hinge(), batch_size=1, seed=80), C=[1.0] * 8 + [1.5e308])
+        for budget in (trainer.COLUMN_BYTES, 1):
+            monkeypatch.setattr(trainer, "COLUMN_BYTES", budget)
+            with pytest.raises(NumericError, match=r"^non-finite gradient at iteration 327 for C=1.5e\+308$"):
+                _betas(cfg, X, y)
+
     def test_column_budget(self, monkeypatch):
         # past the budget a batch trains in chunks of whole groups of 8
-        # columns, its last B mod 8 columns apart, instead of raising
+        # columns instead of raising
         ds = two_cluster_dataset(n=30, seed=1)
         cfg = _column_config(TrainerConfig(max_iters=5), C=np.linspace(1.0, 3.0, 21))
         whole = list(fit_columns(cfg, ds.X, ds.y))
-        assert [cols for cols, _ in whole] == [slice(0, 16), slice(16, 21)]
+        assert [cols for cols, _ in whole] == [slice(0, 21)]
         for budget in (8 * 30 * 8, 8 * 30 * 15, 1):
             monkeypatch.setattr(trainer, "COLUMN_BYTES", budget)
             split = list(fit_columns(cfg, ds.X, ds.y))
             assert [cols for cols, _ in split] == [slice(0, 8), slice(8, 16), slice(16, 21)]
             assert all(beta.shape == (30, cols.stop - cols.start) for cols, beta in split)
             assert np.hstack([b for _, b in split]).tobytes() == np.hstack([b for _, b in whole]).tobytes()
-        # up to 8 columns are one chunk, and a plain config one column
+        # up to 8 columns are one chunk, a plain config one column, and an
+        # empty batch none
         assert [cols for cols, _ in fit_columns(_column_config(cfg, C=np.ones(8)), ds.X, ds.y)] == [slice(0, 8)]
+        assert list(fit_columns(_column_config(cfg, C=[]), ds.X, ds.y)) == []
         ((cols, beta),) = fit_columns(TrainerConfig(max_iters=5), ds.X, ds.y)
         assert cols == slice(0, 1) and beta.shape == (30, 1)
 
